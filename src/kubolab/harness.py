@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .acceptance import THRESHOLDS
 from .model import (
+    ConfigurationError,
     CovariantOperator,
     DisorderSpec,
     FluxSpec,
@@ -35,8 +36,11 @@ from .model import (
     shift_disorder,
 )
 from .funcalc import (
+    CoverageError,
+    DegenerateFermiLevelError,
     EquilibriumState,
     HSQuadrature,
+    QuadratureAccuracyError,
     SpectralData,
     apply_spectral,
     combes_thomas_probe,
@@ -45,10 +49,13 @@ from .funcalc import (
     hs_norm,
     localization_diagnostic,
     fermi_projection,
+    position_commutator,
 )
 from .dynamics import (
     DriveProtocol,
+    StepSizeError,
     _expm_hermitian as _expm,
+    _h_at,
     TimeGrid,
     duhamel_residual,
     evolve_density_duhamel,
@@ -60,8 +67,11 @@ from .dynamics import (
 from .opspace import (
     EnsembleOperator,
     comm_ddagger,
+    comm_diamond,
+    comm_odot,
     dagger,
     hs_inner,
+    norm2,
     norms,
     prod_diamond,
     prod_left,
@@ -351,14 +361,21 @@ def _map_cells(fn, cells, threads: int):
         return list(pool.map(fn, cells))
 
 
+_CELL_FAILURES = (
+    DegenerateFermiLevelError, CoverageError, QuadratureAccuracyError,
+    StepSizeError, ConfigurationError, np.linalg.LinAlgError,
+)
+
+
 def _map_cells_guarded(fn, cells, threads: int):
-    """Like _map_cells, but a numerical failure in one cell is recorded and
-    the run continues; returns (results, errors)."""
+    """Like _map_cells, but a numerical failure (one of _CELL_FAILURES) in
+    one cell is recorded and the run continues; any other exception is a
+    defect and propagates. Returns (results, errors)."""
 
     def guarded(cell):
         try:
             return ("ok", fn(cell))
-        except Exception as exc:  # summarized at exit, never fatal per cell
+        except _CELL_FAILURES as exc:  # summarized at exit, never fatal per cell
             return ("error", f"cell {cell!r}: {type(exc).__name__}: {exc}")
 
     outcomes = _map_cells(guarded, cells, threads)
@@ -383,8 +400,6 @@ def _suite_algebra(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     rng = np.random.default_rng(realization_seed(cfg[("model", "base_seed")], 999))
 
     def random_op(scale=1.0):
-        from .model import CovariantOperator
-
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         return CovariantOperator(scale * m / np.sqrt(n), model)
 
@@ -398,8 +413,8 @@ def _suite_algebra(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     add("centrality_diamond", abs(trace_per_unit_volume(prod_diamond(a, b)) - trace_per_unit_volume(prod_diamond(b, a))))
     add("centrality_mixed", abs(trace_per_unit_volume(prod_left(c, a)) - trace_per_unit_volume(prod_right(a, c))))
     add("trace_diamond_inner", abs(trace_per_unit_volume(prod_diamond(a, b)) - hs_inner(dagger(a), b)))
-    lhs = trace_per_unit_volume(prod_diamond(comm_odot_helper(c, a), b))
-    rhs = trace_per_unit_volume(prod_left(c, comm_diamond_helper(a, b)))
+    lhs = trace_per_unit_volume(prod_diamond(comm_odot(c, a), b))
+    rhs = trace_per_unit_volume(prod_left(c, comm_diamond(a, b)))
     add("commutator_shuffle", abs(lhs - rhs))
     na, nb = norms(a), norms(b)
     add("trace_vs_norm1", max(0.0, abs(trace_per_unit_volume(a)) - na.norm1))
@@ -424,18 +439,6 @@ def _suite_algebra(cfg: ExperimentConfig, writer: _OutputWriter, tol):
 
     writer.write_csv("algebra_check.csv", ["identity", "defect", "tolerance", "pass"], checks)
     return {"checks": {r[0]: r[1] for r in checks}}, _check_rows(checks)
-
-
-def comm_odot_helper(c, a):
-    from .opspace import comm_odot
-
-    return comm_odot(c, a)
-
-
-def comm_diamond_helper(a, b):
-    from .opspace import comm_diamond
-
-    return comm_diamond(a, b)
 
 
 def _suite_equilibrium(cfg: ExperimentConfig, writer: _OutputWriter, tol):
@@ -532,10 +535,9 @@ def _suite_kubo_sweep(cfg: ExperimentConfig, writer: _OutputWriter, tol):
         index, eta = cell
         model = cfg.model_for(index)
         state = cfg.state_for(model)
-        e_f = cfg.fermi_energy(model)
         res = sigma_resolvent(model, state, eta)
         kubo = sigma_kubo_integral(model, state, eta)
-        streda = sigma_streda(model, e_f)
+        streda = sigma_streda(model, state.e_f)
         if include_fd:
             fd = sigma_finite_difference(
                 model, state, eta, cfg.grid_for(eta), delta_e=cfg[("drive", "delta_e")]
@@ -639,15 +641,13 @@ def _suite_dynamics(cfg: ExperimentConfig, writer: _OutputWriter, tol):
 
     dm_ode = evolve_density_ode(model, drive, state, 0.0, grid)
     dm_duh = evolve_density_duhamel(model, drive, state, 0.0, grid)
-    from .opspace import norm2 as _norm2
-
-    diff = _norm2(
+    diff = norm2(
         type(dm_ode.rho)(dm_ode.rho.matrix - dm_duh.rho.matrix, model)
     )
     rows.append(["density_route_agreement", diff, tol["density_route_agreement"], diff < tol["density_route_agreement"]])
     spectral = SpectralData.from_operator(build_hamiltonian(model))
     zeta = state.build(spectral)
-    cons = abs(_norm2(dm_ode.rho) - _norm2(zeta))
+    cons = abs(norm2(dm_ode.rho) - norm2(zeta))
     rows.append(["norm2_conservation", cons, tol["density_norm_conservation"], cons < tol["density_norm_conservation"]])
     evals = np.linalg.eigvalsh(dm_ode.rho.matrix)
     rows.append(["rho_min_eigenvalue", float(evals[0]), tol["density_min_eigenvalue"], evals[0] >= tol["density_min_eigenvalue"]])
@@ -661,9 +661,6 @@ def _suite_dynamics(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     rows.append(["weight_inequality", wreport.weighted_norm - wreport.bound, tol["weight_margin"], wreport.holds])
 
     # norms of rho(t) along a single march: the conserved-quantity trace
-    from .dynamics import _h_at
-    from .opspace import norms as _norms
-
     nsteps = grid.n_steps(grid.s_min, 0.0)
     h_step = (0.0 - grid.s_min) / nsteps
     rho_t = zeta.matrix.copy()
@@ -672,13 +669,13 @@ def _suite_dynamics(cfg: ExperimentConfig, writer: _OutputWriter, tol):
         r = grid.s_min + k * h_step
         if k % checkpoints == 0:
             op = CovariantOperator((rho_t + rho_t.conj().T) / 2, model)
-            n = _norms(op)
+            n = norms(op)
             defect = float(np.linalg.norm(rho_t @ rho_t - rho_t))
             timeseries.append([r, n.norm1, n.norm2, n.norminf, defect])
         u = _expm(_h_at(model, drive, r + 0.5 * h_step), -1j * h_step)
         rho_t = u @ rho_t @ u.conj().T
     op = CovariantOperator((rho_t + rho_t.conj().T) / 2, model)
-    n = _norms(op)
+    n = norms(op)
     timeseries.append([0.0, n.norm1, n.norm2, n.norminf, float(np.linalg.norm(rho_t @ rho_t - rho_t))])
 
     # two-site Duhamel residual refinement
@@ -720,8 +717,6 @@ def _suite_dynamics(cfg: ExperimentConfig, writer: _OutputWriter, tol):
 def _suite_funcalc(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     rng = np.random.default_rng(realization_seed(cfg[("model", "base_seed")], 777))
     n = 32
-    from .model import CovariantOperator
-
     chain = LatticeModel(LatticeConfig(1, (n,), "open"), FluxSpec(), np.zeros(n))
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     h = CovariantOperator((m + m.conj().T) / (2 * np.sqrt(n)), chain, hermitian=True)
@@ -755,8 +750,6 @@ def _suite_funcalc(cfg: ExperimentConfig, writer: _OutputWriter, tol):
         g = gaussian_function(width=width)
         norm3 = hs_norm(g, 3)
         gh = apply_spectral(spectral, g)
-        from .funcalc import position_commutator
-
         comm = float(np.linalg.norm(position_commutator(gh, 0).matrix, 2))
         ratio_rows.append([width, comm, norm3, comm / norm3])
     writer.write_csv(

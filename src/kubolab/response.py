@@ -18,7 +18,14 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .model import CovariantOperator, LatticeModel, build_hamiltonian, velocity_operator
-from .funcalc import EquilibriumState, SpectralData, fermi_projection, position_commutator
+from .funcalc import (
+    EquilibriumState,
+    SpectralData,
+    apply_spectral,
+    fermi_projection,
+    position_commutator,
+    spectral_position_commutator,
+)
 from .dynamics import (
     DriveProtocol,
     TimeGrid,
@@ -27,6 +34,7 @@ from .dynamics import (
     hamiltonian_at,
     velocity_at,
 )
+from .opspace import comm_ddagger, prod_right
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +112,7 @@ def kernel_projection(liou: LiouvillianRep, b: CovariantOperator, tol: float) ->
 def _realness_guard(values: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     resid = float(np.max(np.abs(values.imag))) if values.size else 0.0
     if resid > tol:
-        raise ValueError(f"imaginary residue {resid:.3e} exceeds {tol:.0e}")
+        raise np.linalg.LinAlgError(f"imaginary residue {resid:.3e} exceeds {tol:.0e}")
     return values.real
 
 
@@ -138,7 +146,7 @@ def net_current(
     out = np.zeros(d, dtype=complex)
     for j in range(d):
         v0 = velocity_at(model, drive, 0.0, j).matrix
-        out[j] = np.trace(v0 @ (rho.matrix - zeta0.matrix)) / model.n_sites
+        out[j] = np.sum(v0 * (rho.matrix - zeta0.matrix).T) / model.n_sites
     return _realness_guard(out)
 
 
@@ -149,14 +157,12 @@ def equilibrium_current(model: LatticeModel, state_or_profile) -> np.ndarray:
     if isinstance(state_or_profile, EquilibriumState):
         zeta = state_or_profile.build(spectral).matrix
     else:
-        from .funcalc import apply_spectral
-
         zeta = apply_spectral(spectral, state_or_profile).matrix
     d = model.config.dimension
     out = np.zeros(d, dtype=complex)
     for j in range(d):
         dj = velocity_operator(model, j).matrix / 2.0
-        out[j] = np.trace(dj @ zeta) / model.n_sites
+        out[j] = np.sum(dj * zeta.T) / model.n_sites
     return _realness_guard(out, tol=1e-8)
 
 
@@ -181,8 +187,6 @@ def _response_ingredients(model: LatticeModel, state: EquilibriumState, kernel: 
             for k in range(d)
         ]
     elif kernel == "gauge_derivative":
-        from .funcalc import spectral_position_commutator
-
         m_ops = [spectral_position_commutator(spectral, state, k) for k in range(d)]
     else:
         raise ValueError(f"unknown commutator kernel {kernel!r}")
@@ -208,7 +212,7 @@ def sigma_resolvent(
     for k in range(d):
         r = liou.resolvent(eta, m_ops[k]).matrix
         for j in range(d):
-            sigma[j, k] = -2.0 * np.trace(d_ops[j].matrix @ r) / n
+            sigma[j, k] = -2.0 * np.sum(d_ops[j].matrix * r.T) / n
     return sigma
 
 
@@ -222,33 +226,33 @@ def sigma_kubo_integral(
     kernel: str = "minimal_image",
 ) -> np.ndarray:
     """sigma_jk(eta) = -T{ 2 int_{-inf}^0 e^{eta r} D_j U0(-r)(i [x_k, zeta]) dr }
-    by composite Gauss-Legendre panels on [s_min, 0], weight untransformed."""
+    by composite Gauss-Legendre panels on [s_min, 0], weight untransformed.
+
+    In the eigenbasis of H, U0(-r) multiplies entry (m, n) by
+    e^{i r (E_m - E_n)} = u_m conj(u_n), u = e^{i r E}.  The weighted node sum
+    is then one kernel K = sum_i w_i e^{eta r_i} u(r_i) u(r_i)^*, built as an
+    (N x p)(p x N) product per panel of p nodes, and
+    sigma_jk = -(2 / N) sum_mn (D~_j^T o K o M~_k)_mn.  Cost
+    O(nodes N + panels p N^2), not O(nodes N^3); memory O(N^2 + p N)."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    _, liou, _, d_ops, m_ops = _response_ingredients(model, state, kernel)
-    d = model.config.dimension
+    spectral, liou, _, d_ops, m_ops = _response_ingredients(model, state, kernel)
     n = model.n_sites
     if s_min is None:
         s_min = float(np.log(1e-12) / eta)
     nodes, weights = leggauss(panel_order)
     n_panels = max(1, int(np.ceil(-s_min / panel_width)))
     edges = np.linspace(s_min, 0.0, n_panels + 1)
-    gaps = liou._gaps
-    d_tilde = [liou.to_eigenbasis(op.matrix) for op in d_ops]
-    m_tilde = [liou.to_eigenbasis(op.matrix) for op in m_ops]
-    sigma = np.zeros((d, d), dtype=complex)
+    energies = spectral.eigenvalues
+    kern = np.zeros((n, n), dtype=complex)
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = (a + b) / 2.0, (b - a) / 2.0
-        for x, w in zip(nodes, weights):
-            r = mid + half * x
-            # U0(-r)(B) has eigenbasis entries e^{i r (E_m - E_n)} B_mn
-            phase = np.exp(1j * r * gaps)
-            weight = w * half * np.exp(eta * r)
-            for k in range(d):
-                evolved = phase * m_tilde[k]
-                for j in range(d):
-                    sigma[j, k] += -2.0 * weight * np.trace(d_tilde[j] @ evolved) / n
-    return sigma
+        r = mid + half * nodes
+        u = np.exp(1j * np.outer(energies, r))
+        kern += (u * (weights * half * np.exp(eta * r))) @ u.conj().T
+    d_kern = [liou.to_eigenbasis(op.matrix).T * kern for op in d_ops]
+    m_tilde = [liou.to_eigenbasis(op.matrix) for op in m_ops]
+    return np.array([[-2.0 * np.sum(dk * mt) / n for mt in m_tilde] for dk in d_kern])
 
 
 def sigma_finite_difference(
@@ -285,12 +289,10 @@ def sigma_streda(model: LatticeModel, e_f: float) -> np.ndarray:
     d = model.config.dimension
     n = model.n_sites
     m_ops = [position_commutator(p, axis).matrix for axis in range(d)]
-    sigma = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            comm = m_ops[j] @ m_ops[k] - m_ops[k] @ m_ops[j]
-            sigma[j, k] = -1j * np.trace(p.matrix @ comm) / n
-    return sigma
+    pm_ops = [p.matrix @ m for m in m_ops]
+    # T(P [M_j, M_k]) = tr(P M_j M_k) - tr(P M_k M_j); each trace is O(N^2)
+    traces = np.array([[np.sum(pm_ops[j] * m_ops[k].T) for k in range(d)] for j in range(d)])
+    return -1j * (traces - traces.T) / n
 
 
 def hall_scaled(sigma: np.ndarray) -> float:
@@ -325,9 +327,6 @@ def velocity_projection_identity_defect(
     h = build_hamiltonian(model)
     spectral = SpectralData.from_operator(h)
     p = fermi_projection(spectral, e_f)
-    from .funcalc import apply_spectral
-    from .opspace import comm_ddagger, prod_right
-
     f_h = (
         np.eye(model.n_sites, dtype=complex)
         if profile is None

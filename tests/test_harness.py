@@ -155,7 +155,7 @@ def test_outputs_bitwise_deterministic(tmp_path):
 
 
 def test_thread_count_does_not_change_outputs(tmp_path):
-    cfg1 = small_config({
+    equilibrium = small_config({
         ("model", "n_realizations"): 6,
         ("run", "experiment"): "equilibrium",
         ("model", "dimension"): 2,
@@ -163,13 +163,32 @@ def test_thread_count_does_not_change_outputs(tmp_path):
         ("model", "flux_p"): 1,
         ("model", "flux_q"): 4,
     })
-    cfg4 = ExperimentConfig.parse(cfg1.serialize())
-    cfg4.set("run", "threads", 4)
-    run_experiment(cfg1, out_dir=tmp_path / "one")
-    run_experiment(cfg4, out_dir=tmp_path / "four")
-    assert (tmp_path / "one/t/equilibrium_raw.csv").read_bytes() == (
-        tmp_path / "four/t/equilibrium_raw.csv"
-    ).read_bytes()
+    kubo_sweep = ExperimentConfig.parse(
+        "[model]\ndimension = 2\nsides = 4,4\nflux_p = 1\nflux_q = 4\n"
+        "disorder_w = 0.5\nbase_seed = 42\nn_realizations = 3\n"
+        "[state]\ne_f = auto\nfilling = 0.25\n"
+        "[drive]\neta_list = 1.0,0.5\n"
+        "[run]\nexperiment = kubo-sweep\nname = t\n"
+    )
+    hall = ExperimentConfig.parse(
+        "[model]\ndimension = 2\nsides = 12,12\nflux_p = 1\nflux_q = 3\n"
+        "disorder_w = 0.5\nbase_seed = 20240811\nn_realizations = 4\n"
+        "[state]\ne_f = auto\nfilling = 0.3333333333333333\n"
+        "[run]\nexperiment = hall\nname = t\n"
+    )
+    cases = [
+        (equilibrium, 4, "equilibrium_raw.csv"),
+        (kubo_sweep, 2, "kubo_sweep_raw.csv"),
+        (hall, 2, "hall_raw.csv"),
+    ]
+    for i, (cfg1, threads, name) in enumerate(cases):
+        cfg_n = ExperimentConfig.parse(cfg1.serialize())
+        cfg_n.set("run", "threads", threads)
+        run_experiment(cfg1, out_dir=tmp_path / f"{i}_one")
+        run_experiment(cfg_n, out_dir=tmp_path / f"{i}_many")
+        assert (tmp_path / f"{i}_one/t/{name}").read_bytes() == (
+            tmp_path / f"{i}_many/t/{name}"
+        ).read_bytes()
 
 
 def test_manifest_records_seeds_and_hashes(tmp_path):
@@ -262,3 +281,29 @@ def test_cell_failures_recorded_not_fatal(tmp_path):
     summary = json.loads((tmp_path / "t" / "summary.json").read_text())
     assert len(summary["summary"]["cell_errors"]) == 2
     assert "Degenerate" in summary["summary"]["cell_errors"][0]
+
+
+def test_cell_linalg_failure_recorded_not_fatal(tmp_path, monkeypatch):
+    def residue(model, state):
+        raise np.linalg.LinAlgError("imaginary residue 1e-3 exceeds 1e-8")
+
+    monkeypatch.setattr("kubolab.harness.equilibrium_current", residue)
+    cfg = small_config({("run", "experiment"): "equilibrium", ("model", "n_realizations"): 2})
+    run_experiment(cfg, out_dir=tmp_path)
+    summary = json.loads((tmp_path / "t" / "summary.json").read_text())
+    assert len(summary["summary"]["cell_errors"]) == 2
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_cell_programming_error_is_fatal(tmp_path, monkeypatch, threads):
+    def broken(model, state):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr("kubolab.harness.equilibrium_current", broken)
+    cfg = small_config({
+        ("run", "experiment"): "equilibrium",
+        ("model", "n_realizations"): 2,
+        ("run", "threads"): threads,
+    })
+    with pytest.raises(TypeError, match="unsupported operand"):
+        run_experiment(cfg, out_dir=tmp_path)

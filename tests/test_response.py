@@ -13,6 +13,7 @@ from kubolab.opspace import hs_inner
 from kubolab.response import (
     LiouvillianRep,
     ResponseReport,
+    _response_ingredients,
     chern_number_fhs,
     equilibrium_current,
     eta_sweep,
@@ -220,6 +221,47 @@ def test_kubo_quadrature_refinement():
     assert np.max(np.abs(fine - res)) < np.max(np.abs(coarse - res))
 
 
+def _kubo_per_node(model, state, eta, s_min=None, panel_width=0.5, panel_order=10, kernel="minimal_image"):
+    """Reference quadrature: evolve i[x_k, zeta] to every node and take one
+    trace per node and axis pair."""
+    _, liou, _, d_ops, m_ops = _response_ingredients(model, state, kernel)
+    d, n = model.config.dimension, model.n_sites
+    if s_min is None:
+        s_min = float(np.log(1e-12) / eta)
+    nodes, weights = np.polynomial.legendre.leggauss(panel_order)
+    edges = np.linspace(s_min, 0.0, max(1, int(np.ceil(-s_min / panel_width))) + 1)
+    d_tilde = [liou.to_eigenbasis(op.matrix) for op in d_ops]
+    m_tilde = [liou.to_eigenbasis(op.matrix) for op in m_ops]
+    sigma = np.zeros((d, d), dtype=complex)
+    for a, b in zip(edges[:-1], edges[1:]):
+        mid, half = (a + b) / 2.0, (b - a) / 2.0
+        for x, w in zip(nodes, weights):
+            r = mid + half * x
+            phase = np.exp(1j * r * liou._gaps)
+            weight = w * half * np.exp(eta * r)
+            for k in range(d):
+                evolved = phase * m_tilde[k]
+                for j in range(d):
+                    sigma[j, k] += -2.0 * weight * np.sum(d_tilde[j].T * evolved) / n
+    return sigma
+
+
+@pytest.mark.parametrize("kernel", ["minimal_image", "gauge_derivative"])
+@pytest.mark.parametrize(
+    "quadrature",
+    [{}, {"s_min": -20.0, "panel_width": 1.5, "panel_order": 6}],
+    ids=["default", "coarse"],
+)
+def test_kubo_integral_matches_per_node_sum(kernel, quadrature):
+    pot = sample_disorder(DisorderSpec(1.0, 8), 0, 16)
+    model = make_torus((4, 4), 1, 4, pot)
+    state = EquilibriumState("projection", gap_fermi_level(model, 0.25))
+    for eta in (1.0, 0.25):
+        kubo = sigma_kubo_integral(model, state, eta, kernel=kernel, **quadrature)
+        ref = _kubo_per_node(model, state, eta, kernel=kernel, **quadrature)
+        assert np.max(np.abs(kubo - ref)) <= 1e-12
+
+
 def test_fd_matches_resolvent_small_1d():
     pot = sample_disorder(DisorderSpec(2.0, 17), 0, 8)
     model = make_chain(8, "torus", pot)
@@ -248,6 +290,15 @@ def test_streda_antisymmetric_zero_diagonal():
     sigma = sigma_streda(model, e_f)
     assert np.max(np.abs(sigma + sigma.T)) < 1e-10
     assert abs(sigma[0, 0]) < 1e-14 and abs(sigma[1, 1]) < 1e-14
+
+
+def test_streda_structure_is_exact():
+    model, _, e_f = _disordered_flux_quarter()
+    chain = make_chain(12, "torus", sample_disorder(DisorderSpec(1.0, 4), 0, 12))
+    for m, ef in ((model, e_f), (chain, gap_fermi_level(chain, 0.5))):
+        sigma = sigma_streda(m, ef)
+        assert np.all(np.diag(sigma) == 0)
+        assert np.array_equal(sigma, -sigma.T)
 
 
 def test_streda_time_reversal_odd_torus():
