@@ -7,25 +7,33 @@ The density matrix rho(t) is produced both by the integral (Duhamel)
 construction and by direct integration of the Liouville equation, which
 cross-validate each other.
 
+Every propagator, Duhamel sum and density route is one march of H(t)
+(`_march`): the integrator and the step-size guard are chosen there and
+nowhere else, and only the current state is held, so memory is O(N^2)
+whatever the number of steps.
+
 A single evolution is sequential in time; independent (realization, field,
 eta) evolutions may run concurrently with no shared state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .model import (
     ConfigurationError,
     CovariantOperator,
     LatticeModel,
     UnsupportedOperationError,
+    build_hamiltonian,
     displacement_table,
     position_matrix,
 )
-from .funcalc import EquilibriumState, SpectralData
+from .funcalc import EquilibriumState, SpectralData, divided_difference_kernel
 
 
 class StepSizeError(ValueError):
@@ -150,29 +158,73 @@ def gauge_operator(model: LatticeModel, drive: DriveProtocol, t: float) -> Covar
     return CovariantOperator(np.diag(np.exp(1j * phase)), model)
 
 
-def _operator_norm_bound(model: LatticeModel) -> float:
-    h = None
-    for part in model._forward_parts:
-        h = part + part.conj().T if h is None else h + part + part.conj().T
-    h = h + np.diag(model.potential.astype(complex))
-    return float(np.max(np.abs(np.linalg.eigvalsh(h))))
-
-
 def _expm_hermitian(h: np.ndarray, scale: complex) -> np.ndarray:
     evals, evecs = np.linalg.eigh(h)
     return (evecs * np.exp(scale * evals)) @ evecs.conj().T
 
 
 # ---------------------------------------------------------------------------
-# propagators
+# the time march
 # ---------------------------------------------------------------------------
 
 
-def _check_guard(grid: TimeGrid, hnorm: float):
+def _rk4_step(rhs, r: float, y: np.ndarray, h: float) -> np.ndarray:
+    k1 = rhs(r, y)
+    k2 = rhs(r + h / 2, y + (h / 2) * k1)
+    k3 = rhs(r + h / 2, y + (h / 2) * k2)
+    k4 = rhs(r + h, y + h * k3)
+    return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _march(model, drive, grid: TimeGrid, s: float, t: float, nsteps: int, y, conjugate=False):
+    """Yield (r_k, y_k), k = 0..nsteps, along one march of H(r) from y at s,
+    with r_k = s + k (t - s) / nsteps and r_n = t, by grid.method (see
+    propagate).
+
+    States and propagators advance as y -> U y; with `conjugate`, density
+    matrices advance as y -> U y U*.  The step-size guard is checked before
+    the first step, and only the current y is held.
+    """
+    hnorm = float(np.max(np.abs(np.linalg.eigvalsh(_h_at(model, drive, s)))))
     if grid.step * hnorm >= 0.5:
         raise StepSizeError(
             f"step {grid.step} violates h * ||H|| = {grid.step * hnorm:.3f} < 0.5"
         )
+    h = (t - s) / nsteps
+    if conjugate:
+        # every RK4 stage is Hermitian, so [H, y] = Hy - (Hy)*
+        def rhs(r, m):
+            hm = _h_at(model, drive, r) @ m
+            return -1j * (hm - hm.conj().T)
+    else:
+        def rhs(r, m):
+            return -1j * (_h_at(model, drive, r) @ m)
+    offset = 0.0 if grid.method == "riemann_product" else 0.5
+    yield s, y
+    for k in range(nsteps):
+        if grid.method == "ode_rk4":
+            y = _rk4_step(rhs, s + k * h, y, h)
+        else:
+            u = _expm_hermitian(_h_at(model, drive, s + (k + offset) * h), -1j * h)
+            y = u @ y @ u.conj().T if conjugate else u @ y
+        yield (t if k + 1 == nsteps else s + (k + 1) * h), y
+
+
+def _final(march):
+    """The last (r, y) of a march, dropping the earlier ones as they pass."""
+    return deque(march, maxlen=1)[0]
+
+
+def _simpson_weight(k: int, n: int) -> float:
+    """Composite Simpson weight of node k of n (even) intervals, without h/3."""
+    if k in (0, n):
+        return 1.0
+    return 4.0 if k % 2 else 2.0
+
+
+# ---------------------------------------------------------------------------
+# propagators
+# ---------------------------------------------------------------------------
 
 
 def propagate(
@@ -191,43 +243,13 @@ def propagate(
     """
     if t < s:
         raise ValueError("propagate needs s <= t")
-    hnorm = _operator_norm_bound(model)
-    _check_guard(grid, hnorm)
-    n = model.n_sites
-    u = np.eye(n, dtype=complex)
+    eye = np.eye(model.n_sites, dtype=complex)
+    march = _march(model, drive, grid, s, t, grid.n_steps(s, t), eye)
     if t == s:
-        return Propagator(u, t, s, grid.method)
-    nsteps = grid.n_steps(s, t)
-    h = (t - s) / nsteps
-    if grid.method == "riemann_product":
-        for k in range(nsteps):
-            hk = _h_at(model, drive, s + k * h)
-            u = _expm_hermitian(hk, -1j * h) @ u
-    elif grid.method == "magnus2":
-        for k in range(nsteps):
-            hk = _h_at(model, drive, s + (k + 0.5) * h)
-            u = _expm_hermitian(hk, -1j * h) @ u
-    else:
-        rhs = lambda r, m: -1j * (_h_at(model, drive, r) @ m)
-        u = _rk4_march(rhs, u, s, h, nsteps)
-    defect = float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
+        return Propagator(next(march)[1], t, s, grid.method)
+    _, u = _final(march)
+    defect = float(np.linalg.norm(u.conj().T @ u - eye))
     return Propagator(u, t, s, grid.method, unitarity_defect=defect)
-
-
-def _rk4_march(rhs, y, r0, h, nsteps, collect=None):
-    r = r0
-    if collect is not None:
-        collect(0, y)
-    for k in range(nsteps):
-        k1 = rhs(r, y)
-        k2 = rhs(r + h / 2, y + (h / 2) * k1)
-        k3 = rhs(r + h / 2, y + (h / 2) * k2)
-        k4 = rhs(r + h, y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        r = r0 + (k + 1) * h
-        if collect is not None:
-            collect(k + 1, y)
-    return y
 
 
 def free_propagator(spectral: SpectralData, tau: float) -> np.ndarray:
@@ -258,54 +280,28 @@ def duhamel_residual(
     """|| U(t,s) psi - U0(t-s) psi - i * integral_s^t U0(t-r) (H - H(r)) U(r,s) psi dr ||.
 
     The integral identity is exact for matrices; the residual measures the
-    quadrature plus integrator error and vanishes under refinement.
+    quadrature plus integrator error and vanishes under refinement.  The
+    Simpson and trapezoid sums are accumulated as the march passes each
+    node.
     """
     psi = np.asarray(psi, dtype=complex)
-    hnorm = _operator_norm_bound(model)
-    _check_guard(grid, hnorm)
-    spectral = SpectralData.from_operator(_undriven(model))
-    h0 = _undriven(model).matrix
+    h0 = build_hamiltonian(model)
+    spectral = SpectralData.from_operator(h0)
     nsteps = grid.n_steps(s, t, even=True)
+    simpson = np.zeros_like(psi)
+    trapezoid = np.zeros_like(psi)
+    for k, (r, y) in enumerate(_march(model, drive, grid, s, t, nsteps, psi)):
+        node = free_propagator(spectral, t - r) @ ((h0.matrix - _h_at(model, drive, r)) @ y)
+        simpson += _simpson_weight(k, nsteps) * node
+        trapezoid += node if 0 < k < nsteps else node / 2
     h = (t - s) / nsteps
-    states = np.zeros((nsteps + 1, psi.size), dtype=complex)
-    if grid.method == "ode_rk4":
-        rhs = lambda r, y: -1j * (_h_at(model, drive, r) @ y)
-        _rk4_march(rhs, psi, s, h, nsteps, collect=lambda k, y: states.__setitem__(k, y))
-    else:
-        y = psi.astype(complex)
-        states[0] = y
-        for k in range(nsteps):
-            tk = s + (k * h if grid.method == "riemann_product" else (k + 0.5) * h)
-            y = _expm_hermitian(_h_at(model, drive, tk), -1j * h) @ y
-            states[k + 1] = y
-    integrand = np.zeros_like(states)
-    for k in range(nsteps + 1):
-        r = s + k * h
-        delta = (h0 - _h_at(model, drive, r)) @ states[k]
-        integrand[k] = free_propagator(spectral, t - r) @ delta
-    simpson = _simpson(integrand, h)
-    trapezoid = h * (integrand[0] / 2 + integrand[1:-1].sum(axis=0) + integrand[-1] / 2)
-    lhs = states[-1] - free_propagator(spectral, t - s) @ psi - 1j * simpson
+    simpson *= h / 3.0
+    trapezoid *= h
+    lhs = y - free_propagator(spectral, t - s) @ psi - 1j * simpson
     return DuhamelReport(
         residual=float(np.linalg.norm(lhs)),
         quadrature_estimate=float(np.linalg.norm(simpson - trapezoid)),
     )
-
-
-def _simpson(values: np.ndarray, h: float) -> np.ndarray:
-    n = values.shape[0] - 1
-    if n % 2:
-        raise ValueError("Simpson rule needs an even number of intervals")
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return (h / 3.0) * np.tensordot(w, values, axes=(0, 0))
-
-
-def _undriven(model: LatticeModel) -> CovariantOperator:
-    from .model import build_hamiltonian
-
-    return build_hamiltonian(model)
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +309,8 @@ def _undriven(model: LatticeModel) -> CovariantOperator:
 # ---------------------------------------------------------------------------
 
 
-def _zeta_of(model, drive, state: EquilibriumState, r: float) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(_h_at(model, drive, r))
-    return (evecs * state.profile()(evals)) @ evecs.conj().T
-
-
 def _drive_commutator(model, drive, state, tables, r, kernel):
-    """[E . x, zeta(r)] in the chosen finite-volume realization.
+    """([E . x, zeta(r)], zeta(r)) in the chosen finite-volume realization.
 
     "gauge_derivative" is the spectral divided difference, the exact
     derivative of f(H(r)) under the drive and the form that makes the
@@ -327,26 +318,23 @@ def _drive_commutator(model, drive, state, tables, r, kernel):
     displacement commutator, equal to it up to wrap terms controlled by
     the decay of zeta.
     """
-    from .funcalc import divided_difference_kernel
-
     evals, evecs = np.linalg.eigh(_h_at(model, drive, r))
-    zeta = (evecs * state.profile()(evals)) @ evecs.conj().T
+    f_vals = state.profile()(evals)
+    zeta = (evecs * f_vals) @ evecs.conj().T
+    out = np.zeros_like(zeta)
     if kernel == "minimal_image":
-        out = np.zeros_like(zeta)
         for axis, e in enumerate(drive.field):
             if e != 0.0:
                 out += e * (tables[axis] * zeta)
-        return out
-    f_vals = state.profile()(evals)
+        return out, zeta
     fp_vals = state.profile_derivative()(evals)
-    out = np.zeros_like(zeta)
     for axis, e in enumerate(drive.field):
         if e != 0.0:
             vt = evecs.conj().T @ _v_at(model, drive, r, axis) @ evecs
             # the divided difference realizes i[x, zeta]; strip the i here
             k = -1j * divided_difference_kernel(evals, f_vals, fp_vals, vt)
             out += e * (evecs @ k @ evecs.conj().T)
-    return out
+    return out, zeta
 
 
 def evolve_density_duhamel(
@@ -363,43 +351,38 @@ def evolve_density_duhamel(
     consistent), and the commutator is realized per `kernel` (see
     _drive_commutator); the default keeps the integral identity exact at
     finite volume so this route cross-validates the Liouville integration
-    to integrator accuracy.  The propagator sandwich is accumulated along
-    a single forward march of V(r) = U(r, s_min).
+    to integrator accuracy.  One forward march of V(r) = U(r, s_min)
+    carries the propagator sandwich, and each node's Simpson term is added
+    as the march passes it, so memory is O(N^2) whatever the step count.
     """
     grid.validate(drive)
-    hnorm = _operator_norm_bound(model)
-    _check_guard(grid, hnorm)
-    n = model.n_sites
     s = grid.s_min
     nsteps = grid.n_steps(s, t, even=True)
-    h = (t - s) / nsteps
     tables = [displacement_table(model, axis) for axis in range(model.config.dimension)]
-
-    vs = np.zeros((nsteps + 1, n, n), dtype=complex)
-    if grid.method == "ode_rk4":
-        rhs = lambda r, m: -1j * (_h_at(model, drive, r) @ m)
-        _rk4_march(rhs, np.eye(n, dtype=complex), s, h, nsteps,
-                   collect=lambda k, m: vs.__setitem__(k, m))
-    else:
-        v = np.eye(n, dtype=complex)
-        vs[0] = v
-        for k in range(nsteps):
-            tk = s + (k * h if grid.method == "riemann_product" else (k + 0.5) * h)
-            v = _expm_hermitian(_h_at(model, drive, tk), -1j * h) @ v
-            vs[k + 1] = v
-
-    integrand = np.zeros_like(vs)
-    for k in range(nsteps + 1):
-        r = s + k * h
-        m_r = _drive_commutator(model, drive, state, tables, r, kernel)
-        integrand[k] = np.exp(drive.eta * min(r, 0.0)) * (
-            vs[k].conj().T @ m_r @ vs[k]
-        )
-    acc = _simpson(integrand, h)
-    vt = vs[-1]
-    rho = _zeta_of(model, drive, state, t) - 1j * (vt @ acc @ vt.conj().T)
+    acc = np.zeros((model.n_sites, model.n_sites), dtype=complex)
+    eye = np.eye(model.n_sites, dtype=complex)
+    for k, (r, v) in enumerate(_march(model, drive, grid, s, t, nsteps, eye)):
+        m_r, zeta = _drive_commutator(model, drive, state, tables, r, kernel)
+        weight = _simpson_weight(k, nsteps) * np.exp(drive.eta * min(r, 0.0))
+        acc += weight * (v.conj().T @ m_r @ v)
+    acc *= (t - s) / nsteps / 3.0
+    rho = zeta - 1j * (v @ acc @ v.conj().T)
     rho = (rho + rho.conj().T) / 2.0
     return DensityMatrix(CovariantOperator(rho, model, hermitian=True), "duhamel_integral", t)
+
+
+def density_path(
+    model: LatticeModel,
+    drive: DriveProtocol,
+    rho: np.ndarray,
+    t: float,
+    grid: TimeGrid,
+):
+    """Yield (r, rho(r)) along one march of i d(rho)/dt = [H(t), rho] from
+    the matrix rho at grid.s_min to t; the matrices are not symmetrized."""
+    grid.validate(drive)
+    s = grid.s_min
+    return _march(model, drive, grid, s, t, grid.n_steps(s, t), rho, conjugate=True)
 
 
 def evolve_density_ode(
@@ -410,25 +393,8 @@ def evolve_density_ode(
     grid: TimeGrid,
 ) -> DensityMatrix:
     """Direct integration of i d(rho)/dt = [H(t), rho] from zeta at s_min."""
-    grid.validate(drive)
-    hnorm = _operator_norm_bound(model)
-    _check_guard(grid, hnorm)
-    s = grid.s_min
-    nsteps = grid.n_steps(s, t)
-    h = (t - s) / nsteps
-    spectral0 = SpectralData.from_operator(_undriven(model))
-    rho = state.build(spectral0).matrix.copy()
-    if grid.method == "ode_rk4":
-        def rhs(r, m):
-            hr = _h_at(model, drive, r)
-            return -1j * (hr @ m - m @ hr)
-
-        rho = _rk4_march(rhs, rho, s, h, nsteps)
-    else:
-        for k in range(nsteps):
-            tk = s + (k * h if grid.method == "riemann_product" else (k + 0.5) * h)
-            u = _expm_hermitian(_h_at(model, drive, tk), -1j * h)
-            rho = u @ rho @ u.conj().T
+    zeta = state.build(SpectralData.from_operator(build_hamiltonian(model))).matrix
+    _, rho = _final(density_path(model, drive, zeta, t, grid))
     rho = (rho + rho.conj().T) / 2.0
     return DensityMatrix(CovariantOperator(rho, model, hermitian=True), "ode_liouville", t)
 
@@ -464,25 +430,24 @@ def gauge_equivalence_check(
     if model.config.boundary != "open":
         raise UnsupportedOperationError("gauge equivalence needs the open box")
     grid.validate(drive)
-    hnorm = _operator_norm_bound(model)
-    _check_guard(grid, hnorm)
     psi0 = np.asarray(psi0, dtype=complex)
     s = grid.s_min
     nsteps = grid.n_steps(s, t)
     h = (t - s) / nsteps
-    h0 = _undriven(model).matrix
+    h0 = build_hamiltonian(model).matrix
     xs = [position_matrix(model, axis).matrix for axis in range(model.config.dimension)]
-
-    def rhs_vec(r, y):
-        return -1j * (_h_at(model, drive, r) @ y)
 
     def rhs_scal(r, y):
         e = drive.field_at(r)
         hs = h0 + sum(e[j] * xs[j] for j in range(len(xs)))
         return -1j * (hs @ y)
 
-    psi_vec = _rk4_march(rhs_vec, psi0, s, h, nsteps)
-    psi_scal = _rk4_march(rhs_scal, psi0, s, h, nsteps)
+    # both sides by RK4, so the discrepancy measures the gauge, not the integrator
+    rk4 = replace(grid, method="ode_rk4")
+    _, psi_vec = _final(_march(model, drive, rk4, s, t, nsteps, psi0))
+    psi_scal = psi0
+    for k in range(nsteps):
+        psi_scal = _rk4_step(rhs_scal, s + k * h, psi_scal, h)
     g = gauge_operator(model, drive, t).matrix
     return float(np.linalg.norm(g.conj().T @ psi_vec - psi_scal))
 
@@ -508,7 +473,7 @@ def propagator_weight_check(
     """||(H(t)+gamma) U(t,s) (H(s)+gamma)^{-1}|| against exp(int ||C(r)|| dr),
     with C(r) = sum_j E_j(r) v_j(r) (H(r)+gamma)^{-1} and gamma shifting H
     above 1."""
-    h0 = _undriven(model).matrix
+    h0 = build_hamiltonian(model).matrix
     lam_min = float(np.min(np.linalg.eigvalsh(h0)))
     gamma = max(1.0, 1.0 - lam_min)
     prop = propagate(model, drive, t, s, grid)
@@ -517,8 +482,6 @@ def propagator_weight_check(
     ht = _h_at(model, drive, t) + gamma * eye
     hs = _h_at(model, drive, s) + gamma * eye
     lhs = float(np.linalg.norm(ht @ prop.matrix @ np.linalg.inv(hs), 2))
-
-    from numpy.polynomial.legendre import leggauss
 
     nodes, weights = leggauss(24)
     total = 0.0

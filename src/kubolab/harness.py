@@ -16,7 +16,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,9 +54,8 @@ from .funcalc import (
 from .dynamics import (
     DriveProtocol,
     StepSizeError,
-    _expm_hermitian as _expm,
-    _h_at,
     TimeGrid,
+    density_path,
     duhamel_residual,
     evolve_density_duhamel,
     evolve_density_ode,
@@ -231,7 +230,14 @@ class ExperimentConfig:
         raw = self[("state", "e_f")]
         if raw != "auto":
             return float(raw)
-        evals = np.linalg.eigvalsh(build_hamiltonian(model).matrix)
+        return self.fermi_level(np.linalg.eigvalsh(build_hamiltonian(model).matrix))
+
+    def fermi_level(self, evals: np.ndarray) -> float:
+        """e_F for the spectrum `evals`: the configured value, or mid-gap at
+        the configured filling when e_f = auto."""
+        raw = self[("state", "e_f")]
+        if raw != "auto":
+            return float(raw)
         n_below = max(1, min(len(evals) - 1, round(self[("state", "filling")] * len(evals))))
         return float((evals[n_below - 1] + evals[n_below]) / 2.0)
 
@@ -479,10 +485,9 @@ def _suite_hall(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     n_real = cfg[("model", "n_realizations")]
     threads = cfg[("run", "threads")]
     clean_model = LatticeModel(cfg.lattice_config(), cfg.flux())
-    e_f = cfg.fermi_energy(clean_model)
-    n_occ = int(
-        np.sum(np.linalg.eigvalsh(build_hamiltonian(clean_model).matrix) <= e_f)
-    )
+    clean_evals = np.linalg.eigvalsh(build_hamiltonian(clean_model).matrix)
+    e_f = cfg.fermi_level(clean_evals)
+    n_occ = int(np.sum(clean_evals <= e_f))
     bands = max(1, round(n_occ * q / clean_model.n_sites))
     chern = chern_number_fhs(p, q, bands) if p != 0 else 0.0
 
@@ -655,28 +660,20 @@ def _suite_dynamics(cfg: ExperimentConfig, writer: _OutputWriter, tol):
         proj = float(np.linalg.norm(dm_ode.rho.matrix @ dm_ode.rho.matrix - dm_ode.rho.matrix))
         rows.append(["projection_defect", proj, tol["density_projection_defect"], proj < tol["density_projection_defect"]])
 
-    prop = propagate(model, drive, 0.0, grid.s_min, TimeGrid(grid.s_min, 0.0, grid.step, "magnus2"))
+    magnus = replace(grid, method="magnus2")
+    prop = propagate(model, drive, 0.0, grid.s_min, magnus)
     rows.append(["propagator_unitarity", prop.unitarity_defect, tol["propagator_unitarity"], prop.unitarity_defect < tol["propagator_unitarity"]])
-    wreport = propagator_weight_check(model, drive, 0.0, grid.s_min / 4.0, TimeGrid(grid.s_min, 0.0, grid.step, "magnus2"))
+    wreport = propagator_weight_check(model, drive, 0.0, grid.s_min / 4.0, magnus)
     rows.append(["weight_inequality", wreport.weighted_norm - wreport.bound, tol["weight_margin"], wreport.holds])
 
-    # norms of rho(t) along a single march: the conserved-quantity trace
-    nsteps = grid.n_steps(grid.s_min, 0.0)
-    h_step = (0.0 - grid.s_min) / nsteps
-    rho_t = zeta.matrix.copy()
-    checkpoints = max(1, nsteps // 8)
-    for k in range(nsteps):
-        r = grid.s_min + k * h_step
-        if k % checkpoints == 0:
-            op = CovariantOperator((rho_t + rho_t.conj().T) / 2, model)
-            n = norms(op)
+    # norms of rho(t) at 8 checkpoints and the end of one march: the conserved-quantity trace
+    nsteps = magnus.n_steps(grid.s_min, 0.0)
+    every = max(1, nsteps // 8)
+    for k, (r, rho_t) in enumerate(density_path(model, drive, zeta.matrix, 0.0, magnus)):
+        if k % every == 0 or k == nsteps:
+            n = norms(CovariantOperator((rho_t + rho_t.conj().T) / 2, model))
             defect = float(np.linalg.norm(rho_t @ rho_t - rho_t))
             timeseries.append([r, n.norm1, n.norm2, n.norminf, defect])
-        u = _expm(_h_at(model, drive, r + 0.5 * h_step), -1j * h_step)
-        rho_t = u @ rho_t @ u.conj().T
-    op = CovariantOperator((rho_t + rho_t.conj().T) / 2, model)
-    n = norms(op)
-    timeseries.append([0.0, n.norm1, n.norm2, n.norminf, float(np.linalg.norm(rho_t @ rho_t - rho_t))])
 
     # two-site Duhamel residual refinement
     chain = LatticeModel(LatticeConfig(1, (2,), "open"), FluxSpec(), np.zeros(2))

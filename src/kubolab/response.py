@@ -96,14 +96,6 @@ class LiouvillianRep:
         )
 
 
-def liouvillian_resolvent(liou: LiouvillianRep, eta: float, b: CovariantOperator) -> CovariantOperator:
-    return liou.resolvent(eta, b)
-
-
-def kernel_projection(liou: LiouvillianRep, b: CovariantOperator, tol: float) -> CovariantOperator:
-    return liou.kernel_projection(b, tol)
-
-
 # ---------------------------------------------------------------------------
 # currents
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,12 @@ from kubolab.model import (
     DisorderSpec,
     UnsupportedOperationError,
     build_hamiltonian,
+    displacement_table,
     magnetic_translation,
     sample_disorder,
     shift_disorder,
 )
-from kubolab.funcalc import EquilibriumState, SpectralData
+from kubolab.funcalc import EquilibriumState, SpectralData, divided_difference_kernel
 from kubolab.dynamics import (
     DriveProtocol,
     StepSizeError,
@@ -258,6 +261,92 @@ def test_density_zero_field_stays_equilibrium():
     for route in (evolve_density_ode, evolve_density_duhamel):
         rho = route(model, drive, state, 0.0, grid).rho.matrix
         assert np.linalg.norm(rho - zeta) < 1e-10
+
+
+def _duhamel_stored_slices(model, drive, state, t, grid, kernel):
+    """Reference for evolve_density_duhamel: keep every V(r_k) = U(r_k, s_min)
+    and every integrand node, then apply the composite Simpson rule."""
+    s = grid.s_min
+    n = grid.n_steps(s, t, even=True)
+    h = (t - s) / n
+
+    def h_at(r):
+        return hamiltonian_at(model, drive, r).matrix
+
+    def rhs(r, m):
+        return -1j * (h_at(r) @ m)
+
+    vs = [np.eye(model.n_sites, dtype=complex)]
+    for k in range(n):
+        v = vs[-1]
+        if grid.method == "ode_rk4":
+            r = s + k * h
+            k1 = rhs(r, v)
+            k2 = rhs(r + h / 2, v + (h / 2) * k1)
+            k3 = rhs(r + h / 2, v + (h / 2) * k2)
+            k4 = rhs(r + h, v + h * k3)
+            vs.append(v + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
+        else:
+            tk = s + (k if grid.method == "riemann_product" else k + 0.5) * h
+            evals, evecs = np.linalg.eigh(h_at(tk))
+            vs.append((evecs * np.exp(-1j * h * evals)) @ evecs.conj().T @ v)
+
+    def zeta_and_commutator(r):
+        evals, evecs = np.linalg.eigh(h_at(r))
+        f_vals = state.profile()(evals)
+        zeta = (evecs * f_vals) @ evecs.conj().T
+        comm = np.zeros_like(zeta)
+        for axis, e in enumerate(drive.field):
+            if e == 0.0:
+                continue
+            if kernel == "minimal_image":
+                comm += e * (displacement_table(model, axis) * zeta)
+            else:
+                vt = evecs.conj().T @ velocity_at(model, drive, r, axis).matrix @ evecs
+                dd = divided_difference_kernel(
+                    evals, f_vals, state.profile_derivative()(evals), vt
+                )
+                comm += e * (evecs @ (-1j * dd) @ evecs.conj().T)
+        return zeta, comm
+
+    integrand = np.array([
+        np.exp(drive.eta * min(s + k * h, 0.0))
+        * (v.conj().T @ zeta_and_commutator(s + k * h)[1] @ v)
+        for k, v in enumerate(vs)
+    ])
+    w = np.ones(n + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    acc = (h / 3.0) * np.tensordot(w, integrand, axes=(0, 0))
+    rho = zeta_and_commutator(t)[0] - 1j * (vs[-1] @ acc @ vs[-1].conj().T)
+    return (rho + rho.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("kernel", ["gauge_derivative", "minimal_image"])
+@pytest.mark.parametrize("method", ["riemann_product", "magnus2", "ode_rk4"])
+def test_streaming_duhamel_matches_stored_slices(method, kernel):
+    model, state = _gapped_torus_state()
+    drive = DriveProtocol(4.0, (0.0, 0.1))
+    grid = TimeGrid(np.log(1e-12) / 4.0, 0.0, 0.02, method)
+    rho = evolve_density_duhamel(model, drive, state, 0.0, grid, kernel=kernel).rho.matrix
+    ref = _duhamel_stored_slices(model, drive, state, 0.0, grid, kernel)
+    assert np.linalg.norm(rho - ref) <= 1e-12
+
+
+def test_duhamel_memory_flat_in_step_count():
+    model, state = _gapped_torus_state()
+    drive = DriveProtocol(4.0, (0.0, 0.1))
+    peaks = []
+    for step in (0.04, 0.02):
+        grid = TimeGrid(np.log(1e-12) / 4.0, 0.0, step, "magnus2")
+        tracemalloc.start()
+        try:
+            evolve_density_duhamel(model, drive, state, 0.0, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # storing every slice and integrand node would take 7.5 MB at step 0.04 and 14.6 MB at 0.02
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_density_routes_agree():

@@ -1,15 +1,19 @@
+import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from kubolab.cli import main as cli_main
+from kubolab.dynamics import evolve_density_ode
 from kubolab.harness import (
     ConfigError,
     ExperimentConfig,
     ensemble_average,
     run_experiment,
 )
+from kubolab.opspace import norms
 
 MINIMAL_CONFIG = """\
 [model]
@@ -189,6 +193,56 @@ def test_thread_count_does_not_change_outputs(tmp_path):
         assert (tmp_path / f"{i}_one/t/{name}").read_bytes() == (
             tmp_path / f"{i}_many/t/{name}"
         ).read_bytes()
+
+
+DYNAMICS_TINY = """\
+[model]
+dimension = 2
+sides = 6,6
+boundary = torus
+flux_p = 1
+flux_q = 3
+disorder_w = 0.0
+
+[state]
+kind = projection
+e_f = auto
+filling = 0.3333333333333333
+
+[drive]
+eta_list = 4.0
+field_magnitude = 0.1
+field_axis = 2
+step = 0.02
+
+[run]
+experiment = dynamics-check
+name = t
+"""
+
+
+def test_dynamics_suite_gates_timeseries_and_determinism(tmp_path):
+    cfg = ExperimentConfig.parse(DYNAMICS_TINY)
+    first = run_experiment(cfg, out_dir=tmp_path / "a")
+    second = run_experiment(ExperimentConfig.parse(DYNAMICS_TINY), out_dir=tmp_path / "b")
+    assert first.violations == []
+    with open(tmp_path / "a/t/dynamics_check.csv", newline="") as fh:
+        checks = list(csv.DictReader(fh))
+    assert len(checks) == 8 and all(row["pass"] == "True" for row in checks)
+
+    # the timeseries is the magnus2 Liouville march; its last row is rho(0)
+    with open(tmp_path / "a/t/dynamics_timeseries.csv", newline="") as fh:
+        last = list(csv.DictReader(fh))[-1]
+    model = cfg.model_for(0)
+    grid = replace(cfg.grid_for(4.0), method="magnus2")
+    rho = evolve_density_ode(model, cfg.drive_for(4.0), cfg.state_for(model), 0.0, grid).rho
+    n = norms(rho)
+    assert float(last["t"]) == 0.0
+    assert [float(last[c]) for c in ("norm1", "norm2", "norminf")] == [n.norm1, n.norm2, n.norminf]
+
+    assert first.outputs == second.outputs
+    for name in first.outputs:
+        assert (tmp_path / "a/t" / name).read_bytes() == (tmp_path / "b/t" / name).read_bytes()
 
 
 def test_manifest_records_seeds_and_hashes(tmp_path):

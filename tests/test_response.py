@@ -18,8 +18,6 @@ from kubolab.response import (
     equilibrium_current,
     eta_sweep,
     hall_scaled,
-    kernel_projection,
-    liouvillian_resolvent,
     net_current,
     sigma_finite_difference,
     sigma_kubo_integral,
@@ -73,7 +71,7 @@ def test_resolvent_two_level_oracle():
     h = CovariantOperator(np.diag([0.0, 1.0]), model, hermitian=True)
     rep = LiouvillianRep(SpectralData.from_operator(h))
     b = CovariantOperator(np.array([[0.0, 1.0], [1.0, 0.0]]), model)
-    out = liouvillian_resolvent(rep, 1.0, b).matrix
+    out = rep.resolvent(1.0, b).matrix
     assert out[0, 1] == pytest.approx((1 + 1j) / 2)
     assert out[1, 0] == pytest.approx((1 - 1j) / 2)
 
@@ -108,10 +106,10 @@ def test_kernel_projection_basics(liou, rng):
     bt = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
     diag_part = CovariantOperator(rep.from_eigenbasis(np.diag(np.diag(bt))), model)
     off_part = CovariantOperator(rep.from_eigenbasis(bt - np.diag(np.diag(bt))), model)
-    assert np.linalg.norm(kernel_projection(rep, diag_part, 1e-9).matrix) < 1e-12
-    proj = kernel_projection(rep, off_part, 1e-9).matrix
+    assert np.linalg.norm(rep.kernel_projection(diag_part, 1e-9).matrix) < 1e-12
+    proj = rep.kernel_projection(off_part, 1e-9).matrix
     assert np.max(np.abs(proj - off_part.matrix)) < 1e-12
-    twice = kernel_projection(rep, CovariantOperator(proj, model), 1e-9).matrix
+    twice = rep.kernel_projection(CovariantOperator(proj, model), 1e-9).matrix
     assert np.max(np.abs(twice - proj)) < 1e-12
 
 
