@@ -17,8 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
+from scipy.special import expit
 
-from .model import CovariantOperator, LatticeModel, displacement_table
+from .model import CovariantOperator, LatticeModel, displacement_table, velocity_operator
+from .opspace import norm2
 
 
 class DegenerateFermiLevelError(ValueError):
@@ -108,8 +110,6 @@ def fermi_dirac(spectral: SpectralData, beta: float, e_f: float) -> CovariantOpe
     """f(H) with f(E) = 1 / (1 + e^{beta (E - E_F)}), finite beta > 0."""
     if not (0 < beta < np.inf):
         raise ValueError("beta must be finite and positive")
-    from scipy.special import expit
-
     return apply_spectral(spectral, lambda e: expit(-beta * (e - e_f)))
 
 
@@ -447,8 +447,6 @@ def spectral_position_commutator(
     spectral: SpectralData, state: EquilibriumState, axis: int
 ) -> CovariantOperator:
     """i[x_axis, zeta] realized through the spectral divided difference."""
-    from .model import velocity_operator
-
     model = spectral.model
     v = velocity_operator(model, axis).matrix
     vt = spectral.eigenvectors.conj().T @ v @ spectral.eigenvectors
@@ -496,10 +494,8 @@ def localization_diagnostic(p: CovariantOperator) -> LocalizationReport:
     """Per-axis norm2 of [x_k, P] plus an exponential fit of |P_xy| vs the
     minimal-image distance; positive rate flags the localized/gapped
     regime."""
-    from .opspace import norm2 as _norm2
-
     comm = [
-        _norm2(position_commutator(p, axis))
+        norm2(position_commutator(p, axis))
         for axis in range(p.model.config.dimension)
     ]
     dist = _pair_distances(p.model)

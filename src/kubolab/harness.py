@@ -80,10 +80,8 @@ from .opspace import (
 from .response import (
     chern_number_fhs,
     equilibrium_current,
+    eta_sweep,
     hall_scaled,
-    sigma_finite_difference,
-    sigma_kubo_integral,
-    sigma_resolvent,
     sigma_streda,
 )
 
@@ -150,6 +148,13 @@ _SCHEMA = {
 }
 
 
+def _check_eta_list(etas):
+    if not etas or not all(eta > 0 for eta in etas) or len(set(etas)) != len(etas):
+        raise ConfigError(
+            f"drive.eta_list must be non-empty, positive and without repeats: {_fmt_list(etas)!r}"
+        )
+
+
 @dataclass
 class ExperimentConfig:
     values: dict = field(default_factory=dict)
@@ -161,6 +166,7 @@ class ExperimentConfig:
         if unknown:
             sec, key = sorted(unknown)[0]
             raise ConfigError(f"unknown config key {sec}.{key}")
+        _check_eta_list(self.values[("drive", "eta_list")])
 
     def __getitem__(self, key):
         return self.values[key]
@@ -168,6 +174,8 @@ class ExperimentConfig:
     def set(self, section, key, value):
         if (section, key) not in _SCHEMA:
             raise ConfigError(f"unknown config key {section}.{key}")
+        if (section, key) == ("drive", "eta_list"):
+            _check_eta_list(value)
         self.values[(section, key)] = value
 
     # -- persistence ------------------------------------------------------
@@ -226,13 +234,11 @@ class ExperimentConfig:
         pot = sample_disorder(self.disorder(), index, cfg.n_sites)
         return LatticeModel(cfg, self.flux(), pot)
 
-    def fermi_energy(self, model: LatticeModel) -> float:
-        raw = self[("state", "e_f")]
-        if raw != "auto":
-            return float(raw)
-        return self.fermi_level(np.linalg.eigvalsh(build_hamiltonian(model).matrix))
+    def spectral_for(self, index: int) -> SpectralData:
+        """The one eigendecomposition of realization `index`'s H."""
+        return SpectralData.from_operator(build_hamiltonian(self.model_for(index)))
 
-    def fermi_level(self, evals: np.ndarray) -> float:
+    def fermi_energy(self, evals: np.ndarray) -> float:
         """e_F for the spectrum `evals`: the configured value, or mid-gap at
         the configured filling when e_f = auto."""
         raw = self[("state", "e_f")]
@@ -241,9 +247,9 @@ class ExperimentConfig:
         n_below = max(1, min(len(evals) - 1, round(self[("state", "filling")] * len(evals))))
         return float((evals[n_below - 1] + evals[n_below]) / 2.0)
 
-    def state_for(self, model: LatticeModel) -> EquilibriumState:
+    def state_for(self, spectral: SpectralData) -> EquilibriumState:
         kind = self[("state", "kind")]
-        e_f = self.fermi_energy(model)
+        e_f = self.fermi_energy(spectral.eigenvalues)
         if kind == "projection":
             return EquilibriumState("projection", e_f)
         if kind == "fermi_dirac":
@@ -452,9 +458,8 @@ def _suite_equilibrium(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     threads = cfg[("run", "threads")]
 
     def one(index):
-        model = cfg.model_for(index)
-        state = cfg.state_for(model)
-        j = equilibrium_current(model, state)
+        spectral = cfg.spectral_for(index)
+        j = equilibrium_current(spectral, cfg.state_for(spectral))
         return [index, realization_seed(cfg[("model", "base_seed")], index)] + [float(x) for x in j]
 
     d = cfg[("model", "dimension")]
@@ -486,17 +491,16 @@ def _suite_hall(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     threads = cfg[("run", "threads")]
     clean_model = LatticeModel(cfg.lattice_config(), cfg.flux())
     clean_evals = np.linalg.eigvalsh(build_hamiltonian(clean_model).matrix)
-    e_f = cfg.fermi_level(clean_evals)
+    e_f = cfg.fermi_energy(clean_evals)
     n_occ = int(np.sum(clean_evals <= e_f))
     bands = max(1, round(n_occ * q / clean_model.n_sites))
     chern = chern_number_fhs(p, q, bands) if p != 0 else 0.0
 
     def one(index):
-        model = cfg.model_for(index)
-        sigma = sigma_streda(model, e_f)
+        p_fermi = fermi_projection(cfg.spectral_for(index), e_f)
+        sigma = sigma_streda(p_fermi)
         scaled = hall_scaled(sigma)
-        spectral = SpectralData.from_operator(build_hamiltonian(model))
-        loc = localization_diagnostic(fermi_projection(spectral, e_f))
+        loc = localization_diagnostic(p_fermi)
         return [
             index,
             realization_seed(cfg[("model", "base_seed")], index),
@@ -533,43 +537,34 @@ def _suite_kubo_sweep(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     etas = sorted(cfg[("drive", "eta_list")], reverse=True)
     n_real = cfg[("model", "n_realizations")]
     threads = cfg[("run", "threads")]
-    include_fd = cfg[("drive", "include_fd")]
+    grid_for = cfg.grid_for if cfg[("drive", "include_fd")] else None
     d = cfg[("model", "dimension")]
 
-    def one(cell):
-        index, eta = cell
-        model = cfg.model_for(index)
-        state = cfg.state_for(model)
-        res = sigma_resolvent(model, state, eta)
-        kubo = sigma_kubo_integral(model, state, eta)
-        streda = sigma_streda(model, state.e_f)
-        if include_fd:
-            fd = sigma_finite_difference(
-                model, state, eta, cfg.grid_for(eta), delta_e=cfg[("drive", "delta_e")]
-            )
-            # fd differentiates the true dynamics; compare it against the
-            # response formula built on the same finite-volume kernel
-            fd_ref = sigma_resolvent(model, state, eta, kernel="gauge_derivative")
-        else:
-            fd, fd_ref = None, None
-        return index, eta, res, kubo, streda, fd, fd_ref
+    def one(index):
+        spectral = cfg.spectral_for(index)
+        reports = eta_sweep(
+            spectral, cfg.state_for(spectral), etas, grid_for, delta_e=cfg[("drive", "delta_e")]
+        )
+        return index, reports
 
-    cells = [(i, eta) for eta in etas for i in range(n_real)]
-    results, cell_errors = _map_cells_guarded(one, cells, threads)
+    sweeps, cell_errors = _map_cells_guarded(one, list(range(n_real)), threads)
     raw_rows = []
-    for index, eta, res, kubo, streda, fd, _ in results:
-        for j in range(d):
-            for k in range(d):
-                raw_rows.append(
-                    [
-                        eta, index, j + 1, k + 1,
-                        res[j, k].real, res[j, k].imag,
-                        kubo[j, k].real, kubo[j, k].imag,
-                        streda[j, k].real, streda[j, k].imag,
-                        fd[j, k].real if fd is not None else "",
-                        fd[j, k].imag if fd is not None else "",
-                    ]
-                )
+    for e, eta in enumerate(etas):  # eta-major rows
+        for index, reports in sweeps:
+            rep = reports[e]
+            res, kubo, streda, fd = rep.sigma_resolvent, rep.sigma_kubo, rep.sigma_streda, rep.sigma_fd
+            for j in range(d):
+                for k in range(d):
+                    raw_rows.append(
+                        [
+                            eta, index, j + 1, k + 1,
+                            res[j, k].real, res[j, k].imag,
+                            kubo[j, k].real, kubo[j, k].imag,
+                            streda[j, k].real, streda[j, k].imag,
+                            fd[j, k].real if fd is not None else "",
+                            fd[j, k].imag if fd is not None else "",
+                        ]
+                    )
     writer.write_csv(
         "kubo_sweep_raw.csv",
         [
@@ -582,16 +577,16 @@ def _suite_kubo_sweep(cfg: ExperimentConfig, writer: _OutputWriter, tol):
 
     ens_rows, violations = [], []
     gaps = {}
-    for eta in etas:
-        sub = [r for r in results if r[1] == eta]
+    for e, eta in enumerate(etas):
+        sub = [reports[e] for _, reports in sweeps]
         for j in range(d):
             for k in range(d):
-                fd_vals = [r[5][j, k].real for r in sub if r[5] is not None]
+                fd_vals = [r.sigma_fd[j, k].real for r in sub if r.sigma_fd is not None]
                 fd_mean = math.fsum(fd_vals) / len(fd_vals) if fd_vals else ""
                 fd_im = 0.0 if fd_vals else ""
-                res_mean, stderr = ensemble_average([r[2][j, k].real for r in sub])
-                kubo_mean, _ = ensemble_average([r[3][j, k].real for r in sub])
-                streda_mean, _ = ensemble_average([r[4][j, k].real for r in sub])
+                res_mean, stderr = ensemble_average([r.sigma_resolvent[j, k].real for r in sub])
+                kubo_mean, _ = ensemble_average([r.sigma_kubo[j, k].real for r in sub])
+                streda_mean, _ = ensemble_average([r.sigma_streda[j, k].real for r in sub])
                 ens_rows.append(
                     [
                         eta, j + 1, k + 1,
@@ -605,15 +600,14 @@ def _suite_kubo_sweep(cfg: ExperimentConfig, writer: _OutputWriter, tol):
                 if j != k:
                     gaps.setdefault((j, k), []).append(abs(res_mean - streda_mean))
         kubo_gap = max(
-            float(np.max(np.abs(r[3] - r[2]))) for r in sub
+            float(np.max(np.abs(r.sigma_kubo - r.sigma_resolvent))) for r in sub
         )
         if kubo_gap > tol["kubo_vs_resolvent"]:
             violations.append(["kubo_vs_resolvent", kubo_gap, tol["kubo_vs_resolvent"], False])
         for r in sub:
-            if r[5] is not None:
-                fd_gap = float(np.max(np.abs(r[5] - r[6])))
-                if fd_gap > tol["fd_vs_resolvent"]:
-                    violations.append(["fd_vs_resolvent", fd_gap, tol["fd_vs_resolvent"], False])
+            fd_gap = r.diagnostics.get("fd_vs_resolvent")
+            if fd_gap is not None and fd_gap > tol["fd_vs_resolvent"]:
+                violations.append(["fd_vs_resolvent", fd_gap, tol["fd_vs_resolvent"], False])
     writer.write_csv(
         "kubo_sweep.csv",
         [
@@ -636,11 +630,12 @@ def _suite_kubo_sweep(cfg: ExperimentConfig, writer: _OutputWriter, tol):
 
 
 def _suite_dynamics(cfg: ExperimentConfig, writer: _OutputWriter, tol):
-    model = cfg.model_for(0)
+    spectral = cfg.spectral_for(0)
+    model = spectral.model
     eta = max(cfg[("drive", "eta_list")])
     drive = cfg.drive_for(eta)
     grid = cfg.grid_for(eta)
-    state = cfg.state_for(model)
+    state = cfg.state_for(spectral)
     rows, violations = [], []
     timeseries = []
 
@@ -650,7 +645,6 @@ def _suite_dynamics(cfg: ExperimentConfig, writer: _OutputWriter, tol):
         type(dm_ode.rho)(dm_ode.rho.matrix - dm_duh.rho.matrix, model)
     )
     rows.append(["density_route_agreement", diff, tol["density_route_agreement"], diff < tol["density_route_agreement"]])
-    spectral = SpectralData.from_operator(build_hamiltonian(model))
     zeta = state.build(spectral)
     cons = abs(norm2(dm_ode.rho) - norm2(zeta))
     rows.append(["norm2_conservation", cons, tol["density_norm_conservation"], cons < tol["density_norm_conservation"]])

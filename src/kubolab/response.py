@@ -6,8 +6,11 @@ current driven by the full dynamics.  The zero-temperature limit is the
 commutator (Streda) form, validated against a plaquette Chern-number
 oracle on the magnetic Brillouin zone.
 
-Each (realization, eta, axis-pair) cell is an independent pure
-computation; callers may parallelize over cells freely.
+Every route except the finite difference reads one `SpectralData` of the
+realization's H (the Streda form reads only its Fermi projection), so a
+realization is diagonalized once however many routes and etas use it.
+Each realization is an independent pure computation; callers may
+parallelize over realizations freely.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .model import CovariantOperator, LatticeModel, build_hamiltonian, velocity_operator
+from .model import CovariantOperator, LatticeModel, velocity_operator
 from .funcalc import (
     EquilibriumState,
     SpectralData,
@@ -142,10 +145,10 @@ def net_current(
     return _realness_guard(out)
 
 
-def equilibrium_current(model: LatticeModel, state_or_profile) -> np.ndarray:
+def equilibrium_current(spectral: SpectralData, state_or_profile) -> np.ndarray:
     """T(D_j f(H)) per axis, D_j = v_j / 2; vanishes for clean models and
     in ensemble mean for disordered ones."""
-    spectral = SpectralData.from_operator(build_hamiltonian(model))
+    model = spectral.model
     if isinstance(state_or_profile, EquilibriumState):
         zeta = state_or_profile.build(spectral).matrix
     else:
@@ -163,9 +166,8 @@ def equilibrium_current(model: LatticeModel, state_or_profile) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _response_ingredients(model: LatticeModel, state: EquilibriumState, kernel: str = "minimal_image"):
-    h = build_hamiltonian(model)
-    spectral = SpectralData.from_operator(h)
+def _response_ingredients(spectral: SpectralData, state: EquilibriumState, kernel: str = "minimal_image"):
+    model = spectral.model
     liou = LiouvillianRep(spectral)
     zeta = state.build(spectral)
     d = model.config.dimension
@@ -182,11 +184,11 @@ def _response_ingredients(model: LatticeModel, state: EquilibriumState, kernel: 
         m_ops = [spectral_position_commutator(spectral, state, k) for k in range(d)]
     else:
         raise ValueError(f"unknown commutator kernel {kernel!r}")
-    return spectral, liou, zeta, d_ops, m_ops
+    return liou, d_ops, m_ops
 
 
 def sigma_resolvent(
-    model: LatticeModel, state: EquilibriumState, eta: float, kernel: str = "minimal_image"
+    spectral: SpectralData, state: EquilibriumState, eta: float, kernel: str = "minimal_image"
 ) -> np.ndarray:
     """sigma_jk(eta) = -T{ 2 D_j (i L + eta)^{-1} (i [x_k, zeta]) }.
 
@@ -197,9 +199,9 @@ def sigma_resolvent(
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    _, liou, _, d_ops, m_ops = _response_ingredients(model, state, kernel)
-    d = model.config.dimension
-    n = model.n_sites
+    liou, d_ops, m_ops = _response_ingredients(spectral, state, kernel)
+    d = len(d_ops)
+    n = spectral.model.n_sites
     sigma = np.zeros((d, d), dtype=complex)
     for k in range(d):
         r = liou.resolvent(eta, m_ops[k]).matrix
@@ -209,7 +211,7 @@ def sigma_resolvent(
 
 
 def sigma_kubo_integral(
-    model: LatticeModel,
+    spectral: SpectralData,
     state: EquilibriumState,
     eta: float,
     s_min: float | None = None,
@@ -228,8 +230,8 @@ def sigma_kubo_integral(
     O(nodes N + panels p N^2), not O(nodes N^3); memory O(N^2 + p N)."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    spectral, liou, _, d_ops, m_ops = _response_ingredients(model, state, kernel)
-    n = model.n_sites
+    liou, d_ops, m_ops = _response_ingredients(spectral, state, kernel)
+    n = spectral.model.n_sites
     if s_min is None:
         s_min = float(np.log(1e-12) / eta)
     nodes, weights = leggauss(panel_order)
@@ -273,13 +275,11 @@ def sigma_finite_difference(
 # ---------------------------------------------------------------------------
 
 
-def sigma_streda(model: LatticeModel, e_f: float) -> np.ndarray:
-    """sigma_jk = -i T{ P [[x_j, P], [x_k, P]] } for the Fermi projection;
+def sigma_streda(p: CovariantOperator) -> np.ndarray:
+    """sigma_jk = -i T{ P [[x_j, P], [x_k, P]] } for the Fermi projection P;
     antisymmetric with exactly zero diagonal."""
-    spectral = SpectralData.from_operator(build_hamiltonian(model))
-    p = fermi_projection(spectral, e_f)
-    d = model.config.dimension
-    n = model.n_sites
+    d = p.model.config.dimension
+    n = p.model.n_sites
     m_ops = [position_commutator(p, axis).matrix for axis in range(d)]
     pm_ops = [p.matrix @ m for m in m_ops]
     # T(P [M_j, M_k]) = tr(P M_j M_k) - tr(P M_k M_j); each trace is O(N^2)
@@ -308,7 +308,7 @@ def triple_commutator_check(p: CovariantOperator, axis: int | None = None) -> fl
 
 
 def velocity_projection_identity_defect(
-    model: LatticeModel, e_f: float, axis: int, profile=None
+    spectral: SpectralData, e_f: float, axis: int, profile=None
 ) -> float:
     """Defect of the commutator exchange between the projected velocity and
     the driven position commutator:
@@ -316,8 +316,8 @@ def velocity_projection_identity_defect(
         [P, 2 D_j f(H)] + [H, i[x_j, P]]_dd (.)_R f(H) = 0.
 
     Exact (to rounding) on the open box; wrap-bounded on the torus."""
-    h = build_hamiltonian(model)
-    spectral = SpectralData.from_operator(h)
+    model = spectral.model
+    h = apply_spectral(spectral, lambda e: e)
     p = fermi_projection(spectral, e_f)
     f_h = (
         np.eye(model.n_sites, dtype=complex)
@@ -331,14 +331,13 @@ def velocity_projection_identity_defect(
     return float(np.linalg.norm(lhs + rhs, 2))
 
 
-def sigma_liouvillian_pathway(model: LatticeModel, e_f: float, eta: float) -> np.ndarray:
+def sigma_liouvillian_pathway(spectral: SpectralData, e_f: float, eta: float) -> np.ndarray:
     """sigma_jk(eta) = << i (L + i eta)^{-1} L([P, i[x_j, P]]), i[x_k, P] >>,
     the kernel-projection route; agrees with sigma_resolvent for zeta = P."""
-    spectral = SpectralData.from_operator(build_hamiltonian(model))
     liou = LiouvillianRep(spectral)
     p = fermi_projection(spectral, e_f)
-    d = model.config.dimension
-    n = model.n_sites
+    d = spectral.model.config.dimension
+    n = spectral.model.n_sites
     m_ops = [1j * position_commutator(p, axis).matrix for axis in range(d)]
     gaps = liou._gaps
     sigma = np.zeros((d, d), dtype=complex)
@@ -433,33 +432,38 @@ class ResponseReport:
 
 
 def eta_sweep(
-    model: LatticeModel,
-    e_f: float,
+    spectral: SpectralData,
+    state: EquilibriumState,
     etas,
-    include_kubo: bool = False,
-    fd_grid: TimeGrid | None = None,
+    grid_for=None,
     delta_e: float = 1e-3,
 ) -> list[ResponseReport]:
-    """Resolvent conductivity along a descending eta list, with the Streda
-    value attached for the gap comparison."""
+    """Resolvent and Kubo conductivity of one realization along a strictly
+    descending eta list, with its Streda value (computed once) attached for
+    the gap comparison.
+
+    With `grid_for` (eta -> TimeGrid) the finite difference of the real
+    dynamics runs too, and its gap to the gauge-derivative resolvent, the
+    response formula on the same finite-volume kernel, is recorded as the
+    `fd_vs_resolvent` diagnostic."""
     etas = list(etas)
     if any(e <= 0 for e in etas) or any(b >= a for a, b in zip(etas, etas[1:])):
         raise ValueError("etas must be positive and strictly descending")
-    state = EquilibriumState("projection", e_f)
-    streda = sigma_streda(model, e_f)
+    streda = sigma_streda(fermi_projection(spectral, state.e_f))
     out = []
     for eta in etas:
         rep = ResponseReport(
             eta=eta,
-            sigma_resolvent=sigma_resolvent(model, state, eta),
+            sigma_resolvent=sigma_resolvent(spectral, state, eta),
             sigma_streda=streda,
+            sigma_kubo=sigma_kubo_integral(spectral, state, eta),
         )
-        if include_kubo:
-            rep.sigma_kubo = sigma_kubo_integral(model, state, eta)
-        if fd_grid is not None:
+        if grid_for is not None:
             rep.sigma_fd = sigma_finite_difference(
-                model, state, eta, fd_grid, delta_e=delta_e
+                spectral.model, state, eta, grid_for(eta), delta_e=delta_e
             )
+            fd_ref = sigma_resolvent(spectral, state, eta, kernel="gauge_derivative")
+            rep.diagnostics["fd_vs_resolvent"] = float(np.max(np.abs(rep.sigma_fd - fd_ref)))
         rep.diagnostics["gap_to_streda"] = float(
             np.max(np.abs(rep.sigma_resolvent - streda))
         )

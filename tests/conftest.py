@@ -8,6 +8,7 @@ from kubolab.model import (
     LatticeModel,
     build_hamiltonian,
 )
+from kubolab.funcalc import SpectralData
 
 
 def make_chain(n, boundary="open", potential=None):
@@ -31,6 +32,10 @@ def random_projector(model, rng, rank):
     m = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
     q, _ = np.linalg.qr(m)
     return CovariantOperator(q @ q.conj().T, model, hermitian=True)
+
+
+def spectral_of(model):
+    return SpectralData.from_operator(build_hamiltonian(model))
 
 
 def gap_fermi_level(model, filling):

@@ -24,6 +24,7 @@ from kubolab.funcalc import (
     HSQuadrature,
     SpectralData,
     apply_spectral,
+    fermi_projection,
     gaussian_function,
     hs_apply,
 )
@@ -61,7 +62,7 @@ from kubolab.response import (
 )
 from kubolab.harness import ensemble_average
 
-from conftest import gap_fermi_level, make_chain, make_torus, random_operator, random_projector
+from conftest import gap_fermi_level, make_chain, make_torus, random_operator, random_projector, spectral_of
 
 
 def report(criterion, detail):
@@ -79,7 +80,7 @@ def clean_flux_third(length):
 def test_criterion_1_hall_quantization():
     t0 = time.time()
     model, e_f = clean_flux_third(12)
-    scaled = hall_scaled(sigma_streda(model, e_f))
+    scaled = hall_scaled(sigma_streda(fermi_projection(spectral_of(model), e_f)))
     per_realization = time.time() - t0
     chern = chern_number_fhs(1, 3, 1)
     clean_gap = abs(abs(scaled) - abs(chern))
@@ -91,7 +92,7 @@ def test_criterion_1_hall_quantization():
     for i in range(TOL["hall_n_realizations"]):
         pot = sample_disorder(DisorderSpec(TOL["hall_disorder_strength"], 20240811), i, 144)
         noisy = LatticeModel(model.config, model.flux, pot)
-        values.append(hall_scaled(sigma_streda(noisy, e_f)))
+        values.append(hall_scaled(sigma_streda(fermi_projection(spectral_of(noisy), e_f))))
     mean, _ = ensemble_average(values)
     dis_gap = abs(abs(mean) - abs(chern))
     assert dis_gap < TOL["hall_quantization_disordered"]
@@ -113,12 +114,13 @@ def test_criterion_2_three_method_agreement():
     state = EquilibriumState("projection", e_f)
     eta = 0.5
 
-    res = sigma_resolvent(model, state, eta)
-    kubo = sigma_kubo_integral(model, state, eta)
+    spectral = spectral_of(model)
+    res = sigma_resolvent(spectral, state, eta)
+    kubo = sigma_kubo_integral(spectral, state, eta)
     kubo_gap = float(np.max(np.abs(kubo - res)))
     assert kubo_gap < TOL["kubo_vs_resolvent"]
 
-    res_gauge = sigma_resolvent(model, state, eta, kernel="gauge_derivative")
+    res_gauge = sigma_resolvent(spectral, state, eta, kernel="gauge_derivative")
     grid = TimeGrid(np.log(1e-10) / eta, 0.0, 0.01, truncation_tol=1e-10)
     fd = sigma_finite_difference(model, state, eta, grid, delta_e=TOL["fd_delta_e"])
     fd_gap = float(np.max(np.abs(fd - res_gauge)))
@@ -135,7 +137,9 @@ def test_criterion_2_three_method_agreement():
 
 def test_criterion_3_eta_to_zero():
     model, e_f = clean_flux_third(12)
-    reports = eta_sweep(model, e_f, list(TOL["eta_sweep_values"]))
+    reports = eta_sweep(
+        spectral_of(model), EquilibriumState("projection", e_f), list(TOL["eta_sweep_values"])
+    )
     gaps = [r.diagnostics["gap_to_streda"] for r in reports]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < TOL["eta_sweep_final_gap"]
@@ -216,7 +220,7 @@ def test_criterion_6_duhamel_identity():
 
 def test_criterion_7_equilibrium_current():
     model, e_f = clean_flux_third(12)
-    j_clean = equilibrium_current(model, EquilibriumState("projection", e_f))
+    j_clean = equilibrium_current(spectral_of(model), EquilibriumState("projection", e_f))
     clean_mag = float(np.max(np.abs(j_clean)))
     assert clean_mag < TOL["equilibrium_clean"]
 
@@ -226,7 +230,7 @@ def test_criterion_7_equilibrium_current():
     for i in range(n):
         pot = sample_disorder(DisorderSpec(1.0, 20240811), i, 64)
         noisy = LatticeModel(LatticeConfig(2, (8, 8), "torus"), FluxSpec(1, 4), pot)
-        j = equilibrium_current(noisy, state)
+        j = equilibrium_current(spectral_of(noisy), state)
         samples[0].append(j[0])
         samples[1].append(j[1])
     ratios = []
@@ -283,7 +287,7 @@ def test_criterion_9_structural_identities():
     # antisymmetry and zero diagonal of the commutator form
     pot = sample_disorder(DisorderSpec(0.5, 42), 0, 64)
     noisy = LatticeModel(LatticeConfig(2, (8, 8), "torus"), FluxSpec(1, 4), pot)
-    sigma = sigma_streda(noisy, gap_fermi_level(noisy, 0.25))
+    sigma = sigma_streda(fermi_projection(spectral_of(noisy), gap_fermi_level(noisy, 0.25)))
     antisym = float(np.max(np.abs(sigma + sigma.T)))
     diag = float(max(abs(sigma[0, 0]), abs(sigma[1, 1])))
     assert antisym < TOL["sigma_antisymmetry"]
@@ -292,7 +296,8 @@ def test_criterion_9_structural_identities():
     # time reversal on an odd torus (exactly antisymmetric minimal image)
     pot9 = sample_disorder(DisorderSpec(2.0, 23), 0, 81)
     real_model = LatticeModel(LatticeConfig(2, (9, 9), "torus"), FluxSpec(), pot9)
-    tr_sigma = float(np.max(np.abs(sigma_streda(real_model, gap_fermi_level(real_model, 0.5)))))
+    p_real = fermi_projection(spectral_of(real_model), gap_fermi_level(real_model, 0.5))
+    tr_sigma = float(np.max(np.abs(sigma_streda(p_real))))
     assert tr_sigma < TOL["time_reversal_sigma"]
 
     # operator-algebra identity battery

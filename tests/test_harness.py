@@ -86,11 +86,22 @@ def test_auto_fermi_level_sits_in_gap():
         "[state]\ne_f = auto\nfilling = 0.3333333333333333\n"
     )
     model = cfg.model_for(0)
-    e_f = cfg.fermi_energy(model)
     evals = np.linalg.eigvalsh(
         __import__("kubolab").build_hamiltonian(model).matrix
     )
+    e_f = cfg.fermi_energy(evals)
     assert evals[11] < e_f < evals[12]
+
+
+@pytest.mark.parametrize(
+    "raw,value", [("", ()), ("0", (0.0,)), ("1.0,0.5,1.0", (1.0, 0.5, 1.0))],
+    ids=["empty", "zero", "repeated"],
+)
+def test_eta_list_validated_when_built(raw, value):
+    with pytest.raises(ConfigError, match=r"drive\.eta_list"):
+        ExperimentConfig.parse(f"[drive]\neta_list = {raw}\n")
+    with pytest.raises(ConfigError, match=r"drive\.eta_list"):
+        small_config().set("drive", "eta_list", value)
 
 
 def test_drive_axis_validated():
@@ -235,7 +246,8 @@ def test_dynamics_suite_gates_timeseries_and_determinism(tmp_path):
         last = list(csv.DictReader(fh))[-1]
     model = cfg.model_for(0)
     grid = replace(cfg.grid_for(4.0), method="magnus2")
-    rho = evolve_density_ode(model, cfg.drive_for(4.0), cfg.state_for(model), 0.0, grid).rho
+    state = cfg.state_for(cfg.spectral_for(0))
+    rho = evolve_density_ode(model, cfg.drive_for(4.0), state, 0.0, grid).rho
     n = norms(rho)
     assert float(last["t"]) == 0.0
     assert [float(last[c]) for c in ("norm1", "norm2", "norminf")] == [n.norm1, n.norm2, n.norminf]
@@ -243,6 +255,47 @@ def test_dynamics_suite_gates_timeseries_and_determinism(tmp_path):
     assert first.outputs == second.outputs
     for name in first.outputs:
         assert (tmp_path / "a/t" / name).read_bytes() == (tmp_path / "b/t" / name).read_bytes()
+
+
+DECOMPOSITION_CASES = {
+    "kubo-sweep": (
+        "[model]\ndimension = 2\nsides = 4,4\nflux_p = 1\nflux_q = 4\n"
+        "disorder_w = 0.5\nbase_seed = 42\nn_realizations = 2\n"
+        "[state]\ne_f = auto\nfilling = 0.25\n"
+        "[drive]\neta_list = 1.0,0.5,0.25\n",
+        2, 0,
+    ),
+    "hall": (
+        "[model]\ndimension = 2\nsides = 6,6\nflux_p = 1\nflux_q = 3\n"
+        "disorder_w = 0.5\nbase_seed = 20240811\nn_realizations = 2\n"
+        "[state]\ne_f = auto\nfilling = 0.3333333333333333\n",
+        2, 1,  # the one eigvalsh is the clean model's, for e_F
+    ),
+    "equilibrium": (
+        "[model]\ndimension = 2\nsides = 4,4\nflux_p = 1\nflux_q = 4\n"
+        "disorder_w = 1.0\nbase_seed = 5\nn_realizations = 3\n"
+        "[state]\ne_f = auto\nfilling = 0.25\n",
+        3, 0,
+    ),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(DECOMPOSITION_CASES))
+def test_one_eigendecomposition_per_realization(tmp_path, monkeypatch, experiment):
+    text, eigh_calls, eigvalsh_calls = DECOMPOSITION_CASES[experiment]
+    cfg = ExperimentConfig.parse(text + f"[run]\nexperiment = {experiment}\nname = t\n")
+    n = cfg.lattice_config().n_sites
+    counts = {"eigh": 0, "eigvalsh": 0}
+    for name in counts:
+        def counted(a, *args, _raw=getattr(np.linalg, name), _name=name, **kwargs):
+            if np.shape(a) == (n, n):
+                counts[_name] += 1
+            return _raw(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    manifest = run_experiment(cfg, out_dir=tmp_path)
+    assert not [v for v in manifest.violations if v[0] == "cell_error"]
+    assert counts == {"eigh": eigh_calls, "eigvalsh": eigvalsh_calls}
 
 
 def test_manifest_records_seeds_and_hashes(tmp_path):

@@ -28,7 +28,9 @@ from kubolab.response import (
     velocity_projection_identity_defect,
 )
 
-from conftest import gap_fermi_level, make_chain, make_torus, random_operator, random_projector
+from conftest import (
+    gap_fermi_level, make_chain, make_torus, random_operator, random_projector, spectral_of,
+)
 
 
 # -- Liouvillian superoperator ---------------------------------------------------
@@ -160,20 +162,20 @@ def test_net_current_matches_streda_linear_response():
         model, DriveProtocol(eta, (0.0, emag)), state, grid,
         route="duhamel_integral", kernel="minimal_image",
     )
-    target = sigma_streda(model, e_f)[0, 1].real * emag
+    target = sigma_streda(fermi_projection(spectral_of(model), e_f))[0, 1].real * emag
     assert abs(j[0] - target) < 0.05 * abs(target)
 
 
 def test_equilibrium_current_clean_1d():
     model = make_chain(12, "torus")
-    j = equilibrium_current(model, EquilibriumState("fermi_dirac", 0.0, 2.0))
+    j = equilibrium_current(spectral_of(model), EquilibriumState("fermi_dirac", 0.0, 2.0))
     assert np.max(np.abs(j)) < 1e-10
 
 
 def test_equilibrium_current_clean_gapped_flux():
     model = make_torus((12, 12), 1, 3)
     e_f = gap_fermi_level(model, 1.0 / 3.0)
-    j = equilibrium_current(model, EquilibriumState("projection", e_f))
+    j = equilibrium_current(spectral_of(model), EquilibriumState("projection", e_f))
     assert np.max(np.abs(j)) < 1e-8
 
 
@@ -181,7 +183,7 @@ def test_equilibrium_current_vanishes_identically_without_field():
     # time reversal: v purely imaginary antisymmetric, f(H) real symmetric
     pot = sample_disorder(DisorderSpec(2.0, 31), 0, 36)
     model = make_torus((6, 6), potential=pot)
-    j = equilibrium_current(model, EquilibriumState("fermi_dirac", -0.5, 3.0))
+    j = equilibrium_current(spectral_of(model), EquilibriumState("fermi_dirac", -0.5, 3.0))
     assert np.max(np.abs(j)) < 1e-14
 
 
@@ -199,31 +201,33 @@ def test_sigma_resolvent_zero_for_trivial_state():
     model, _, _ = _disordered_flux_quarter()
     evals = np.linalg.eigvalsh(build_hamiltonian(model).matrix)
     state = EquilibriumState("projection", evals[-1] + 1.0)  # zeta = I
-    sigma = sigma_resolvent(model, state, 0.5)
+    sigma = sigma_resolvent(spectral_of(model), state, 0.5)
     assert np.max(np.abs(sigma)) < 1e-12
 
 
 def test_kubo_integral_matches_resolvent():
     model, state, _ = _disordered_flux_quarter()
+    spectral = spectral_of(model)
     for kernel in ("minimal_image", "gauge_derivative"):
-        res = sigma_resolvent(model, state, 0.5, kernel=kernel)
-        kubo = sigma_kubo_integral(model, state, 0.5, kernel=kernel)
+        res = sigma_resolvent(spectral, state, 0.5, kernel=kernel)
+        kubo = sigma_kubo_integral(spectral, state, 0.5, kernel=kernel)
         assert np.max(np.abs(kubo - res)) < 1e-6
 
 
 def test_kubo_quadrature_refinement():
     model, state, _ = _disordered_flux_quarter()
-    res = sigma_resolvent(model, state, 0.5)
-    coarse = sigma_kubo_integral(model, state, 0.5, panel_width=4.0, panel_order=4)
-    fine = sigma_kubo_integral(model, state, 0.5, panel_width=2.0, panel_order=4)
+    spectral = spectral_of(model)
+    res = sigma_resolvent(spectral, state, 0.5)
+    coarse = sigma_kubo_integral(spectral, state, 0.5, panel_width=4.0, panel_order=4)
+    fine = sigma_kubo_integral(spectral, state, 0.5, panel_width=2.0, panel_order=4)
     assert np.max(np.abs(fine - res)) < np.max(np.abs(coarse - res))
 
 
-def _kubo_per_node(model, state, eta, s_min=None, panel_width=0.5, panel_order=10, kernel="minimal_image"):
+def _kubo_per_node(spectral, state, eta, s_min=None, panel_width=0.5, panel_order=10, kernel="minimal_image"):
     """Reference quadrature: evolve i[x_k, zeta] to every node and take one
     trace per node and axis pair."""
-    _, liou, _, d_ops, m_ops = _response_ingredients(model, state, kernel)
-    d, n = model.config.dimension, model.n_sites
+    liou, d_ops, m_ops = _response_ingredients(spectral, state, kernel)
+    d, n = spectral.model.config.dimension, spectral.model.n_sites
     if s_min is None:
         s_min = float(np.log(1e-12) / eta)
     nodes, weights = np.polynomial.legendre.leggauss(panel_order)
@@ -254,9 +258,10 @@ def test_kubo_integral_matches_per_node_sum(kernel, quadrature):
     pot = sample_disorder(DisorderSpec(1.0, 8), 0, 16)
     model = make_torus((4, 4), 1, 4, pot)
     state = EquilibriumState("projection", gap_fermi_level(model, 0.25))
+    spectral = spectral_of(model)
     for eta in (1.0, 0.25):
-        kubo = sigma_kubo_integral(model, state, eta, kernel=kernel, **quadrature)
-        ref = _kubo_per_node(model, state, eta, kernel=kernel, **quadrature)
+        kubo = sigma_kubo_integral(spectral, state, eta, kernel=kernel, **quadrature)
+        ref = _kubo_per_node(spectral, state, eta, kernel=kernel, **quadrature)
         assert np.max(np.abs(kubo - ref)) <= 1e-12
 
 
@@ -268,16 +273,17 @@ def test_fd_matches_resolvent_small_1d():
     eta = 1.0
     grid = TimeGrid(np.log(1e-10), 0.0, 0.005, truncation_tol=1e-10)
     fd = sigma_finite_difference(model, state, eta, grid, delta_e=1e-3)
-    res = sigma_resolvent(model, state, eta, kernel="gauge_derivative")
+    res = sigma_resolvent(spectral_of(model), state, eta, kernel="gauge_derivative")
     assert np.max(np.abs(fd - res)) < 1e-3
 
 
 def test_sigma_requires_positive_eta():
     model, state, _ = _disordered_flux_quarter()
+    spectral = spectral_of(model)
     with pytest.raises(ValueError):
-        sigma_resolvent(model, state, -0.1)
+        sigma_resolvent(spectral, state, -0.1)
     with pytest.raises(ValueError):
-        sigma_kubo_integral(model, state, 0.0)
+        sigma_kubo_integral(spectral, state, 0.0)
 
 
 # -- Streda form and structure --------------------------------------------------------
@@ -285,7 +291,7 @@ def test_sigma_requires_positive_eta():
 
 def test_streda_antisymmetric_zero_diagonal():
     model, _, e_f = _disordered_flux_quarter()
-    sigma = sigma_streda(model, e_f)
+    sigma = sigma_streda(fermi_projection(spectral_of(model), e_f))
     assert np.max(np.abs(sigma + sigma.T)) < 1e-10
     assert abs(sigma[0, 0]) < 1e-14 and abs(sigma[1, 1]) < 1e-14
 
@@ -294,7 +300,7 @@ def test_streda_structure_is_exact():
     model, _, e_f = _disordered_flux_quarter()
     chain = make_chain(12, "torus", sample_disorder(DisorderSpec(1.0, 4), 0, 12))
     for m, ef in ((model, e_f), (chain, gap_fermi_level(chain, 0.5))):
-        sigma = sigma_streda(m, ef)
+        sigma = sigma_streda(fermi_projection(spectral_of(m), ef))
         assert np.all(np.diag(sigma) == 0)
         assert np.array_equal(sigma, -sigma.T)
 
@@ -303,13 +309,14 @@ def test_streda_time_reversal_odd_torus():
     pot = sample_disorder(DisorderSpec(2.0, 23), 0, 81)
     model = make_torus((9, 9), potential=pot)
     e_f = gap_fermi_level(model, 0.5)
-    assert np.max(np.abs(sigma_streda(model, e_f))) < 1e-10
+    assert np.max(np.abs(sigma_streda(fermi_projection(spectral_of(model), e_f)))) < 1e-10
 
 
 def test_streda_quantized_at_l6():
     model = make_torus((6, 6), 1, 3)
     e_f = gap_fermi_level(model, 1.0 / 3.0)
-    assert abs(abs(hall_scaled(sigma_streda(model, e_f))) - 1.0) < 0.06
+    p = fermi_projection(spectral_of(model), e_f)
+    assert abs(abs(hall_scaled(sigma_streda(p))) - 1.0) < 0.06
 
 
 def test_triple_commutator_trivial_projectors():
@@ -341,9 +348,10 @@ def test_velocity_projection_identity_open(rng):
     pot = sample_disorder(DisorderSpec(1.0, 12), 0, 12)
     model = make_chain(12, "open", pot)
     e_f = gap_fermi_level(model, 0.5)
-    assert velocity_projection_identity_defect(model, e_f, 0) < 1e-10
+    spectral = spectral_of(model)
+    assert velocity_projection_identity_defect(spectral, e_f, 0) < 1e-10
     plateau = lambda e: np.exp(-0.05 * np.asarray(e) ** 2)
-    assert velocity_projection_identity_defect(model, e_f, 0, profile=plateau) < 1e-10
+    assert velocity_projection_identity_defect(spectral, e_f, 0, profile=plateau) < 1e-10
 
 
 def test_sigma_liouvillian_pathway_matches_resolvent_open():
@@ -352,8 +360,9 @@ def test_sigma_liouvillian_pathway_matches_resolvent_open():
     e_f = gap_fermi_level(model, 0.5)
     state = EquilibriumState("projection", e_f)
     eta = 0.4
-    lhs = sigma_liouvillian_pathway(model, e_f, eta)
-    rhs = sigma_resolvent(model, state, eta)
+    spectral = spectral_of(model)
+    lhs = sigma_liouvillian_pathway(spectral, e_f, eta)
+    rhs = sigma_resolvent(spectral, state, eta)
     assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
@@ -381,9 +390,10 @@ def test_chern_oracle_grid_independent():
 def test_eta_sweep_consistency_and_monotonicity():
     model = make_torus((6, 6), 1, 3)
     e_f = gap_fermi_level(model, 1.0 / 3.0)
-    reports = eta_sweep(model, e_f, [1.0, 0.5, 0.25])
     state = EquilibriumState("projection", e_f)
-    single = sigma_resolvent(model, state, 0.5)
+    spectral = spectral_of(model)
+    reports = eta_sweep(spectral, state, [1.0, 0.5, 0.25])
+    single = sigma_resolvent(spectral, state, 0.5)
     assert np.allclose(reports[1].sigma_resolvent, single)
     gaps = [r.diagnostics["gap_to_streda"] for r in reports]
     assert gaps[0] > gaps[1] > gaps[2]
@@ -393,9 +403,9 @@ def test_eta_sweep_consistency_and_monotonicity():
 
 def test_eta_sweep_requires_descending():
     model = make_torus((6, 6), 1, 3)
-    e_f = gap_fermi_level(model, 1.0 / 3.0)
+    state = EquilibriumState("projection", gap_fermi_level(model, 1.0 / 3.0))
     with pytest.raises(ValueError):
-        eta_sweep(model, e_f, [0.5, 1.0])
+        eta_sweep(spectral_of(model), state, [0.5, 1.0])
 
 
 def test_response_report_diagnostics():
@@ -411,5 +421,5 @@ def test_streda_volume_consistency():
     for length in (6, 12):
         model = make_torus((length, length), 1, 3)
         e_f = gap_fermi_level(model, 1.0 / 3.0)
-        values[length] = sigma_streda(model, e_f)[0, 1].real
+        values[length] = sigma_streda(fermi_projection(spectral_of(model), e_f))[0, 1].real
     assert abs(values[12] - values[6]) < 0.01
