@@ -37,7 +37,7 @@ def main(argv=None) -> int:
             cfg.set("run", "threads", args.threads)
         if args.seed is not None:
             cfg.set("model", "base_seed", args.seed)
-        manifest = run_experiment(cfg, out_dir=args.out, check=args.check)
+        manifest = run_experiment(cfg, out_dir=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

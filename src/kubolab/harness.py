@@ -341,36 +341,18 @@ def _csv_cell(v):
     return str(v)
 
 
-def ensemble_average(values, weights=None):
+def ensemble_average(values):
     """(mean, stderr) with order-independent summation; stderr is None for
     a single sample."""
     values = [float(v) for v in values]
     n = len(values)
     if n == 0:
         raise ValueError("need at least one value")
-    if weights is None:
-        mean = math.fsum(values) / n
-        if n == 1:
-            return mean, None
-        var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
-        return mean, math.sqrt(var / n)
-    weights = [float(w) for w in weights]
-    total = math.fsum(weights)
-    mean = math.fsum(w * v for w, v in zip(weights, values)) / total
+    mean = math.fsum(values) / n
     if n == 1:
         return mean, None
-    n_eff = total**2 / math.fsum(w * w for w in weights)
-    var = math.fsum(w * (v - mean) ** 2 for w, v in zip(weights, values)) / total
-    var_unbiased = var * n_eff / max(n_eff - 1.0, 1e-300)
-    return mean, math.sqrt(var_unbiased / n_eff)
-
-
-def _map_cells(fn, cells, threads: int):
-    """Order-preserving map; thread count never changes the results."""
-    if threads <= 1 or len(cells) <= 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, cells))
+    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+    return mean, math.sqrt(var / n)
 
 
 _CELL_FAILURES = (
@@ -380,9 +362,10 @@ _CELL_FAILURES = (
 
 
 def _map_cells_guarded(fn, cells, threads: int):
-    """Like _map_cells, but a numerical failure (one of _CELL_FAILURES) in
-    one cell is recorded and the run continues; any other exception is a
-    defect and propagates. Returns (results, errors)."""
+    """Order-preserving map over the cells; thread count never changes the
+    results. A numerical failure (one of _CELL_FAILURES) in one cell is
+    recorded and the run continues; any other exception is a defect and
+    propagates. Returns (results, errors)."""
 
     def guarded(cell):
         try:
@@ -390,7 +373,11 @@ def _map_cells_guarded(fn, cells, threads: int):
         except _CELL_FAILURES as exc:  # summarized at exit, never fatal per cell
             return ("error", f"cell {cell!r}: {type(exc).__name__}: {exc}")
 
-    outcomes = _map_cells(guarded, cells, threads)
+    if threads <= 1 or len(cells) <= 1:
+        outcomes = [guarded(c) for c in cells]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            outcomes = list(pool.map(guarded, cells))
     results = [payload for status, payload in outcomes if status == "ok"]
     errors = [payload for status, payload in outcomes if status == "error"]
     return results, errors
@@ -760,7 +747,7 @@ _SUITE_FN = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None, check: bool = False) -> RunManifest:
+def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
     """Dispatch the configured suite, write outputs, and return the manifest."""
     experiment = cfg[("run", "experiment")]
     if experiment not in _SUITE_FN:

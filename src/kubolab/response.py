@@ -6,11 +6,14 @@ current driven by the full dynamics.  The zero-temperature limit is the
 commutator (Streda) form, validated against a plaquette Chern-number
 oracle on the magnetic Brillouin zone.
 
-Every route except the finite difference reads one `SpectralData` of the
-realization's H (the Streda form reads only its Fermi projection), so a
-realization is diagonalized once however many routes and etas use it.
-Each realization is an independent pure computation; callers may
-parallelize over realizations freely.
+The resolvent and Kubo routes are one contraction over a `ResponseBasis`,
+the realization's D_j and i[x_k, zeta] in the eigenbasis of its H, with
+two kernels of E_m - E_n: 1 / (eta + i w) and the quadrature of
+int e^{eta r} e^{i w r} dr.  The basis is built once per realization from
+its `SpectralData` (the Streda form reads only the Fermi projection), so a
+realization is diagonalized once and its O(N^3) products are taken once,
+however many etas use it.  Each realization is an independent pure
+computation; callers may parallelize over realizations freely.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from .funcalc import (
     EquilibriumState,
     SpectralData,
     apply_spectral,
+    divided_difference_kernel,
     fermi_projection,
     position_commutator,
-    spectral_position_commutator,
 )
 from .dynamics import (
     DriveProtocol,
@@ -166,58 +169,64 @@ def equilibrium_current(spectral: SpectralData, state_or_profile) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _response_ingredients(spectral: SpectralData, state: EquilibriumState, kernel: str = "minimal_image"):
-    model = spectral.model
-    liou = LiouvillianRep(spectral)
-    zeta = state.build(spectral)
-    d = model.config.dimension
-    d_ops = [
-        CovariantOperator(velocity_operator(model, j).matrix / 2.0, model, hermitian=True)
-        for j in range(d)
-    ]
-    if kernel == "minimal_image":
-        m_ops = [
-            CovariantOperator(1j * position_commutator(zeta, k).matrix, model)
-            for k in range(d)
-        ]
-    elif kernel == "gauge_derivative":
-        m_ops = [spectral_position_commutator(spectral, state, k) for k in range(d)]
-    else:
-        raise ValueError(f"unknown commutator kernel {kernel!r}")
-    return liou, d_ops, m_ops
+@dataclass(eq=False)
+class ResponseBasis:
+    """The eta-independent half of the Kubo formula for one realization, in
+    the eigenbasis of its H: the energies E, D~_j^T (D_j = v_j / 2) and
+    M~_k = (i [x_k, zeta])~.
+
+    There L acts entrywise as multiplication by E_m - E_n, so every route is
+    one contraction sigma_jk = -(2 / N) sum_mn (D~_j^T o K o M~_k)_mn and only
+    the kernel K(E_m - E_n) differs between routes.  `kernel` picks the
+    finite-volume realization of i[x_k, zeta]: the minimal-image commutator
+    (default), or the spectral divided difference that the driven dynamics
+    differentiates into; the two agree up to wrap terms set by the decay of
+    zeta."""
+
+    energies: np.ndarray
+    d_tilde_t: list
+    m_tilde: list
+
+    @classmethod
+    def of(cls, spectral: SpectralData, state: EquilibriumState, kernel: str = "minimal_image"):
+        model = spectral.model
+        v, vh = spectral.eigenvectors, spectral.eigenvectors.conj().T
+        e = spectral.eigenvalues
+        axes = range(model.config.dimension)
+        v_tilde = [vh @ velocity_operator(model, j).matrix @ v for j in axes]
+        if kernel == "minimal_image":
+            zeta = state.build(spectral)
+            m_tilde = [vh @ (1j * position_commutator(zeta, k).matrix) @ v for k in axes]
+        elif kernel == "gauge_derivative":
+            f, fp = state.profile()(e), state.profile_derivative()(e)
+            m_tilde = [divided_difference_kernel(e, f, fp, vt) for vt in v_tilde]
+        else:
+            raise ValueError(f"unknown commutator kernel {kernel!r}")
+        return cls(e, [(vt / 2.0).T for vt in v_tilde], m_tilde)
+
+    def contract(self, kern: np.ndarray) -> np.ndarray:
+        """-(2 / N) sum_mn (D~_j^T o K o M~_k)_mn for every axis pair (j, k)."""
+        n = len(self.energies)
+        return np.array(
+            [[-2.0 * np.sum(dt * kern * mt) / n for mt in self.m_tilde] for dt in self.d_tilde_t]
+        )
 
 
-def sigma_resolvent(
-    spectral: SpectralData, state: EquilibriumState, eta: float, kernel: str = "minimal_image"
-) -> np.ndarray:
-    """sigma_jk(eta) = -T{ 2 D_j (i L + eta)^{-1} (i [x_k, zeta]) }.
-
-    `kernel` picks the finite-volume realization of i[x_k, zeta]: the
-    minimal-image commutator (default), or the spectral divided difference
-    that the driven dynamics differentiates into; the two agree up to wrap
-    terms set by the decay of zeta.
-    """
+def sigma_resolvent(basis: ResponseBasis, eta: float) -> np.ndarray:
+    """sigma_jk(eta) = -T{ 2 D_j (i L + eta)^{-1} (i [x_k, zeta]) }, the basis
+    contracted with the kernel 1 / (eta + i (E_m - E_n))."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    liou, d_ops, m_ops = _response_ingredients(spectral, state, kernel)
-    d = len(d_ops)
-    n = spectral.model.n_sites
-    sigma = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        r = liou.resolvent(eta, m_ops[k]).matrix
-        for j in range(d):
-            sigma[j, k] = -2.0 * np.sum(d_ops[j].matrix * r.T) / n
-    return sigma
+    e = basis.energies
+    return basis.contract(1.0 / (1j * (e[:, None] - e[None, :]) + eta))
 
 
 def sigma_kubo_integral(
-    spectral: SpectralData,
-    state: EquilibriumState,
+    basis: ResponseBasis,
     eta: float,
     s_min: float | None = None,
     panel_width: float = 0.5,
     panel_order: int = 10,
-    kernel: str = "minimal_image",
 ) -> np.ndarray:
     """sigma_jk(eta) = -T{ 2 int_{-inf}^0 e^{eta r} D_j U0(-r)(i [x_k, zeta]) dr }
     by composite Gauss-Legendre panels on [s_min, 0], weight untransformed.
@@ -225,28 +234,25 @@ def sigma_kubo_integral(
     In the eigenbasis of H, U0(-r) multiplies entry (m, n) by
     e^{i r (E_m - E_n)} = u_m conj(u_n), u = e^{i r E}.  The weighted node sum
     is then one kernel K = sum_i w_i e^{eta r_i} u(r_i) u(r_i)^*, built as an
-    (N x p)(p x N) product per panel of p nodes, and
-    sigma_jk = -(2 / N) sum_mn (D~_j^T o K o M~_k)_mn.  Cost
-    O(nodes N + panels p N^2), not O(nodes N^3); memory O(N^2 + p N)."""
+    (N x p)(p x N) product per panel of p nodes, and contracted with the
+    basis.  Cost O(nodes N + panels p N^2), not O(nodes N^3); memory
+    O(N^2 + p N)."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    liou, d_ops, m_ops = _response_ingredients(spectral, state, kernel)
-    n = spectral.model.n_sites
     if s_min is None:
         s_min = float(np.log(1e-12) / eta)
     nodes, weights = leggauss(panel_order)
     n_panels = max(1, int(np.ceil(-s_min / panel_width)))
     edges = np.linspace(s_min, 0.0, n_panels + 1)
-    energies = spectral.eigenvalues
+    energies = basis.energies
+    n = len(energies)
     kern = np.zeros((n, n), dtype=complex)
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = (a + b) / 2.0, (b - a) / 2.0
         r = mid + half * nodes
         u = np.exp(1j * np.outer(energies, r))
         kern += (u * (weights * half * np.exp(eta * r))) @ u.conj().T
-    d_kern = [liou.to_eigenbasis(op.matrix).T * kern for op in d_ops]
-    m_tilde = [liou.to_eigenbasis(op.matrix) for op in m_ops]
-    return np.array([[-2.0 * np.sum(dk * mt) / n for mt in m_tilde] for dk in d_kern])
+    return basis.contract(kern)
 
 
 def sigma_finite_difference(
@@ -415,8 +421,6 @@ class ResponseReport:
     sigma_kubo: np.ndarray | None = None
     sigma_fd: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
-    n_realizations: int = 1
-    stderr: float | None = None
 
     def __post_init__(self):
         for name in ("sigma_resolvent", "sigma_kubo", "sigma_fd"):
@@ -440,7 +444,8 @@ def eta_sweep(
 ) -> list[ResponseReport]:
     """Resolvent and Kubo conductivity of one realization along a strictly
     descending eta list, with its Streda value (computed once) attached for
-    the gap comparison.
+    the gap comparison.  The response basis is built once; each eta builds
+    only its kernels.
 
     With `grid_for` (eta -> TimeGrid) the finite difference of the real
     dynamics runs too, and its gap to the gauge-derivative resolvent, the
@@ -450,19 +455,21 @@ def eta_sweep(
     if any(e <= 0 for e in etas) or any(b >= a for a, b in zip(etas, etas[1:])):
         raise ValueError("etas must be positive and strictly descending")
     streda = sigma_streda(fermi_projection(spectral, state.e_f))
+    basis = ResponseBasis.of(spectral, state)
+    fd_basis = None if grid_for is None else ResponseBasis.of(spectral, state, "gauge_derivative")
     out = []
     for eta in etas:
         rep = ResponseReport(
             eta=eta,
-            sigma_resolvent=sigma_resolvent(spectral, state, eta),
+            sigma_resolvent=sigma_resolvent(basis, eta),
             sigma_streda=streda,
-            sigma_kubo=sigma_kubo_integral(spectral, state, eta),
+            sigma_kubo=sigma_kubo_integral(basis, eta),
         )
-        if grid_for is not None:
+        if fd_basis is not None:
             rep.sigma_fd = sigma_finite_difference(
                 spectral.model, state, eta, grid_for(eta), delta_e=delta_e
             )
-            fd_ref = sigma_resolvent(spectral, state, eta, kernel="gauge_derivative")
+            fd_ref = sigma_resolvent(fd_basis, eta)
             rep.diagnostics["fd_vs_resolvent"] = float(np.max(np.abs(rep.sigma_fd - fd_ref)))
         rep.diagnostics["gap_to_streda"] = float(
             np.max(np.abs(rep.sigma_resolvent - streda))

@@ -50,6 +50,7 @@ from kubolab.opspace import (
     trace_per_unit_volume,
 )
 from kubolab.response import (
+    ResponseBasis,
     chern_number_fhs,
     equilibrium_current,
     eta_sweep,
@@ -115,12 +116,13 @@ def test_criterion_2_three_method_agreement():
     eta = 0.5
 
     spectral = spectral_of(model)
-    res = sigma_resolvent(spectral, state, eta)
-    kubo = sigma_kubo_integral(spectral, state, eta)
+    basis = ResponseBasis.of(spectral, state)
+    res = sigma_resolvent(basis, eta)
+    kubo = sigma_kubo_integral(basis, eta)
     kubo_gap = float(np.max(np.abs(kubo - res)))
     assert kubo_gap < TOL["kubo_vs_resolvent"]
 
-    res_gauge = sigma_resolvent(spectral, state, eta, kernel="gauge_derivative")
+    res_gauge = sigma_resolvent(ResponseBasis.of(spectral, state, "gauge_derivative"), eta)
     grid = TimeGrid(np.log(1e-10) / eta, 0.0, 0.01, truncation_tol=1e-10)
     fd = sigma_finite_difference(model, state, eta, grid, delta_e=TOL["fd_delta_e"])
     fd_gap = float(np.max(np.abs(fd - res_gauge)))

@@ -3,6 +3,7 @@ a rename in src/ must fail here, not only in the slower bench tests."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -23,3 +24,11 @@ def test_every_traced_target_resolves_to_a_callable():
         for part in path.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), f"{module_name}.{path} is not a callable"
+
+
+def test_kubo_node_count_parameters_keep_their_names():
+    # spans.py counts quadrature nodes by binding these arguments by name
+    from kubolab.response import sigma_kubo_integral
+
+    params = inspect.signature(sigma_kubo_integral).parameters
+    assert {"eta", "s_min", "panel_width", "panel_order"} <= set(params)

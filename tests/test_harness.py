@@ -14,6 +14,7 @@ from kubolab.harness import (
     run_experiment,
 )
 from kubolab.opspace import norms
+from kubolab.response import ResponseBasis
 
 MINIMAL_CONFIG = """\
 [model]
@@ -140,12 +141,6 @@ def test_stderr_tracks_normal_scaling():
         estimates.append(stderr)
     target = sigma_true / np.sqrt(n)
     assert abs(np.mean(estimates) - target) < 0.3 * target
-
-
-def test_weighted_average():
-    mean, stderr = ensemble_average([1.0, 3.0], weights=[3.0, 1.0])
-    assert mean == pytest.approx(1.5)
-    assert stderr is not None and stderr > 0
 
 
 # -- experiment runs -------------------------------------------------------------
@@ -296,6 +291,27 @@ def test_one_eigendecomposition_per_realization(tmp_path, monkeypatch, experimen
     manifest = run_experiment(cfg, out_dir=tmp_path)
     assert not [v for v in manifest.violations if v[0] == "cell_error"]
     assert counts == {"eigh": eigh_calls, "eigvalsh": eigvalsh_calls}
+
+
+@pytest.mark.parametrize("include_fd,bases_per_realization", [(False, 1), (True, 2)])
+def test_one_response_basis_per_realization(tmp_path, monkeypatch, include_fd, bases_per_realization):
+    # the eta loop builds only kernels; the FD cross-check adds one
+    # gauge-derivative basis per realization
+    text, _, _ = DECOMPOSITION_CASES["kubo-sweep"]
+    fd = "include_fd = true\nstep = 0.05\ntruncation_tol = 1e-6\n" if include_fd else ""
+    cfg = ExperimentConfig.parse(text + fd + "[run]\nexperiment = kubo-sweep\nname = t\n")
+    kernels = []
+    raw = ResponseBasis.of.__func__
+
+    def counted(cls, spectral, state, kernel="minimal_image"):
+        kernels.append(kernel)
+        return raw(cls, spectral, state, kernel)
+
+    monkeypatch.setattr(ResponseBasis, "of", classmethod(counted))
+    manifest = run_experiment(cfg, out_dir=tmp_path)
+    assert not [v for v in manifest.violations if v[0] == "cell_error"]
+    assert len(kernels) == 2 * bases_per_realization
+    assert kernels.count("minimal_image") == 2
 
 
 def test_manifest_records_seeds_and_hashes(tmp_path):

@@ -6,14 +6,21 @@ from kubolab.model import (
     DisorderSpec,
     build_hamiltonian,
     sample_disorder,
+    velocity_operator,
 )
-from kubolab.funcalc import EquilibriumState, SpectralData, fermi_projection, position_commutator
+from kubolab.funcalc import (
+    EquilibriumState,
+    SpectralData,
+    fermi_projection,
+    position_commutator,
+    spectral_position_commutator,
+)
 from kubolab.dynamics import DriveProtocol, TimeGrid
 from kubolab.opspace import hs_inner
 from kubolab.response import (
     LiouvillianRep,
+    ResponseBasis,
     ResponseReport,
-    _response_ingredients,
     chern_number_fhs,
     equilibrium_current,
     eta_sweep,
@@ -201,7 +208,7 @@ def test_sigma_resolvent_zero_for_trivial_state():
     model, _, _ = _disordered_flux_quarter()
     evals = np.linalg.eigvalsh(build_hamiltonian(model).matrix)
     state = EquilibriumState("projection", evals[-1] + 1.0)  # zeta = I
-    sigma = sigma_resolvent(spectral_of(model), state, 0.5)
+    sigma = sigma_resolvent(ResponseBasis.of(spectral_of(model), state), 0.5)
     assert np.max(np.abs(sigma)) < 1e-12
 
 
@@ -209,42 +216,41 @@ def test_kubo_integral_matches_resolvent():
     model, state, _ = _disordered_flux_quarter()
     spectral = spectral_of(model)
     for kernel in ("minimal_image", "gauge_derivative"):
-        res = sigma_resolvent(spectral, state, 0.5, kernel=kernel)
-        kubo = sigma_kubo_integral(spectral, state, 0.5, kernel=kernel)
+        basis = ResponseBasis.of(spectral, state, kernel)
+        res = sigma_resolvent(basis, 0.5)
+        kubo = sigma_kubo_integral(basis, 0.5)
         assert np.max(np.abs(kubo - res)) < 1e-6
 
 
 def test_kubo_quadrature_refinement():
     model, state, _ = _disordered_flux_quarter()
-    spectral = spectral_of(model)
-    res = sigma_resolvent(spectral, state, 0.5)
-    coarse = sigma_kubo_integral(spectral, state, 0.5, panel_width=4.0, panel_order=4)
-    fine = sigma_kubo_integral(spectral, state, 0.5, panel_width=2.0, panel_order=4)
+    basis = ResponseBasis.of(spectral_of(model), state)
+    res = sigma_resolvent(basis, 0.5)
+    coarse = sigma_kubo_integral(basis, 0.5, panel_width=4.0, panel_order=4)
+    fine = sigma_kubo_integral(basis, 0.5, panel_width=2.0, panel_order=4)
     assert np.max(np.abs(fine - res)) < np.max(np.abs(coarse - res))
 
 
-def _kubo_per_node(spectral, state, eta, s_min=None, panel_width=0.5, panel_order=10, kernel="minimal_image"):
+def _kubo_per_node(basis, eta, s_min=None, panel_width=0.5, panel_order=10):
     """Reference quadrature: evolve i[x_k, zeta] to every node and take one
     trace per node and axis pair."""
-    liou, d_ops, m_ops = _response_ingredients(spectral, state, kernel)
-    d, n = spectral.model.config.dimension, spectral.model.n_sites
+    d, n = len(basis.m_tilde), len(basis.energies)
+    gaps = basis.energies[:, None] - basis.energies[None, :]
     if s_min is None:
         s_min = float(np.log(1e-12) / eta)
     nodes, weights = np.polynomial.legendre.leggauss(panel_order)
     edges = np.linspace(s_min, 0.0, max(1, int(np.ceil(-s_min / panel_width))) + 1)
-    d_tilde = [liou.to_eigenbasis(op.matrix) for op in d_ops]
-    m_tilde = [liou.to_eigenbasis(op.matrix) for op in m_ops]
     sigma = np.zeros((d, d), dtype=complex)
     for a, b in zip(edges[:-1], edges[1:]):
         mid, half = (a + b) / 2.0, (b - a) / 2.0
         for x, w in zip(nodes, weights):
             r = mid + half * x
-            phase = np.exp(1j * r * liou._gaps)
+            phase = np.exp(1j * r * gaps)
             weight = w * half * np.exp(eta * r)
             for k in range(d):
-                evolved = phase * m_tilde[k]
+                evolved = phase * basis.m_tilde[k]
                 for j in range(d):
-                    sigma[j, k] += -2.0 * weight * np.sum(d_tilde[j].T * evolved) / n
+                    sigma[j, k] += -2.0 * weight * np.sum(basis.d_tilde_t[j] * evolved) / n
     return sigma
 
 
@@ -258,11 +264,42 @@ def test_kubo_integral_matches_per_node_sum(kernel, quadrature):
     pot = sample_disorder(DisorderSpec(1.0, 8), 0, 16)
     model = make_torus((4, 4), 1, 4, pot)
     state = EquilibriumState("projection", gap_fermi_level(model, 0.25))
-    spectral = spectral_of(model)
+    basis = ResponseBasis.of(spectral_of(model), state, kernel)
     for eta in (1.0, 0.25):
-        kubo = sigma_kubo_integral(spectral, state, eta, kernel=kernel, **quadrature)
-        ref = _kubo_per_node(spectral, state, eta, kernel=kernel, **quadrature)
+        kubo = sigma_kubo_integral(basis, eta, **quadrature)
+        ref = _kubo_per_node(basis, eta, **quadrature)
         assert np.max(np.abs(kubo - ref)) <= 1e-12
+
+
+def _sigma_site_basis(spectral, state, eta, kernel):
+    """Reference resolvent route in the site basis: -2 tr(D_j (iL + eta)^{-1} M_k) / N
+    with M_k = i[x_k, zeta] built as a site-basis operator."""
+    model = spectral.model
+    liou = LiouvillianRep(spectral)
+    d, n = model.config.dimension, model.n_sites
+    if kernel == "minimal_image":
+        zeta = state.build(spectral)
+        m_ops = [CovariantOperator(1j * position_commutator(zeta, k).matrix, model) for k in range(d)]
+    else:
+        m_ops = [spectral_position_commutator(spectral, state, k) for k in range(d)]
+    sigma = np.zeros((d, d), dtype=complex)
+    for k in range(d):
+        r = liou.resolvent(eta, m_ops[k]).matrix
+        for j in range(d):
+            sigma[j, k] = -2.0 * np.trace(velocity_operator(model, j).matrix / 2.0 @ r) / n
+    return sigma
+
+
+@pytest.mark.parametrize("kernel", ["minimal_image", "gauge_derivative"])
+def test_resolvent_matches_site_basis_trace(kernel):
+    pot = sample_disorder(DisorderSpec(1.0, 8), 0, 16)
+    model = make_torus((4, 4), 1, 4, pot)
+    state = EquilibriumState("projection", gap_fermi_level(model, 0.25))
+    spectral = spectral_of(model)
+    basis = ResponseBasis.of(spectral, state, kernel)
+    for eta in (1.0, 0.25):
+        ref = _sigma_site_basis(spectral, state, eta, kernel)
+        assert np.max(np.abs(sigma_resolvent(basis, eta) - ref)) <= 1e-12
 
 
 def test_fd_matches_resolvent_small_1d():
@@ -273,17 +310,17 @@ def test_fd_matches_resolvent_small_1d():
     eta = 1.0
     grid = TimeGrid(np.log(1e-10), 0.0, 0.005, truncation_tol=1e-10)
     fd = sigma_finite_difference(model, state, eta, grid, delta_e=1e-3)
-    res = sigma_resolvent(spectral_of(model), state, eta, kernel="gauge_derivative")
+    res = sigma_resolvent(ResponseBasis.of(spectral_of(model), state, "gauge_derivative"), eta)
     assert np.max(np.abs(fd - res)) < 1e-3
 
 
 def test_sigma_requires_positive_eta():
     model, state, _ = _disordered_flux_quarter()
-    spectral = spectral_of(model)
+    basis = ResponseBasis.of(spectral_of(model), state)
     with pytest.raises(ValueError):
-        sigma_resolvent(spectral, state, -0.1)
+        sigma_resolvent(basis, -0.1)
     with pytest.raises(ValueError):
-        sigma_kubo_integral(spectral, state, 0.0)
+        sigma_kubo_integral(basis, 0.0)
 
 
 # -- Streda form and structure --------------------------------------------------------
@@ -362,7 +399,7 @@ def test_sigma_liouvillian_pathway_matches_resolvent_open():
     eta = 0.4
     spectral = spectral_of(model)
     lhs = sigma_liouvillian_pathway(spectral, e_f, eta)
-    rhs = sigma_resolvent(spectral, state, eta)
+    rhs = sigma_resolvent(ResponseBasis.of(spectral, state), eta)
     assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
@@ -393,7 +430,7 @@ def test_eta_sweep_consistency_and_monotonicity():
     state = EquilibriumState("projection", e_f)
     spectral = spectral_of(model)
     reports = eta_sweep(spectral, state, [1.0, 0.5, 0.25])
-    single = sigma_resolvent(spectral, state, 0.5)
+    single = sigma_resolvent(ResponseBasis.of(spectral, state), 0.5)
     assert np.allclose(reports[1].sigma_resolvent, single)
     gaps = [r.diagnostics["gap_to_streda"] for r in reports]
     assert gaps[0] > gaps[1] > gaps[2]
