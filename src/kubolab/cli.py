@@ -42,8 +42,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     n_bad = len(manifest.violations)
-    for row in manifest.violations:
-        print(f"VIOLATION {row}")
+    for name, value, tolerance, _ in manifest.violations:
+        print(f"VIOLATION {name} value={value} tolerance={tolerance}")
     print(
         f"{manifest.experiment}: {len(manifest.outputs)} output files, "
         f"{n_bad} violations (config {manifest.config_sha256[:12]})"

@@ -2,9 +2,13 @@
 
 Configs are flat, typed key-value text files with sections; unknown keys
 are rejected and parse(serialize(c)) round-trips exactly.  Every suite
-writes raw per-realization rows and an ensemble summary, plus a JSON
-summary and a run manifest.  Fixed config implies bitwise-identical
-output files across runs and across thread counts.
+writes raw per-realization rows and an ensemble summary, and returns all
+its gates as `Check(name, value, tolerance, passed)` records.
+run_experiment makes the violations (the failed checks, then one
+cell_error per failed realization) and writes them to the JSON summary
+and the run manifest.  Fixed config implies bitwise-identical output
+files across runs and across thread counts; the config hash leaves out
+run.name, run.output_dir and run.threads, which never change results.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,16 +99,6 @@ class ConfigError(ValueError):
 # typed configuration
 # ---------------------------------------------------------------------------
 
-SUITES = (
-    "hall",
-    "kubo-sweep",
-    "dynamics-check",
-    "equilibrium",
-    "funcalc-check",
-    "algebra-check",
-)
-
-
 def _parse_int_list(s):
     return tuple(int(tok) for tok in s.split(",") if tok.strip())
 
@@ -146,6 +141,9 @@ _SCHEMA = {
     ("run", "threads"): (int, str, 1),
     ("run", "tolerance_overrides"): (str, str, ""),
 }
+
+# where and how a run executes, never what it computes; left out of the digest
+_EXECUTION_ONLY = {("run", "name"), ("run", "output_dir"), ("run", "threads")}
 
 
 def _check_eta_list(etas):
@@ -200,19 +198,21 @@ class ExperimentConfig:
     def load(cls, path) -> "ExperimentConfig":
         return cls.parse(Path(path).read_text())
 
-    def serialize(self) -> str:
+    def serialize(self, skip=frozenset()) -> str:
         out = io.StringIO()
         sections = ("model", "state", "drive", "run")
         for section in sections:
             out.write(f"[{section}]\n")
             for (sec, key), (_, fmt, _) in _SCHEMA.items():
-                if sec == section:
+                if sec == section and (sec, key) not in skip:
                     out.write(f"{key} = {fmt(self.values[(sec, key)])}\n")
             out.write("\n")
         return out.getvalue()
 
     def digest(self) -> str:
-        return hashlib.sha256(self.serialize().encode()).hexdigest()
+        """sha256 of the serialized config without its execution-only keys,
+        so the hash, like the results, is the same for any thread count."""
+        return hashlib.sha256(self.serialize(_EXECUTION_ONLY).encode()).hexdigest()
 
     # -- derived objects ----------------------------------------------------
 
@@ -361,11 +361,13 @@ _CELL_FAILURES = (
 )
 
 
-def _map_cells_guarded(fn, cells, threads: int):
-    """Order-preserving map over the cells; thread count never changes the
-    results. A numerical failure (one of _CELL_FAILURES) in one cell is
-    recorded and the run continues; any other exception is a defect and
-    propagates. Returns (results, errors)."""
+def _map_realizations(fn, cfg: ExperimentConfig):
+    """Order-preserving map of fn over the config's realization indices, on
+    run.threads workers; thread count never changes the results. A numerical
+    failure (one of _CELL_FAILURES) in one cell is recorded and the run
+    continues; any other exception is a defect and propagates. Returns
+    (results, errors)."""
+    cells, threads = list(range(cfg[("model", "n_realizations")])), cfg[("run", "threads")]
 
     def guarded(cell):
         try:
@@ -388,8 +390,20 @@ def _map_cells_guarded(fn, cells, threads: int):
 # ---------------------------------------------------------------------------
 
 
-def _check_rows(rows):
-    return [r for r in rows if not r[-1]]
+class Check(NamedTuple):
+    """One acceptance gate, written as [name, value, tolerance, passed]; each
+    suite decides `passed` with its own comparison."""
+
+    name: str
+    value: object
+    tolerance: object
+    passed: bool
+
+    @classmethod
+    def below(cls, name: str, value, tolerance: float) -> "Check":
+        """The common strict gate value < tolerance."""
+        value = float(value)
+        return cls(name, value, tolerance, value < tolerance)
 
 
 def _suite_algebra(cfg: ExperimentConfig, writer: _OutputWriter, tol):
@@ -403,79 +417,70 @@ def _suite_algebra(cfg: ExperimentConfig, writer: _OutputWriter, tol):
         return CovariantOperator(scale * m / np.sqrt(n), model)
 
     a, b, c = random_op(), random_op(), random_op()
-    t_tol = tol["algebra_identity"]
-    checks = []
-
-    def add(name, defect):
-        checks.append([name, float(defect), t_tol, float(defect) < t_tol])
-
-    add("centrality_diamond", abs(trace_per_unit_volume(prod_diamond(a, b)) - trace_per_unit_volume(prod_diamond(b, a))))
-    add("centrality_mixed", abs(trace_per_unit_volume(prod_left(c, a)) - trace_per_unit_volume(prod_right(a, c))))
-    add("trace_diamond_inner", abs(trace_per_unit_volume(prod_diamond(a, b)) - hs_inner(dagger(a), b)))
-    lhs = trace_per_unit_volume(prod_diamond(comm_odot(c, a), b))
-    rhs = trace_per_unit_volume(prod_left(c, comm_diamond(a, b)))
-    add("commutator_shuffle", abs(lhs - rhs))
     na, nb = norms(a), norms(b)
-    add("trace_vs_norm1", max(0.0, abs(trace_per_unit_volume(a)) - na.norm1))
-    add("holder_diamond", max(0.0, norms(prod_diamond(a, b)).norm1 - na.norm2 * nb.norm2))
-    add("dagger_isometry", abs(norms(dagger(a)).norm1 - na.norm1))
-    add("norm_chain", max(0.0, na.norm1 - np.sqrt(n) * na.norm2) + max(0.0, na.norm2 - np.sqrt(n) * na.norminf))
-    hd = comm_ddagger(h, a).matrix - (h.matrix @ a.matrix - a.matrix @ h.matrix)
-    add("ddagger_commutator", np.linalg.norm(hd))
-    assoc = prod_right(prod_left(b, a), c).matrix - prod_left(b, prod_right(a, c)).matrix
-    add("left_right_associativity", np.linalg.norm(assoc))
-    bac = dagger(prod_right(prod_left(b, a), c)).matrix - prod_right(
-        prod_left(dagger(c), dagger(a)), dagger(b)
-    ).matrix
-    add("bac_dagger", np.linalg.norm(bac))
+    defects = {
+        "centrality_diamond": abs(trace_per_unit_volume(prod_diamond(a, b)) - trace_per_unit_volume(prod_diamond(b, a))),
+        "centrality_mixed": abs(trace_per_unit_volume(prod_left(c, a)) - trace_per_unit_volume(prod_right(a, c))),
+        "trace_diamond_inner": abs(trace_per_unit_volume(prod_diamond(a, b)) - hs_inner(dagger(a), b)),
+        "commutator_shuffle": abs(
+            trace_per_unit_volume(prod_diamond(comm_odot(c, a), b))
+            - trace_per_unit_volume(prod_left(c, comm_diamond(a, b)))
+        ),
+        "trace_vs_norm1": max(0.0, abs(trace_per_unit_volume(a)) - na.norm1),
+        "holder_diamond": max(0.0, norms(prod_diamond(a, b)).norm1 - na.norm2 * nb.norm2),
+        "dagger_isometry": abs(norms(dagger(a)).norm1 - na.norm1),
+        "norm_chain": max(0.0, na.norm1 - np.sqrt(n) * na.norm2) + max(0.0, na.norm2 - np.sqrt(n) * na.norminf),
+        "ddagger_commutator": np.linalg.norm(comm_ddagger(h, a).matrix - (h.matrix @ a.matrix - a.matrix @ h.matrix)),
+        "left_right_associativity": np.linalg.norm(
+            prod_right(prod_left(b, a), c).matrix - prod_left(b, prod_right(a, c)).matrix
+        ),
+        "bac_dagger": np.linalg.norm(
+            dagger(prod_right(prod_left(b, a), c)).matrix
+            - prod_right(prod_left(dagger(c), dagger(a)), dagger(b)).matrix
+        ),
+    }
     shifts = [tuple(rng.integers(0, s) for s in model.config.sides) for _ in range(3)]
     if model.config.boundary == "torus":
-        single = trace_per_unit_volume(h)
         ens = EnsembleOperator.uniform(
             [build_hamiltonian(shift_disorder(model, sh)) for sh in shifts] + [h]
         )
-        add("translation_sum_trace", abs(single - trace_per_unit_volume(ens)))
-
+        defects["translation_sum_trace"] = abs(trace_per_unit_volume(h) - trace_per_unit_volume(ens))
+    checks = [Check.below(name, defect, tol["algebra_identity"]) for name, defect in defects.items()]
     writer.write_csv("algebra_check.csv", ["identity", "defect", "tolerance", "pass"], checks)
-    return {"checks": {r[0]: r[1] for r in checks}}, _check_rows(checks)
+    return {"checks": {c.name: c.value for c in checks}}, checks
 
 
 def _suite_equilibrium(cfg: ExperimentConfig, writer: _OutputWriter, tol):
-    n_real = cfg[("model", "n_realizations")]
-    threads = cfg[("run", "threads")]
-
     def one(index):
         spectral = cfg.spectral_for(index)
         j = equilibrium_current(spectral, cfg.state_for(spectral))
         return [index, realization_seed(cfg[("model", "base_seed")], index)] + [float(x) for x in j]
 
     d = cfg[("model", "dimension")]
-    rows, cell_errors = _map_cells_guarded(one, list(range(n_real)), threads)
+    rows, cell_errors = _map_realizations(one, cfg)
     writer.write_csv(
         "equilibrium_raw.csv",
         ["realization", "seed"] + [f"j_{a+1}" for a in range(d)],
         rows,
     )
-    summary_rows, violations = [], []
+    summary_rows, checks = [], []
     for a in range(d) if rows else ():
         mean, stderr = ensemble_average([r[2 + a] for r in rows])
         if stderr is None or stderr == 0.0:
-            ok = abs(mean) < tol["equilibrium_clean"]
+            check = Check.below(f"equilibrium_j_{a+1}", abs(mean), tol["equilibrium_clean"])
         else:
-            ok = abs(mean) <= tol["equilibrium_sigma_factor"] * stderr
-        summary_rows.append([a + 1, mean, stderr if stderr is not None else "", len(rows), ok])
+            bound = tol["equilibrium_sigma_factor"] * stderr
+            check = Check(f"equilibrium_j_{a+1}", abs(mean), bound, abs(mean) <= bound)
+        summary_rows.append([a + 1, mean, stderr if stderr is not None else "", len(rows), check.passed])
+        checks.append(check)
     writer.write_csv(
         "equilibrium_summary.csv", ["axis", "mean", "stderr", "n", "pass"], summary_rows
     )
-    violations = _check_rows(summary_rows)
-    violations += [["cell_error", msg, "", False] for msg in cell_errors]
-    return {"axes": summary_rows, "cell_errors": cell_errors}, violations
+    return {"axes": summary_rows, "cell_errors": cell_errors}, checks
 
 
 def _suite_hall(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     p, q = cfg[("model", "flux_p")], cfg[("model", "flux_q")]
-    n_real = cfg[("model", "n_realizations")]
-    threads = cfg[("run", "threads")]
     clean_model = LatticeModel(cfg.lattice_config(), cfg.flux())
     clean_evals = np.linalg.eigvalsh(build_hamiltonian(clean_model).matrix)
     e_f = cfg.fermi_energy(clean_evals)
@@ -497,33 +502,30 @@ def _suite_hall(cfg: ExperimentConfig, writer: _OutputWriter, tol):
             loc.decay_rate,
         ]
 
-    rows, cell_errors = _map_cells_guarded(one, list(range(n_real)), threads)
+    rows, cell_errors = _map_realizations(one, cfg)
     writer.write_csv(
         "hall_raw.csv",
         ["realization", "seed", "sigma_12", "hall_scaled", "chern_oracle", "loc_rate"],
         rows,
     )
-    if not rows:
-        writer.write_csv("hall_summary.csv", ["hall_scaled_mean", "stderr", "chern_oracle", "gap", "tolerance", "pass"], [])
-        return {"cell_errors": cell_errors}, [["cell_error", msg, "", False] for msg in cell_errors]
-    mean, stderr = ensemble_average([r[3] for r in rows])
-    gap = abs(abs(mean) - abs(chern)) if p != 0 else abs(mean)
-    bound = tol["hall_quantization_clean"] if cfg[("model", "disorder_w")] == 0 else tol["hall_quantization_disordered"]
-    ok = gap < bound
+    summary, summary_rows, checks = {"cell_errors": cell_errors}, [], []
+    if rows:
+        mean, stderr = ensemble_average([r[3] for r in rows])
+        gap = abs(abs(mean) - abs(chern)) if p != 0 else abs(mean)
+        bound = tol["hall_quantization_clean"] if cfg[("model", "disorder_w")] == 0 else tol["hall_quantization_disordered"]
+        checks.append(Check.below("hall", gap, bound))
+        summary_rows.append([mean, stderr if stderr is not None else "", chern, gap, bound, checks[0].passed])
+        summary.update(hall_scaled_mean=mean, chern=chern, gap=gap)
     writer.write_csv(
         "hall_summary.csv",
         ["hall_scaled_mean", "stderr", "chern_oracle", "gap", "tolerance", "pass"],
-        [[mean, stderr if stderr is not None else "", chern, gap, bound, ok]],
+        summary_rows,
     )
-    violations = [] if ok else [["hall", gap, bound, False]]
-    violations += [["cell_error", msg, "", False] for msg in cell_errors]
-    return {"hall_scaled_mean": mean, "chern": chern, "gap": gap, "cell_errors": cell_errors}, violations
+    return summary, checks
 
 
 def _suite_kubo_sweep(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     etas = sorted(cfg[("drive", "eta_list")], reverse=True)
-    n_real = cfg[("model", "n_realizations")]
-    threads = cfg[("run", "threads")]
     grid_for = cfg.grid_for if cfg[("drive", "include_fd")] else None
     d = cfg[("model", "dimension")]
 
@@ -534,7 +536,7 @@ def _suite_kubo_sweep(cfg: ExperimentConfig, writer: _OutputWriter, tol):
         )
         return index, reports
 
-    sweeps, cell_errors = _map_cells_guarded(one, list(range(n_real)), threads)
+    sweeps, cell_errors = _map_realizations(one, cfg)
     raw_rows = []
     for e, eta in enumerate(etas):  # eta-major rows
         for index, reports in sweeps:
@@ -562,14 +564,14 @@ def _suite_kubo_sweep(cfg: ExperimentConfig, writer: _OutputWriter, tol):
         raw_rows,
     )
 
-    ens_rows, violations = [], []
-    gaps = {}
-    for e, eta in enumerate(etas):
+    ens_rows, checks, gaps = [], [], {}
+    t_kubo, t_fd, t_final = tol["kubo_vs_resolvent"], tol["fd_vs_resolvent"], tol["eta_sweep_final_gap"]
+    for e, eta in enumerate(etas if sweeps else ()):  # no ensemble when every cell failed
         sub = [reports[e] for _, reports in sweeps]
         for j in range(d):
             for k in range(d):
                 fd_vals = [r.sigma_fd[j, k].real for r in sub if r.sigma_fd is not None]
-                fd_mean = math.fsum(fd_vals) / len(fd_vals) if fd_vals else ""
+                fd_mean = ensemble_average(fd_vals)[0] if fd_vals else ""
                 fd_im = 0.0 if fd_vals else ""
                 res_mean, stderr = ensemble_average([r.sigma_resolvent[j, k].real for r in sub])
                 kubo_mean, _ = ensemble_average([r.sigma_kubo[j, k].real for r in sub])
@@ -586,15 +588,12 @@ def _suite_kubo_sweep(cfg: ExperimentConfig, writer: _OutputWriter, tol):
                 )
                 if j != k:
                     gaps.setdefault((j, k), []).append(abs(res_mean - streda_mean))
-        kubo_gap = max(
-            float(np.max(np.abs(r.sigma_kubo - r.sigma_resolvent))) for r in sub
-        )
-        if kubo_gap > tol["kubo_vs_resolvent"]:
-            violations.append(["kubo_vs_resolvent", kubo_gap, tol["kubo_vs_resolvent"], False])
+        kubo_gap = max(float(np.max(np.abs(r.sigma_kubo - r.sigma_resolvent))) for r in sub)
+        checks.append(Check("kubo_vs_resolvent", kubo_gap, t_kubo, kubo_gap <= t_kubo))
         for r in sub:
             fd_gap = r.diagnostics.get("fd_vs_resolvent")
-            if fd_gap is not None and fd_gap > tol["fd_vs_resolvent"]:
-                violations.append(["fd_vs_resolvent", fd_gap, tol["fd_vs_resolvent"], False])
+            if fd_gap is not None:
+                checks.append(Check("fd_vs_resolvent", fd_gap, t_fd, fd_gap <= t_fd))
     writer.write_csv(
         "kubo_sweep.csv",
         [
@@ -605,15 +604,12 @@ def _suite_kubo_sweep(cfg: ExperimentConfig, writer: _OutputWriter, tol):
         ],
         ens_rows,
     )
-    for (j, k), series in gaps.items():
-        if len(series) > 1 and series[-1] > tol["eta_sweep_final_gap"]:
-            violations.append(["eta_sweep_final_gap", series[-1], tol["eta_sweep_final_gap"], False])
-    violations += [["cell_error", msg, "", False] for msg in cell_errors]
+    checks += [Check("eta_sweep_final_gap", s[-1], t_final, s[-1] <= t_final) for s in gaps.values() if len(s) > 1]
     return {
         "etas": etas,
         "gap_series": {f"{j+1},{k+1}": v for (j, k), v in gaps.items()},
         "cell_errors": cell_errors,
-    }, violations
+    }, checks
 
 
 def _suite_dynamics(cfg: ExperimentConfig, writer: _OutputWriter, tol):
@@ -623,29 +619,27 @@ def _suite_dynamics(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     drive = cfg.drive_for(eta)
     grid = cfg.grid_for(eta)
     state = cfg.state_for(spectral)
-    rows, violations = [], []
     timeseries = []
 
     dm_ode = evolve_density_ode(model, drive, state, 0.0, grid)
     dm_duh = evolve_density_duhamel(model, drive, state, 0.0, grid)
-    diff = norm2(
-        type(dm_ode.rho)(dm_ode.rho.matrix - dm_duh.rho.matrix, model)
-    )
-    rows.append(["density_route_agreement", diff, tol["density_route_agreement"], diff < tol["density_route_agreement"]])
+    diff = norm2(type(dm_ode.rho)(dm_ode.rho.matrix - dm_duh.rho.matrix, model))
     zeta = state.build(spectral)
-    cons = abs(norm2(dm_ode.rho) - norm2(zeta))
-    rows.append(["norm2_conservation", cons, tol["density_norm_conservation"], cons < tol["density_norm_conservation"]])
-    evals = np.linalg.eigvalsh(dm_ode.rho.matrix)
-    rows.append(["rho_min_eigenvalue", float(evals[0]), tol["density_min_eigenvalue"], evals[0] >= tol["density_min_eigenvalue"]])
+    min_eig = float(np.linalg.eigvalsh(dm_ode.rho.matrix)[0])
+    checks = [
+        Check.below("density_route_agreement", diff, tol["density_route_agreement"]),
+        Check.below("norm2_conservation", abs(norm2(dm_ode.rho) - norm2(zeta)), tol["density_norm_conservation"]),
+        Check("rho_min_eigenvalue", min_eig, tol["density_min_eigenvalue"], min_eig >= tol["density_min_eigenvalue"]),
+    ]
     if state.kind == "projection":
-        proj = float(np.linalg.norm(dm_ode.rho.matrix @ dm_ode.rho.matrix - dm_ode.rho.matrix))
-        rows.append(["projection_defect", proj, tol["density_projection_defect"], proj < tol["density_projection_defect"]])
+        proj = np.linalg.norm(dm_ode.rho.matrix @ dm_ode.rho.matrix - dm_ode.rho.matrix)
+        checks.append(Check.below("projection_defect", proj, tol["density_projection_defect"]))
 
     magnus = replace(grid, method="magnus2")
     prop = propagate(model, drive, 0.0, grid.s_min, magnus)
-    rows.append(["propagator_unitarity", prop.unitarity_defect, tol["propagator_unitarity"], prop.unitarity_defect < tol["propagator_unitarity"]])
+    checks.append(Check.below("propagator_unitarity", prop.unitarity_defect, tol["propagator_unitarity"]))
     wreport = propagator_weight_check(model, drive, 0.0, grid.s_min / 4.0, magnus)
-    rows.append(["weight_inequality", wreport.weighted_norm - wreport.bound, tol["weight_margin"], wreport.holds])
+    checks.append(Check("weight_inequality", wreport.weighted_norm - wreport.bound, tol["weight_margin"], wreport.holds))
 
     # norms of rho(t) at 8 checkpoints and the end of one march: the conserved-quantity trace
     nsteps = magnus.n_steps(grid.s_min, 0.0)
@@ -669,7 +663,7 @@ def _suite_dynamics(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     ok = residuals[-1] < tol["duhamel_residual"] and all(
         b <= a for a, b in zip(residuals, residuals[1:])
     )
-    rows.append(["duhamel_refinement", residuals[-1], tol["duhamel_residual"], ok])
+    checks.append(Check("duhamel_refinement", residuals[-1], tol["duhamel_residual"], ok))
 
     # gauge equivalence on an open chain
     open_chain = LatticeModel(LatticeConfig(1, (8,), "open"), FluxSpec(), np.zeros(8))
@@ -678,9 +672,9 @@ def _suite_dynamics(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     psi0 = rng.normal(size=8) + 1j * rng.normal(size=8)
     psi0 /= np.linalg.norm(psi0)
     disc = gauge_equivalence_check(open_chain, drive_open, psi0, 0.0, TimeGrid(grid.s_min, 0.0, 0.002))
-    rows.append(["gauge_equivalence", disc, tol["gauge_equivalence"], disc < tol["gauge_equivalence"]])
+    checks.append(Check.below("gauge_equivalence", disc, tol["gauge_equivalence"]))
 
-    writer.write_csv("dynamics_check.csv", ["check", "value", "tolerance", "pass"], rows)
+    writer.write_csv("dynamics_check.csv", ["check", "value", "tolerance", "pass"], checks)
     writer.write_csv(
         "dynamics_timeseries.csv",
         ["t", "norm1", "norm2", "norminf", "projection_defect"],
@@ -689,7 +683,7 @@ def _suite_dynamics(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     writer.write_csv(
         "dynamics_refinement.csv", ["step", "duhamel_residual", "quadrature_estimate"], refinement
     )
-    return {"checks": {r[0]: r[1] for r in rows}}, _check_rows(rows)
+    return {"checks": {c.name: c.value for c in checks}}, checks
 
 
 def _suite_funcalc(cfg: ExperimentConfig, writer: _OutputWriter, tol):
@@ -712,7 +706,6 @@ def _suite_funcalc(cfg: ExperimentConfig, writer: _OutputWriter, tol):
         errors.append(err)
         rows.append([level, quad.nx, quad.ny, err, diag["abs_convergence_surrogate"]])
         quad = quad.refine()
-    ok = errors[-1] < tol["hs_vs_spectral"]
     writer.write_csv("funcalc_hs.csv", ["level", "nx", "ny", "error", "surrogate"], rows)
 
     ct_rows = []
@@ -733,30 +726,34 @@ def _suite_funcalc(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     writer.write_csv(
         "funcalc_commutator_ratio.csv", ["width", "comm_norm", "f_norm3", "ratio"], ratio_rows
     )
-    violations = [] if ok else [["hs_vs_spectral", errors[-1], tol["hs_vs_spectral"], False]]
-    return {"hs_errors": errors}, violations
+    return {"hs_errors": errors}, [Check.below("hs_vs_spectral", errors[-1], tol["hs_vs_spectral"])]
 
 
 _SUITE_FN = {
-    "algebra-check": _suite_algebra,
-    "equilibrium": _suite_equilibrium,
     "hall": _suite_hall,
     "kubo-sweep": _suite_kubo_sweep,
     "dynamics-check": _suite_dynamics,
+    "equilibrium": _suite_equilibrium,
     "funcalc-check": _suite_funcalc,
+    "algebra-check": _suite_algebra,
 }
+SUITES = tuple(_SUITE_FN)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
-    """Dispatch the configured suite, write outputs, and return the manifest."""
+    """Dispatch the configured suite, write outputs, and return the manifest.
+    Violations: the suite's failed checks, then one cell_error per entry of
+    the summary's cell_errors."""
     experiment = cfg[("run", "experiment")]
     if experiment not in _SUITE_FN:
         raise ConfigError(f"unknown experiment {experiment!r}; choose from {SUITES}")
     out = Path(out_dir) if out_dir is not None else Path(cfg[("run", "output_dir")])
     writer = _OutputWriter(out / cfg[("run", "name")])
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
-    summary, violations = _SUITE_FN[experiment](cfg, writer, cfg.tolerances())
+    summary, checks = _SUITE_FN[experiment](cfg, writer, cfg.tolerances())
     finished = time.strftime("%Y-%m-%dT%H:%M:%S")
+    violations = [c for c in checks if not c.passed]
+    violations += [Check("cell_error", msg, "", False) for msg in summary.get("cell_errors", ())]
     writer.write_json(
         "summary.json",
         {

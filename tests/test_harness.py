@@ -8,6 +8,7 @@ import pytest
 from kubolab.cli import main as cli_main
 from kubolab.dynamics import evolve_density_ode
 from kubolab.harness import (
+    SUITES,
     ConfigError,
     ExperimentConfig,
     ensemble_average,
@@ -186,19 +187,16 @@ def test_thread_count_does_not_change_outputs(tmp_path):
         "[state]\ne_f = auto\nfilling = 0.3333333333333333\n"
         "[run]\nexperiment = hall\nname = t\n"
     )
-    cases = [
-        (equilibrium, 4, "equilibrium_raw.csv"),
-        (kubo_sweep, 2, "kubo_sweep_raw.csv"),
-        (hall, 2, "hall_raw.csv"),
-    ]
-    for i, (cfg1, threads, name) in enumerate(cases):
+    for i, (cfg1, threads) in enumerate([(equilibrium, 4), (kubo_sweep, 2), (hall, 2)]):
         cfg_n = ExperimentConfig.parse(cfg1.serialize())
         cfg_n.set("run", "threads", threads)
-        run_experiment(cfg1, out_dir=tmp_path / f"{i}_one")
-        run_experiment(cfg_n, out_dir=tmp_path / f"{i}_many")
-        assert (tmp_path / f"{i}_one/t/{name}").read_bytes() == (
-            tmp_path / f"{i}_many/t/{name}"
-        ).read_bytes()
+        one = run_experiment(cfg1, out_dir=tmp_path / f"{i}_one")
+        many = run_experiment(cfg_n, out_dir=tmp_path / f"{i}_many")
+        assert one.outputs == many.outputs  # summary.json's config hash included
+        for name in one.outputs:
+            assert (tmp_path / f"{i}_one/t" / name).read_bytes() == (
+                tmp_path / f"{i}_many/t" / name
+            ).read_bytes()
 
 
 DYNAMICS_TINY = """\
@@ -359,16 +357,40 @@ def test_cli_runs_and_exits_zero(tmp_path):
     assert rc == 0
 
 
-def test_cli_check_mode_flags_violations(tmp_path):
-    text = MINIMAL_CONFIG.replace(
-        "[run]\n", "[run]\ntolerance_overrides = algebra_identity=1e-30\n"
-    )
+# suite -> (config, tolerance override that fails a gate, that gate's name)
+FAILING_GATE_CASES = {
+    "hall": (DECOMPOSITION_CASES["hall"][0], "hall_quantization_disordered=1e-30", "hall"),
+    "kubo-sweep": (DECOMPOSITION_CASES["kubo-sweep"][0], "kubo_vs_resolvent=1e-30", "kubo_vs_resolvent"),
+    "dynamics-check": (DYNAMICS_TINY, "gauge_equivalence=1e-30", "gauge_equivalence"),
+    "equilibrium": (MINIMAL_CONFIG, "equilibrium_clean=0", "equilibrium_j_1"),
+    "funcalc-check": (MINIMAL_CONFIG, "hs_vs_spectral=1e-30", "hs_vs_spectral"),
+    "algebra-check": (MINIMAL_CONFIG, "algebra_identity=1e-30", "centrality_diamond"),
+}
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_cli_check_mode_flags_violations(tmp_path, capsys, suite):
+    # every suite's violations are [name, value, tolerance, passed] records,
+    # printed field by field
+    text, override, gate = FAILING_GATE_CASES[suite]
+    cfg = ExperimentConfig.parse(text)
+    cfg.set("run", "name", "t")
+    cfg.set("run", "tolerance_overrides", override)
     cfg_path = tmp_path / "cfg.ini"
-    cfg_path.write_text(text)
-    rc = cli_main(
-        ["algebra-check", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--check"]
-    )
+    cfg_path.write_text(cfg.serialize())
+    rc = cli_main([suite, "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--check"])
     assert rc == 2
+    violations = json.loads((tmp_path / "out/t/summary.json").read_text())["violations"]
+
+    def number(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    for v in violations:
+        assert len(v) == 4 and isinstance(v[0], str) and number(v[1]), v
+        assert (number(v[2]) or v[2] == "") and v[3] is False, v
+    assert gate in [v[0] for v in violations]
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("VIOLATION ")]
+    assert printed == [f"VIOLATION {name} value={value} tolerance={tol}" for name, value, tol, _ in violations]
 
 
 def test_cli_seed_override_changes_outputs(tmp_path):
@@ -390,20 +412,24 @@ def test_cli_config_error_exit_code(tmp_path):
     assert rc == 1
 
 
-def test_cell_failures_recorded_not_fatal(tmp_path):
+@pytest.mark.parametrize("experiment", ["equilibrium", "hall", "kubo-sweep"])
+def test_cell_failures_recorded_not_fatal(tmp_path, experiment):
     # a degenerate Fermi level in every realization: cells fail, the run
     # completes, and the failures are summarized
     cfg = ExperimentConfig.parse(
         "[model]\ndimension = 1\nsides = 4\nboundary = torus\n"
         "disorder_w = 0.0\nn_realizations = 2\n"
         "[state]\nkind = projection\ne_f = 0.0\n"
-        "[run]\nexperiment = equilibrium\nname = t\n"
+        f"[run]\nexperiment = {experiment}\nname = t\n"
     )
     manifest = run_experiment(cfg, out_dir=tmp_path)
-    assert len(manifest.violations) >= 2
     summary = json.loads((tmp_path / "t" / "summary.json").read_text())
-    assert len(summary["summary"]["cell_errors"]) == 2
-    assert "Degenerate" in summary["summary"]["cell_errors"][0]
+    cell_errors = summary["summary"]["cell_errors"]
+    assert len(cell_errors) == 2 and all("Degenerate" in msg for msg in cell_errors)
+    assert manifest.violations == [["cell_error", msg, "", False] for msg in cell_errors]
+    for name in manifest.outputs:
+        if name.endswith(".csv"):  # header only: no realization survived
+            assert len((tmp_path / "t" / name).read_text().splitlines()) == 1
 
 
 def test_cell_linalg_failure_recorded_not_fatal(tmp_path, monkeypatch):
