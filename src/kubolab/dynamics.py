@@ -7,19 +7,27 @@ The density matrix rho(t) is produced both by the integral (Duhamel)
 construction and by direct integration of the Liouville equation, which
 cross-validate each other.
 
+H(t) differs from H only by the phase e^{i F_a(t)} on the hops of each
+driven axis a (E_a != 0), so `_h_at` adds those phased hops to a static part
+cached on the model (`LatticeModel._static_part`).
+
 Every propagator, Duhamel sum and density route is one march of H(t)
 (`_march`): the integrator and the step-size guard are chosen there and
 nowhere else, and only the current state is held, so memory is O(N^2)
-whatever the number of steps.
+whatever the number of steps.  An RK4 step assembles H three times (the
+midpoint once for both middle stages), and a riemann_product march hands the
+eigendecomposition of H(r_k) that its step makes on to the caller.
 
 A single evolution is sequential in time; independent (realization, field,
-eta) evolutions may run concurrently with no shared state.
+eta) evolutions may run concurrently.  The only state they may share is the
+model's cache of static parts, whose entries are deterministic.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -52,6 +60,11 @@ class DriveProtocol:
         if self.eta <= 0:
             raise ConfigurationError("adiabatic rate eta must be positive")
         object.__setattr__(self, "field", tuple(float(e) for e in self.field))
+
+    @cached_property
+    def driven_axes(self) -> tuple[int, ...]:
+        """Axes with a nonzero field: the only hops that change with t."""
+        return tuple(axis for axis, e in enumerate(self.field) if e != 0.0)
 
     def field_at(self, t: float) -> np.ndarray:
         return np.exp(self.eta * min(t, 0.0)) * np.array(self.field)
@@ -122,14 +135,25 @@ class DensityMatrix:
 
 
 def _h_at(model: LatticeModel, drive: DriveProtocol, t: float) -> np.ndarray:
-    """Raw driven Hamiltonian matrix (fast path for the integrators)."""
-    scale = np.exp(drive.eta * min(t, 0.0)) / drive.eta + max(t, 0.0)
-    fwd = model._forward_parts
-    h = np.exp(1j * scale * drive.field[0]) * fwd[0]
-    for axis in range(1, len(fwd)):
-        h = h + np.exp(1j * scale * drive.field[axis]) * fwd[axis]
-    h = h + h.conj().T
-    h[np.diag_indices_from(h)] += model.potential
+    """Raw driven Hamiltonian matrix (fast path for the integrators), a
+    fresh array on every call.
+
+    H(t) = static + sum_a (c_a T_a + conj(c_a) T_a*) + diag(V) over the
+    driven axes a, with c_a = e^{i F_a(t)} and T_a the forward hops of axis
+    a; static and each T_a* are cached on the model.  Hop supports of
+    different axes are disjoint and conj(c t) = conj(c) conj(t), so summed in
+    this order every entry, signed zeros included, equals phasing every
+    forward hop and adding the conjugate transpose.
+    """
+    # the phases as Python scalars: same values, less overhead per call
+    scale = float(np.exp(drive.eta * min(t, 0.0))) / drive.eta + max(t, 0.0)
+    static, hops = model._static_part(drive.driven_axes)
+    h = static.copy()
+    for axis, fwd, bwd in hops:
+        c = complex(np.exp(1j * scale * drive.field[axis]))
+        h += c * fwd
+        h += c.conjugate() * bwd
+    h.reshape(-1)[:: h.shape[0] + 1] += model.potential
     return h
 
 
@@ -158,8 +182,9 @@ def gauge_operator(model: LatticeModel, drive: DriveProtocol, t: float) -> Covar
     return CovariantOperator(np.diag(np.exp(1j * phase)), model)
 
 
-def _expm_hermitian(h: np.ndarray, scale: complex) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(h)
+def _expm_hermitian(eig, scale: complex) -> np.ndarray:
+    """exp(scale H) from the eigendecomposition (evals, evecs) of H."""
+    evals, evecs = eig
     return (evecs * np.exp(scale * evals)) @ evecs.conj().T
 
 
@@ -168,22 +193,37 @@ def _expm_hermitian(h: np.ndarray, scale: complex) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _rk4_step(rhs, r: float, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = rhs(r, y)
-    k2 = rhs(r + h / 2, y + (h / 2) * k1)
-    k3 = rhs(r + h / 2, y + (h / 2) * k2)
-    k4 = rhs(r + h, y + h * k3)
+def _schrodinger(hr: np.ndarray, m: np.ndarray) -> np.ndarray:
+    return -1j * (hr @ m)
+
+
+def _liouville(hr: np.ndarray, m: np.ndarray) -> np.ndarray:
+    # every RK4 stage is Hermitian, so [H, m] = Hm - (Hm)*
+    hm = hr @ m
+    return -1j * (hm - hm.conj().T)
+
+
+def _rk4_step(h_at, apply, r: float, y: np.ndarray, h: float) -> np.ndarray:
+    """One RK4 step of y' = apply(H(r), y): H is assembled at r, once at the
+    midpoint r + h/2 for both middle stages, and at r + h."""
+    k1 = apply(h_at(r), y)
+    h_mid = h_at(r + h / 2)
+    k2 = apply(h_mid, y + (h / 2) * k1)
+    k3 = apply(h_mid, y + (h / 2) * k2)
+    k4 = apply(h_at(r + h), y + h * k3)
     return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def _march(model, drive, grid: TimeGrid, s: float, t: float, nsteps: int, y, conjugate=False):
-    """Yield (r_k, y_k), k = 0..nsteps, along one march of H(r) from y at s,
-    with r_k = s + k (t - s) / nsteps and r_n = t, by grid.method (see
-    propagate).
+    """Yield (r_k, y_k, eig_k), k = 0..nsteps, along one march of H(r) from
+    y at s, with r_k = s + k (t - s) / nsteps and r_n = t, by grid.method
+    (see propagate).
 
     States and propagators advance as y -> U y; with `conjugate`, density
-    matrices advance as y -> U y U*.  The step-size guard is checked before
-    the first step, and only the current y is held.
+    matrices advance as y -> U y U*.  eig_k is the eigendecomposition of
+    H(r_k) when the step from r_k exponentiates it (riemann_product, k < n),
+    else None.  The step-size guard is checked before the first step, and
+    only the current y is held.
     """
     hnorm = float(np.max(np.abs(np.linalg.eigvalsh(_h_at(model, drive, s)))))
     if grid.step * hnorm >= 0.5:
@@ -191,23 +231,25 @@ def _march(model, drive, grid: TimeGrid, s: float, t: float, nsteps: int, y, con
             f"step {grid.step} violates h * ||H|| = {grid.step * hnorm:.3f} < 0.5"
         )
     h = (t - s) / nsteps
-    if conjugate:
-        # every RK4 stage is Hermitian, so [H, y] = Hy - (Hy)*
-        def rhs(r, m):
-            hm = _h_at(model, drive, r) @ m
-            return -1j * (hm - hm.conj().T)
-    else:
-        def rhs(r, m):
-            return -1j * (_h_at(model, drive, r) @ m)
-    offset = 0.0 if grid.method == "riemann_product" else 0.5
-    yield s, y
+    apply = _liouville if conjugate else _schrodinger
+
+    def h_at(r):
+        return _h_at(model, drive, r)
+
+    riemann = grid.method == "riemann_product"
+    offset = 0.0 if riemann else 0.5
+    r = s
     for k in range(nsteps):
         if grid.method == "ode_rk4":
-            y = _rk4_step(rhs, s + k * h, y, h)
+            yield r, y, None
+            y = _rk4_step(h_at, apply, s + k * h, y, h)
         else:
-            u = _expm_hermitian(_h_at(model, drive, s + (k + offset) * h), -1j * h)
+            eig = np.linalg.eigh(h_at(s + (k + offset) * h))
+            yield r, y, (eig if riemann else None)
+            u = _expm_hermitian(eig, -1j * h)
             y = u @ y @ u.conj().T if conjugate else u @ y
-        yield (t if k + 1 == nsteps else s + (k + 1) * h), y
+        r = t if k + 1 == nsteps else s + (k + 1) * h
+    yield r, y, None
 
 
 def _final(march):
@@ -247,7 +289,7 @@ def propagate(
     march = _march(model, drive, grid, s, t, grid.n_steps(s, t), eye)
     if t == s:
         return Propagator(next(march)[1], t, s, grid.method)
-    _, u = _final(march)
+    _, u, _ = _final(march)
     defect = float(np.linalg.norm(u.conj().T @ u - eye))
     return Propagator(u, t, s, grid.method, unitarity_defect=defect)
 
@@ -290,7 +332,7 @@ def duhamel_residual(
     nsteps = grid.n_steps(s, t, even=True)
     simpson = np.zeros_like(psi)
     trapezoid = np.zeros_like(psi)
-    for k, (r, y) in enumerate(_march(model, drive, grid, s, t, nsteps, psi)):
+    for k, (r, y, _) in enumerate(_march(model, drive, grid, s, t, nsteps, psi)):
         node = free_propagator(spectral, t - r) @ ((h0.matrix - _h_at(model, drive, r)) @ y)
         simpson += _simpson_weight(k, nsteps) * node
         trapezoid += node if 0 < k < nsteps else node / 2
@@ -309,8 +351,9 @@ def duhamel_residual(
 # ---------------------------------------------------------------------------
 
 
-def _drive_commutator(model, drive, state, tables, r, kernel):
-    """([E . x, zeta(r)], zeta(r)) in the chosen finite-volume realization.
+def _drive_commutator(model, drive, state, tables, r, kernel, eig):
+    """([E . x, zeta(r)], zeta(r)) in the chosen finite-volume realization,
+    from the eigendecomposition eig = (evals, evecs) of H(r).
 
     "gauge_derivative" is the spectral divided difference, the exact
     derivative of f(H(r)) under the drive and the form that makes the
@@ -318,22 +361,20 @@ def _drive_commutator(model, drive, state, tables, r, kernel):
     displacement commutator, equal to it up to wrap terms controlled by
     the decay of zeta.
     """
-    evals, evecs = np.linalg.eigh(_h_at(model, drive, r))
+    evals, evecs = eig
     f_vals = state.profile()(evals)
     zeta = (evecs * f_vals) @ evecs.conj().T
     out = np.zeros_like(zeta)
     if kernel == "minimal_image":
-        for axis, e in enumerate(drive.field):
-            if e != 0.0:
-                out += e * (tables[axis] * zeta)
+        for axis in drive.driven_axes:
+            out += drive.field[axis] * (tables[axis] * zeta)
         return out, zeta
     fp_vals = state.profile_derivative()(evals)
-    for axis, e in enumerate(drive.field):
-        if e != 0.0:
-            vt = evecs.conj().T @ _v_at(model, drive, r, axis) @ evecs
-            # the divided difference realizes i[x, zeta]; strip the i here
-            k = -1j * divided_difference_kernel(evals, f_vals, fp_vals, vt)
-            out += e * (evecs @ k @ evecs.conj().T)
+    for axis in drive.driven_axes:
+        vt = evecs.conj().T @ _v_at(model, drive, r, axis) @ evecs
+        # the divided difference realizes i[x, zeta]; strip the i here
+        k = -1j * divided_difference_kernel(evals, f_vals, fp_vals, vt)
+        out += drive.field[axis] * (evecs @ k @ evecs.conj().T)
     return out, zeta
 
 
@@ -354,6 +395,8 @@ def evolve_density_duhamel(
     to integrator accuracy.  One forward march of V(r) = U(r, s_min)
     carries the propagator sandwich, and each node's Simpson term is added
     as the march passes it, so memory is O(N^2) whatever the step count.
+    H(r) is decomposed once per node: a riemann_product march hands over
+    the decomposition its step makes.
     """
     grid.validate(drive)
     s = grid.s_min
@@ -361,8 +404,10 @@ def evolve_density_duhamel(
     tables = [displacement_table(model, axis) for axis in range(model.config.dimension)]
     acc = np.zeros((model.n_sites, model.n_sites), dtype=complex)
     eye = np.eye(model.n_sites, dtype=complex)
-    for k, (r, v) in enumerate(_march(model, drive, grid, s, t, nsteps, eye)):
-        m_r, zeta = _drive_commutator(model, drive, state, tables, r, kernel)
+    for k, (r, v, eig) in enumerate(_march(model, drive, grid, s, t, nsteps, eye)):
+        if eig is None:
+            eig = np.linalg.eigh(_h_at(model, drive, r))
+        m_r, zeta = _drive_commutator(model, drive, state, tables, r, kernel, eig)
         weight = _simpson_weight(k, nsteps) * np.exp(drive.eta * min(r, 0.0))
         acc += weight * (v.conj().T @ m_r @ v)
     acc *= (t - s) / nsteps / 3.0
@@ -382,7 +427,8 @@ def density_path(
     the matrix rho at grid.s_min to t; the matrices are not symmetrized."""
     grid.validate(drive)
     s = grid.s_min
-    return _march(model, drive, grid, s, t, grid.n_steps(s, t), rho, conjugate=True)
+    march = _march(model, drive, grid, s, t, grid.n_steps(s, t), rho, conjugate=True)
+    return ((r, y) for r, y, _ in march)
 
 
 def evolve_density_ode(
@@ -437,17 +483,16 @@ def gauge_equivalence_check(
     h0 = build_hamiltonian(model).matrix
     xs = [position_matrix(model, axis).matrix for axis in range(model.config.dimension)]
 
-    def rhs_scal(r, y):
+    def h_scal(r):
         e = drive.field_at(r)
-        hs = h0 + sum(e[j] * xs[j] for j in range(len(xs)))
-        return -1j * (hs @ y)
+        return h0 + sum(e[j] * xs[j] for j in range(len(xs)))
 
     # both sides by RK4, so the discrepancy measures the gauge, not the integrator
     rk4 = replace(grid, method="ode_rk4")
-    _, psi_vec = _final(_march(model, drive, rk4, s, t, nsteps, psi0))
+    _, psi_vec, _ = _final(_march(model, drive, rk4, s, t, nsteps, psi0))
     psi_scal = psi0
     for k in range(nsteps):
-        psi_scal = _rk4_step(rhs_scal, s + k * h, psi_scal, h)
+        psi_scal = _rk4_step(h_scal, _schrodinger, s + k * h, psi_scal, h)
     g = gauge_operator(model, drive, t).matrix
     return float(np.linalg.norm(g.conj().T @ psi_vec - psi_scal))
 

@@ -224,6 +224,34 @@ class LatticeModel:
     def _forward_parts(self) -> list[np.ndarray]:
         return [self.forward_hop_matrix(axis) for axis in range(self.config.dimension)]
 
+    @cached_property
+    def _static_cache(self) -> dict:
+        return {}
+
+    def _static_part(self, driven: tuple[int, ...]):
+        """The time-independent pieces of H(t) when the axes `driven` carry
+        the drive phase, cached per set of driven axes.
+
+        Returns (static, [(axis, T, T*)]): static is the sum of every other
+        axis's forward hops plus their conjugate transposes, and T, T* are
+        the forward hops of each driven axis and their conjugate transpose.
+        With every axis driven, static holds -0 in every entry: the additive
+        identity of IEEE arithmetic, so that the signed zeros of the phased
+        hops survive the sum.
+        """
+        split = self._static_cache.get(driven)
+        if split is None:
+            parts = self._forward_parts
+            undriven = [p for axis, p in enumerate(parts) if axis not in driven]
+            fill = complex(0.0, 0.0) if undriven else complex(-0.0, -0.0)
+            static = np.full((self.n_sites, self.n_sites), fill)
+            for part in undriven:
+                static += part
+                static += part.conj().T
+            hops = [(axis, parts[axis], parts[axis].conj().T.copy()) for axis in driven]
+            split = self._static_cache[driven] = (static, hops)
+        return split
+
 
 @dataclass(eq=False)
 class CovariantOperator:

@@ -3,9 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kubolab import dynamics
 from kubolab.model import (
     ConfigurationError,
     DisorderSpec,
+    FluxSpec,
+    LatticeConfig,
+    LatticeModel,
     UnsupportedOperationError,
     build_hamiltonian,
     displacement_table,
@@ -117,6 +121,59 @@ def test_driven_hamiltonian_covariant_on_torus():
         assert np.linalg.norm(lhs - rhs) < 1e-12
 
 
+def _h_phasing_every_hop(model, drive, t):
+    """H(t) assembled the direct way: every axis's forward hops times their
+    phase, plus the conjugate transpose of the sum, plus the potential."""
+    scale = np.exp(drive.eta * min(t, 0.0)) / drive.eta + max(t, 0.0)
+    fwd = model._forward_parts
+    h = np.exp(1j * scale * drive.field[0]) * fwd[0]
+    for axis in range(1, len(fwd)):
+        h = h + np.exp(1j * scale * drive.field[axis]) * fwd[axis]
+    h = h + h.conj().T
+    h[np.diag_indices_from(h)] += model.potential
+    return h
+
+
+@pytest.mark.parametrize(
+    "config,flux",
+    [
+        (LatticeConfig(1, (8,), "open"), FluxSpec()),
+        (LatticeConfig(2, (6, 6), "torus"), FluxSpec()),
+        (LatticeConfig(2, (6, 6), "torus"), FluxSpec(1, 3)),
+        (LatticeConfig(2, (4, 5), "open"), FluxSpec()),
+        (LatticeConfig(2, (4, 5), "open"), FluxSpec(1, 3)),
+    ],
+    ids=["chain-open", "torus-flux0", "torus-flux1/3", "box-flux0", "box-flux1/3"],
+)
+@pytest.mark.parametrize("disorder", [0.0, 1.0])
+def test_h_at_is_bitwise_the_phase_every_hop_formula(config, flux, disorder):
+    pot = sample_disorder(DisorderSpec(disorder, 5), 0, config.n_sites)
+    model = LatticeModel(config, flux, pot)
+    d = config.dimension
+    for driven in [(0,)] if d == 1 else [(0,), (1,), (0, 1)]:
+        field = tuple(0.7 if axis in driven else 0.0 for axis in range(d))
+        # the negated field has -0.0 on the undriven axes, as the FD route's minus run
+        for e in (field, tuple(-x for x in field)):
+            drive = DriveProtocol(1.0, e)
+            # t = 2.5 puts the phase F(t) = 2.45 in the second quadrant, where
+            # the phased zeros carry a negative sign
+            for t in (-3.0, 0.0, 2.5):
+                ref = _h_phasing_every_hop(model, drive, t)
+                assert dynamics._h_at(model, drive, t).tobytes() == ref.tobytes(), (driven, e, t)
+
+
+def test_h_at_returns_a_fresh_array():
+    pot = sample_disorder(DisorderSpec(1.0, 6), 0, 16)
+    model = make_torus((4, 4), 1, 4, pot)
+    for field in ((0.0, 0.0), (0.0, 0.1), (0.3, 0.1)):
+        drive = DriveProtocol(1.0, field)
+        expect = _h_phasing_every_hop(model, drive, -1.0)
+        dynamics._h_at(model, drive, -1.0)[:] = 7.0
+        hamiltonian_at(model, drive, -1.0).matrix[:] = 7.0
+        assert np.array_equal(dynamics._h_at(model, drive, -1.0), expect)
+        assert np.array_equal(hamiltonian_at(model, drive, -1.0).matrix, expect)
+
+
 def test_velocity_at_matches_undriven_limit():
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.3, 0.0))
@@ -212,6 +269,57 @@ def test_magnus2_second_order_convergence():
         for h in (0.02, 0.01)
     ]
     assert 3.4 < errs[0] / errs[1] < 4.6
+
+
+def _rk4_four_assemblies(h_at, apply, s, y, h, nsteps):
+    """RK4 that assembles H at every one of the four stages."""
+    for k in range(nsteps):
+        r = s + k * h
+        k1 = apply(h_at(r), y)
+        k2 = apply(h_at(r + h / 2), y + (h / 2) * k1)
+        k3 = apply(h_at(r + h / 2), y + (h / 2) * k2)
+        k4 = apply(h_at(r + h), y + h * k3)
+        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y
+
+
+def test_rk4_march_assembles_three_matrices_per_step(monkeypatch):
+    model = make_torus((4, 4))
+    drive = DriveProtocol(1.0, (0.0, 0.1))
+    grid = TimeGrid(S_MIN, 0.0, 0.01, "ode_rk4")
+    times = []
+    real = dynamics._h_at
+
+    def counting(model, drive, t):
+        times.append(t)
+        return real(model, drive, t)
+
+    monkeypatch.setattr(dynamics, "_h_at", counting)
+    n = grid.n_steps(-1.0, 0.0)
+    propagate(model, drive, 0.0, -1.0, grid)
+    # the step-size guard, then r, r + h/2 (shared by k2 and k3) and r + h per step
+    assert len(times) == 3 * n + 1
+    assert len(set(times[1:4])) == 3
+
+
+def test_rk4_midpoint_reuse_keeps_bytes():
+    pot = sample_disorder(DisorderSpec(1.0, 8), 0, 16)
+    model = make_torus((4, 4), 1, 4, pot)
+    drive = DriveProtocol(1.0, (0.1, 0.05))
+    state = EquilibriumState("projection", gap_fermi_level(model, 0.25))
+    grid = TimeGrid(S_MIN, 0.0, 0.02)
+    n = grid.n_steps(S_MIN, 0.0)
+
+    def liouville(hr, m):
+        hm = hr @ m
+        return -1j * (hm - hm.conj().T)
+
+    zeta = state.build(SpectralData.from_operator(build_hamiltonian(model))).matrix
+    ref = _rk4_four_assemblies(
+        lambda r: _h_phasing_every_hop(model, drive, r), liouville, S_MIN, zeta, (0.0 - S_MIN) / n, n
+    )
+    rho = evolve_density_ode(model, drive, state, 0.0, grid).rho.matrix
+    assert rho.tobytes() == ((ref + ref.conj().T) / 2.0).tobytes()
 
 
 def test_stability_guard():
@@ -331,6 +439,65 @@ def test_streaming_duhamel_matches_stored_slices(method, kernel):
     rho = evolve_density_duhamel(model, drive, state, 0.0, grid, kernel=kernel).rho.matrix
     ref = _duhamel_stored_slices(model, drive, state, 0.0, grid, kernel)
     assert np.linalg.norm(rho - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["riemann_product", "magnus2", "ode_rk4"])
+def test_duhamel_decomposes_each_node_once(method, monkeypatch):
+    model, state = _gapped_torus_state()
+    drive = DriveProtocol(4.0, (0.0, 0.1))
+    grid = TimeGrid(np.log(1e-12) / 4.0, 0.0, 0.02, method)
+    rho = evolve_density_duhamel(model, drive, state, 0.0, grid).rho.matrix
+
+    # the same sum with H(r_k) decomposed afresh at every node
+    march = dynamics._march
+
+    def without_handover(*args, **kwargs):
+        for r, y, _ in march(*args, **kwargs):
+            yield r, y, None
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_march", without_handover)
+        fresh = evolve_density_duhamel(model, drive, state, 0.0, grid).rho.matrix
+    assert rho.tobytes() == fresh.tobytes()
+
+    if method == "riemann_product":
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        evolve_density_duhamel(model, drive, state, 0.0, grid)
+        n = grid.n_steps(grid.s_min, 0.0, even=True)
+        # one per node: the march's n step exponents, and H(t) at the last node
+        assert n == 346 and len(calls) == n + 1 == 347
+
+
+def test_gauge_check_midpoint_reuse_keeps_value(rng):
+    model = make_chain(8, "open")
+    drive = DriveProtocol(1.0, (0.2,))
+    psi0 = rng.normal(size=8) + 1j * rng.normal(size=8)
+    psi0 /= np.linalg.norm(psi0)
+    grid = TimeGrid(S_MIN, 0.0, 0.01)
+    n = grid.n_steps(S_MIN, 0.0)
+    h = (0.0 - S_MIN) / n
+    h0 = build_hamiltonian(model).matrix
+    x = np.diag(model.coords[:, 0].astype(complex))
+
+    def schrodinger(hr, y):
+        return -1j * (hr @ y)
+
+    psi_vec = _rk4_four_assemblies(
+        lambda r: _h_phasing_every_hop(model, drive, r), schrodinger, S_MIN, psi0, h, n
+    )
+    psi_scal = _rk4_four_assemblies(
+        lambda r: h0 + sum([drive.field_at(r)[0] * x]), schrodinger, S_MIN, psi0, h, n
+    )
+    g = gauge_operator(model, drive, 0.0).matrix
+    ref = float(np.linalg.norm(g.conj().T @ psi_vec - psi_scal))
+    assert gauge_equivalence_check(model, drive, psi0, 0.0, grid) == ref
 
 
 def test_duhamel_memory_flat_in_step_count():
