@@ -8,6 +8,11 @@ diagnostics.
 
 Pure functions throughout; the contour accumulation sums in a fixed node
 order so results are independent of scheduling.
+
+Importing this module needs numpy only.  scipy is loaded on first use by
+the two functions that call it: `fermi_dirac` (scipy.special.expit, for
+finite-temperature states) and `hs_norm` (scipy.integrate.quad, reached
+from the funcalc-check suite).
 """
 
 from __future__ import annotations
@@ -16,8 +21,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
-from scipy.special import expit
 
 from .model import CovariantOperator, LatticeModel, displacement_table, velocity_operator
 from .opspace import norm2
@@ -108,6 +111,8 @@ def fermi_projection(spectral: SpectralData, e_f: float) -> CovariantOperator:
 
 def fermi_dirac(spectral: SpectralData, beta: float, e_f: float) -> CovariantOperator:
     """f(H) with f(E) = 1 / (1 + e^{beta (E - E_F)}), finite beta > 0."""
+    from scipy.special import expit  # local, so that `import kubolab` needs numpy only
+
     if not (0 < beta < np.inf):
         raise ValueError("beta must be finite and positive")
     return apply_spectral(spectral, lambda e: expit(-beta * (e - e_f)))
@@ -218,6 +223,8 @@ def _richardson_difference(g, x, h):
 
 def hs_norm(f: SmoothFunction, m: int, tol: float = 1e-10) -> float:
     """sum_{r=0}^{m} integral |f^(r)(u)| <u>^{r-1} du by adaptive quadrature."""
+    from scipy import integrate  # local, so that `import kubolab` needs numpy only
+
     total = 0.0
     for r in range(m + 1):
         def integrand(u, r=r):

@@ -11,10 +11,12 @@ mutable state, so any number of them may run concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
+import numpy.random  # loaded here, not lazily by the first sample_disorder call
 
 HERMITICITY_RTOL = 1e-12
 
@@ -71,7 +73,7 @@ class LatticeConfig:
 
     @property
     def n_sites(self) -> int:
-        return int(np.prod(self.sides))
+        return math.prod(self.sides)
 
 
 @dataclass(frozen=True)
@@ -358,13 +360,24 @@ def displacement(model: LatticeModel, m: int, n: int, axis: int) -> float:
 
 
 def displacement_table(model: LatticeModel, axis: int) -> np.ndarray:
-    """(N, N) table of displacement(model, m, n, axis)."""
-    x = model.coords[:, axis].astype(float)
+    """(N, N) table of displacement(model, m, n, axis), read-only.
+
+    It depends on the geometry alone, so one table per (LatticeConfig, axis)
+    is shared by every realization and flux on that lattice.  The last few
+    geometries are kept.
+    """
+    return _displacement_table(model.config, axis)
+
+
+@lru_cache(maxsize=8)
+def _displacement_table(config: LatticeConfig, axis: int) -> np.ndarray:
+    x = LatticeModel(config).coords[:, axis].astype(float)
     diff = x[:, None] - x[None, :]
-    if model.config.boundary == "open":
-        return diff
-    L = model.config.sides[axis]
-    return (diff + L // 2) % L - L // 2
+    if config.boundary == "torus":
+        L = config.sides[axis]
+        diff = (diff + L // 2) % L - L // 2
+    diff.flags.writeable = False
+    return diff
 
 
 def velocity_operator(model: LatticeModel, axis: int) -> CovariantOperator:

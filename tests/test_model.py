@@ -232,6 +232,44 @@ def test_displacement_antisymmetric_on_odd_torus():
     assert np.array_equal(table, -table.T)
 
 
+def _fresh_displacement_table(model, axis):
+    # the uncached formula, built from this model's own coordinates
+    x = model.coords[:, axis].astype(float)
+    diff = x[:, None] - x[None, :]
+    if model.config.boundary == "open":
+        return diff
+    L = model.config.sides[axis]
+    return (diff + L // 2) % L - L // 2
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        LatticeConfig(1, (9,), "open"),
+        LatticeConfig(1, (9,), "torus"),
+        LatticeConfig(2, (6, 4), "torus"),
+        LatticeConfig(2, (1, 5), "torus"),
+        LatticeConfig(2, (4, 5), "open"),
+    ],
+    ids=lambda c: f"{c.boundary}-{'x'.join(map(str, c.sides))}",
+)
+def test_displacement_table_cached_per_geometry(config):
+    flux = FluxSpec(1, 2) if config.dimension == 2 and config.sides[0] % 2 == 0 else FluxSpec()
+    clean = LatticeModel(config, flux)
+    dirty = LatticeModel(config, flux, sample_disorder(DisorderSpec(1.0, 3), 0, config.n_sites))
+    for axis in range(config.dimension):
+        table = displacement_table(clean, axis)
+        expected = _fresh_displacement_table(clean, axis)
+        assert table.dtype == expected.dtype and table.shape == expected.shape
+        assert table.tobytes() == expected.tobytes()
+        # one table per geometry: realizations and flux share it
+        assert displacement_table(dirty, axis) is table
+        assert displacement_table(LatticeModel(config), axis) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+        assert table.tobytes() == expected.tobytes()
+
+
 # -- velocity ----------------------------------------------------------------
 
 
