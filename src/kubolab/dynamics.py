@@ -351,9 +351,15 @@ def duhamel_residual(
 # ---------------------------------------------------------------------------
 
 
+def _zeta(state, eig):
+    """zeta(r) = f(H(r)) from the eigendecomposition eig = (evals, evecs) of H(r)."""
+    evals, evecs = eig
+    return (evecs * state.profile()(evals)) @ evecs.conj().T
+
+
 def _drive_commutator(model, drive, state, tables, r, kernel, eig):
-    """([E . x, zeta(r)], zeta(r)) in the chosen finite-volume realization,
-    from the eigendecomposition eig = (evals, evecs) of H(r).
+    """[E . x, zeta(r)] in the chosen finite-volume realization, from the
+    eigendecomposition eig = (evals, evecs) of H(r).
 
     "gauge_derivative" is the spectral divided difference, the exact
     derivative of f(H(r)) under the drive and the form that makes the
@@ -362,20 +368,19 @@ def _drive_commutator(model, drive, state, tables, r, kernel, eig):
     the decay of zeta.
     """
     evals, evecs = eig
-    f_vals = state.profile()(evals)
-    zeta = (evecs * f_vals) @ evecs.conj().T
-    out = np.zeros_like(zeta)
+    out = np.zeros(evecs.shape, dtype=complex)
     if kernel == "minimal_image":
+        zeta = _zeta(state, eig)
         for axis in drive.driven_axes:
             out += drive.field[axis] * (tables[axis] * zeta)
-        return out, zeta
-    fp_vals = state.profile_derivative()(evals)
+        return out
+    f_vals, fp_vals = state.profile()(evals), state.profile_derivative()(evals)
     for axis in drive.driven_axes:
         vt = evecs.conj().T @ _v_at(model, drive, r, axis) @ evecs
         # the divided difference realizes i[x, zeta]; strip the i here
         k = -1j * divided_difference_kernel(evals, f_vals, fp_vals, vt)
         out += drive.field[axis] * (evecs @ k @ evecs.conj().T)
-    return out, zeta
+    return out
 
 
 def evolve_density_duhamel(
@@ -388,11 +393,11 @@ def evolve_density_duhamel(
 ) -> DensityMatrix:
     """rho(t) = zeta(t) - i * integral_{s_min}^{t} e^{eta r_-} U(t,r) [E.x, zeta(r)] U(r,t) dr.
 
-    zeta(r) = f(H(r)) is rebuilt spectrally at every node (torus
-    consistent), and the commutator is realized per `kernel` (see
-    _drive_commutator); the default keeps the integral identity exact at
-    finite volume so this route cross-validates the Liouville integration
-    to integrator accuracy.  One forward march of V(r) = U(r, s_min)
+    The commutator with zeta(r) = f(H(r)) is taken spectrally at every node
+    (torus consistent) and realized per `kernel` (see _drive_commutator);
+    zeta(t) itself is built once, from the last node.  The default keeps
+    the integral identity exact at finite volume so this route
+    cross-validates the Liouville integration to integrator accuracy.  One forward march of V(r) = U(r, s_min)
     carries the propagator sandwich, and each node's Simpson term is added
     as the march passes it, so memory is O(N^2) whatever the step count.
     H(r) is decomposed once per node: a riemann_product march hands over
@@ -407,11 +412,11 @@ def evolve_density_duhamel(
     for k, (r, v, eig) in enumerate(_march(model, drive, grid, s, t, nsteps, eye)):
         if eig is None:
             eig = np.linalg.eigh(_h_at(model, drive, r))
-        m_r, zeta = _drive_commutator(model, drive, state, tables, r, kernel, eig)
+        m_r = _drive_commutator(model, drive, state, tables, r, kernel, eig)
         weight = _simpson_weight(k, nsteps) * np.exp(drive.eta * min(r, 0.0))
         acc += weight * (v.conj().T @ m_r @ v)
     acc *= (t - s) / nsteps / 3.0
-    rho = zeta - 1j * (v @ acc @ v.conj().T)
+    rho = _zeta(state, eig) - 1j * (v @ acc @ v.conj().T)
     rho = (rho + rho.conj().T) / 2.0
     return DensityMatrix(CovariantOperator(rho, model, hermitian=True), "duhamel_integral", t)
 

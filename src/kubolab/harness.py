@@ -355,6 +355,11 @@ def ensemble_average(values):
     return mean, math.sqrt(var / n)
 
 
+def _mean_parts(values):
+    """Ensemble means of the real and imaginary parts of complex samples."""
+    return ensemble_average(np.real(values))[0], ensemble_average(np.imag(values))[0]
+
+
 _CELL_FAILURES = (
     DegenerateFermiLevelError, CoverageError, QuadratureAccuracyError,
     StepSizeError, ConfigurationError, np.linalg.LinAlgError,
@@ -570,19 +575,17 @@ def _suite_kubo_sweep(cfg: ExperimentConfig, writer: _OutputWriter, tol):
         sub = [reports[e] for _, reports in sweeps]
         for j in range(d):
             for k in range(d):
-                fd_vals = [r.sigma_fd[j, k].real for r in sub if r.sigma_fd is not None]
-                fd_mean = ensemble_average(fd_vals)[0] if fd_vals else ""
-                fd_im = 0.0 if fd_vals else ""
-                res_mean, stderr = ensemble_average([r.sigma_resolvent[j, k].real for r in sub])
-                kubo_mean, _ = ensemble_average([r.sigma_kubo[j, k].real for r in sub])
-                streda_mean, _ = ensemble_average([r.sigma_streda[j, k].real for r in sub])
+                fd = [r.sigma_fd[j, k] for r in sub if r.sigma_fd is not None]
+                res = [r.sigma_resolvent[j, k] for r in sub]
+                res_mean, stderr = ensemble_average(np.real(res))
+                streda_mean, streda_im = _mean_parts([r.sigma_streda[j, k] for r in sub])
                 ens_rows.append(
                     [
                         eta, j + 1, k + 1,
-                        fd_mean, fd_im,
-                        kubo_mean, 0.0,
-                        res_mean, 0.0,
-                        streda_mean, 0.0,
+                        *(_mean_parts(fd) if fd else ("", "")),
+                        *_mean_parts([r.sigma_kubo[j, k] for r in sub]),
+                        res_mean, ensemble_average(np.imag(res))[0],
+                        streda_mean, streda_im,
                         len(sub), stderr if stderr is not None else "",
                     ]
                 )

@@ -232,26 +232,41 @@ def sigma_kubo_integral(
     by composite Gauss-Legendre panels on [s_min, 0], weight untransformed.
 
     In the eigenbasis of H, U0(-r) multiplies entry (m, n) by
-    e^{i r (E_m - E_n)} = u_m conj(u_n), u = e^{i r E}.  The weighted node sum
-    is then one kernel K = sum_i w_i e^{eta r_i} u(r_i) u(r_i)^*, built as an
-    (N x p)(p x N) product per panel of p nodes, and contracted with the
-    basis.  Cost O(nodes N + panels p N^2), not O(nodes N^3); memory
-    O(N^2 + p N)."""
+    e^{i r w}, w = E_m - E_n.  The P panels share the half-width h, and node
+    i of panel q sits at r = c_q + h x_i, so every term factorizes as
+    e^{(eta + i w) r} = e^{(eta + i w) c_q} e^{(eta + i w) h x_i} and the
+    weighted node sum is one entrywise product K = B o G of
+      - the in-panel factor B = A diag(w_i h e^{eta h x_i}) A^*,
+        A_mi = e^{i h x_i E_m}, one (N x p)(p x N) product; and
+      - the panel factor G = sum_q e^{eta c_q} d_q d_q^*, d_q = e^{i c_q E},
+        summed as (N x b)(b x N) products over blocks of b <= N centres,
+    contracted with the basis.  Cost O(N (p + P)) exponentials and
+    O(N^2 (p + P)) multiply-adds; memory O(N^2 + P)."""
     if eta <= 0:
         raise ValueError("eta must be positive")
     if s_min is None:
         s_min = float(np.log(1e-12) / eta)
+    if not s_min < 0:
+        raise ValueError("s_min must be negative")
+    if not panel_width > 0:
+        raise ValueError("panel_width must be positive")
+    if panel_order < 1:
+        raise ValueError("panel_order must be at least 1")
     nodes, weights = leggauss(panel_order)
     n_panels = max(1, int(np.ceil(-s_min / panel_width)))
     edges = np.linspace(s_min, 0.0, n_panels + 1)
+    centres, half = (edges[:-1] + edges[1:]) / 2.0, -s_min / (2.0 * n_panels)
     energies = basis.energies
     n = len(energies)
+    # G first, then B multiplied into it in place, so no N x N factor is held
+    # alongside the block products or the contraction's temporaries
     kern = np.zeros((n, n), dtype=complex)
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        r = mid + half * nodes
-        u = np.exp(1j * np.outer(energies, r))
-        kern += (u * (weights * half * np.exp(eta * r))) @ u.conj().T
+    for start in range(0, n_panels, n):
+        c = centres[start:start + n]
+        d = np.exp(1j * np.outer(energies, c))
+        kern += (d * np.exp(eta * c)) @ d.conj().T
+    a = np.exp(1j * np.outer(energies, half * nodes))
+    kern *= (a * (weights * half * np.exp(eta * half * nodes))) @ a.conj().T
     return basis.contract(kern)
 
 

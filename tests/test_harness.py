@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -345,6 +346,19 @@ def test_kubo_sweep_csv_schema(tmp_path):
     )
     raw = (tmp_path / "t/kubo_sweep_raw.csv").read_text().splitlines()
     assert len(raw) == 1 + 2 * 2 * 4  # two etas, two realizations, 2x2 tensor
+
+    # the ensemble's imaginary columns are the means of the computed ones
+    with open(tmp_path / "t/kubo_sweep_raw.csv") as fh:
+        raw = list(csv.DictReader(fh))
+    with open(tmp_path / "t/kubo_sweep.csv") as fh:
+        ens = list(csv.DictReader(fh))
+    columns = ("sigma_res_im", "sigma_kubo_im", "streda_im")
+    assert any(float(row[c]) != 0.0 for row in raw for c in columns)
+    for row in ens:
+        cell = [r for r in raw if (r["eta"], r["j"], r["k"]) == (row["eta"], row["j"], row["k"])]
+        assert len(cell) == 2
+        for c in columns:
+            assert float(row[c]) == math.fsum(float(r[c]) for r in cell) / 2
 
 
 # -- CLI ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -257,8 +259,14 @@ def _kubo_per_node(basis, eta, s_min=None, panel_width=0.5, panel_order=10):
 @pytest.mark.parametrize("kernel", ["minimal_image", "gauge_derivative"])
 @pytest.mark.parametrize(
     "quadrature",
-    [{}, {"s_min": -20.0, "panel_width": 1.5, "panel_order": 6}],
-    ids=["default", "coarse"],
+    [
+        {},
+        {"s_min": -20.0, "panel_width": 1.5, "panel_order": 6},
+        {"s_min": -0.3, "panel_width": 0.5},
+        # 20 panels on N = 16 sites: the last block of panel centres is partial
+        {"s_min": -10.0, "panel_width": 0.5, "panel_order": 3},
+    ],
+    ids=["default", "coarse", "one_panel", "partial_block"],
 )
 def test_kubo_integral_matches_per_node_sum(kernel, quadrature):
     pot = sample_disorder(DisorderSpec(1.0, 8), 0, 16)
@@ -269,6 +277,39 @@ def test_kubo_integral_matches_per_node_sum(kernel, quadrature):
         kubo = sigma_kubo_integral(basis, eta, **quadrature)
         ref = _kubo_per_node(basis, eta, **quadrature)
         assert np.max(np.abs(kubo - ref)) <= 1e-12
+
+
+def test_kubo_integral_memory_is_independent_of_panel_count():
+    # eta = 0.01 spans P = 5,527 panels on N = 64 sites; the panel factor is
+    # summed in blocks of at most N centres, so no N x P temporary is made
+    model, state, _ = _disordered_flux_quarter()
+    basis = ResponseBasis.of(spectral_of(model), state)
+    n = len(basis.energies)
+    tracemalloc.start()
+    try:
+        sigma_kubo_integral(basis, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * n * 16
+
+
+@pytest.mark.parametrize(
+    "bad, name",
+    [
+        ({"s_min": 0.0}, "s_min"),
+        ({"s_min": 5.0}, "s_min"),
+        ({"panel_width": -1.0}, "panel_width"),
+        ({"panel_width": 0.0}, "panel_width"),
+        ({"panel_order": 0}, "panel_order"),
+    ],
+    ids=["s_min_zero", "s_min_positive", "width_negative", "width_zero", "order_zero"],
+)
+def test_kubo_integral_rejects_bad_quadrature(bad, name):
+    model, state, _ = _disordered_flux_quarter()
+    basis = ResponseBasis.of(spectral_of(model), state)
+    with pytest.raises(ValueError, match=name):
+        sigma_kubo_integral(basis, 0.5, **bad)
 
 
 def _sigma_site_basis(spectral, state, eta, kernel):
