@@ -78,20 +78,22 @@ class DriveProtocol:
         return float(np.log(truncation_tol) / self.eta)
 
 
+INTEGRATORS = ("riemann_product", "ode_rk4", "magnus2")
+
+
 @dataclass
 class TimeGrid:
-    """Uniform stepping scheme for the switch-on interval."""
+    """Uniform stepping scheme from s_min; each march ends at its caller's t."""
 
     s_min: float
-    t_end: float
     step: float
-    method: str = "ode_rk4"  # "riemann_product" | "ode_rk4" | "magnus2"
+    method: str = "ode_rk4"  # one of INTEGRATORS
     truncation_tol: float = 1e-12
 
     def __post_init__(self):
         if self.step <= 0:
             raise ConfigurationError("step must be positive")
-        if self.method not in ("riemann_product", "ode_rk4", "magnus2"):
+        if self.method not in INTEGRATORS:
             raise ConfigurationError(f"unknown integrator {self.method!r}")
 
     def validate(self, drive: DriveProtocol) -> None:
@@ -437,15 +439,16 @@ def density_path(
 
 
 def evolve_density_ode(
-    model: LatticeModel,
+    spectral: SpectralData,
     drive: DriveProtocol,
     state: EquilibriumState,
     t: float,
     grid: TimeGrid,
 ) -> DensityMatrix:
-    """Direct integration of i d(rho)/dt = [H(t), rho] from zeta at s_min."""
-    zeta = state.build(SpectralData.from_operator(build_hamiltonian(model))).matrix
-    _, rho = _final(density_path(model, drive, zeta, t, grid))
+    """Direct integration of i d(rho)/dt = [H(t), rho] from zeta = f(H) at
+    s_min, zeta built on the caller's decomposition `spectral` of H (no eigh)."""
+    model = spectral.model
+    _, rho = _final(density_path(model, drive, state.build(spectral).matrix, t, grid))
     rho = (rho + rho.conj().T) / 2.0
     return DensityMatrix(CovariantOperator(rho, model, hermitian=True), "ode_liouville", t)
 

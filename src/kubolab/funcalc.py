@@ -164,7 +164,6 @@ class SmoothFunction:
     value: callable
     derivative: callable
     m_max: int
-    decay: str = "schwartz"
 
     def deriv(self, r: int, x):
         if r == 0:
@@ -187,7 +186,7 @@ def gaussian_function(center: float = 0.0, width: float = 1.0, m_max: int = 12) 
         he = np.polynomial.hermite_e.hermeval(u, [0.0] * r + [1.0])
         return ((-1.0) ** r) * he * np.exp(-0.5 * u**2) / width**r
 
-    return SmoothFunction(value, derivative, m_max=m_max, decay="schwartz")
+    return SmoothFunction(value, derivative, m_max=m_max)
 
 
 def verify_derivatives(f: SmoothFunction, points, orders=None, rtol: float = 1e-6) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .model import CovariantOperator, LatticeModel, velocity_operator
+from .model import CovariantOperator, velocity_operator
 from .funcalc import (
     EquilibriumState,
     SpectralData,
@@ -115,7 +115,7 @@ def _realness_guard(values: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
 
 def net_current(
-    model: LatticeModel,
+    spectral: SpectralData,
     drive: DriveProtocol,
     state: EquilibriumState,
     grid: TimeGrid,
@@ -123,18 +123,20 @@ def net_current(
     kernel: str = "gauge_derivative",
 ) -> np.ndarray:
     """Net current J_j = T(v_j(0) (rho(0) - zeta(0))), v(0) the velocity of
-    the driven Hamiltonian at t = 0.
+    the driven Hamiltonian at t = 0, for the model of `spectral`.
 
     The difference form subtracts the instantaneous equilibrium current of
     H(0); on the finite torus the drive phases act as a boundary twist, so
     this form (rather than subtracting the undriven T(v_j zeta)) is the one
     whose E-derivative matches the response formulas.  The two agree in the
     infinite-volume limit, where the equilibrium current vanishes at every
-    twist.
+    twist.  The ODE route starts from zeta built on `spectral`, the caller's
+    decomposition of H; the one made here is that of H(0).
     """
+    model = spectral.model
     d = model.config.dimension
     if route == "ode_liouville":
-        rho = evolve_density_ode(model, drive, state, 0.0, grid).rho
+        rho = evolve_density_ode(spectral, drive, state, 0.0, grid).rho
     elif route == "duhamel_integral":
         rho = evolve_density_duhamel(model, drive, state, 0.0, grid, kernel=kernel).rho
     else:
@@ -271,22 +273,22 @@ def sigma_kubo_integral(
 
 
 def sigma_finite_difference(
-    model: LatticeModel,
+    spectral: SpectralData,
     state: EquilibriumState,
     eta: float,
     grid: TimeGrid,
     delta_e: float = 1e-3,
-    route: str = "ode_liouville",
 ) -> np.ndarray:
     """Central difference of the net current over +- delta_e along each axis;
-    the full dynamics runs per evaluation."""
-    d = model.config.dimension
+    the Liouville dynamics runs per evaluation, from zeta built on `spectral`
+    (see net_current), so each of the 2d evaluations decomposes only H(0)."""
+    d = spectral.model.config.dimension
     sigma = np.zeros((d, d))
     for k in range(d):
         e_plus = np.zeros(d)
         e_plus[k] = delta_e
-        j_plus = net_current(model, DriveProtocol(eta, tuple(e_plus)), state, grid, route)
-        j_minus = net_current(model, DriveProtocol(eta, tuple(-e_plus)), state, grid, route)
+        j_plus = net_current(spectral, DriveProtocol(eta, tuple(e_plus)), state, grid)
+        j_minus = net_current(spectral, DriveProtocol(eta, tuple(-e_plus)), state, grid)
         sigma[:, k] = (j_plus - j_minus) / (2.0 * delta_e)
     return sigma.astype(complex)
 
@@ -481,9 +483,7 @@ def eta_sweep(
             sigma_kubo=sigma_kubo_integral(basis, eta),
         )
         if fd_basis is not None:
-            rep.sigma_fd = sigma_finite_difference(
-                spectral.model, state, eta, grid_for(eta), delta_e=delta_e
-            )
+            rep.sigma_fd = sigma_finite_difference(spectral, state, eta, grid_for(eta), delta_e=delta_e)
             fd_ref = sigma_resolvent(fd_basis, eta)
             rep.diagnostics["fd_vs_resolvent"] = float(np.max(np.abs(rep.sigma_fd - fd_ref)))
         rep.diagnostics["gap_to_streda"] = float(

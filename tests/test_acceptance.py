@@ -123,8 +123,8 @@ def test_criterion_2_three_method_agreement():
     assert kubo_gap < TOL["kubo_vs_resolvent"]
 
     res_gauge = sigma_resolvent(ResponseBasis.of(spectral, state, "gauge_derivative"), eta)
-    grid = TimeGrid(np.log(1e-10) / eta, 0.0, 0.01, truncation_tol=1e-10)
-    fd = sigma_finite_difference(model, state, eta, grid, delta_e=TOL["fd_delta_e"])
+    grid = TimeGrid(np.log(1e-10) / eta, 0.01, truncation_tol=1e-10)
+    fd = sigma_finite_difference(spectral, state, eta, grid, delta_e=TOL["fd_delta_e"])
     fd_gap = float(np.max(np.abs(fd - res_gauge)))
     assert fd_gap < TOL["fd_vs_resolvent"]
     report(
@@ -158,13 +158,14 @@ def test_criterion_4_liouville_dynamics():
     model, e_f = clean_flux_third(6)
     state = EquilibriumState("projection", e_f)
     drive = DriveProtocol(1.0, (0.0, 0.1))
-    grid = TimeGrid(float(np.log(1e-12)), 0.0, 0.005)
+    grid = TimeGrid(float(np.log(1e-12)), 0.005)
+    spectral = SpectralData.from_operator(build_hamiltonian(model))
     duh = evolve_density_duhamel(model, drive, state, 0.0, grid)
-    ode = evolve_density_ode(model, drive, state, 0.0, grid)
+    ode = evolve_density_ode(spectral, drive, state, 0.0, grid)
     agreement = norm2(CovariantOperator(duh.rho.matrix - ode.rho.matrix, model))
     assert agreement < TOL["density_route_agreement"]
 
-    zeta = state.build(SpectralData.from_operator(build_hamiltonian(model)))
+    zeta = state.build(spectral)
     conservation = abs(norm2(ode.rho) - norm2(zeta))
     assert conservation < TOL["density_norm_conservation"]
 
@@ -190,7 +191,7 @@ def test_criterion_5_gauge_equivalence():
     psi0 = rng.normal(size=8) + 1j * rng.normal(size=8)
     psi0 /= np.linalg.norm(psi0)
     disc = gauge_equivalence_check(
-        model, drive, psi0, 0.0, TimeGrid(float(np.log(1e-12)), 0.0, 0.002)
+        model, drive, psi0, 0.0, TimeGrid(float(np.log(1e-12)), 0.002)
     )
     assert disc < TOL["gauge_equivalence"]
     report("5 gauge-equivalence", f"discrepancy={disc:.2e} (<{TOL['gauge_equivalence']:.0e})")
@@ -205,7 +206,7 @@ def test_criterion_6_duhamel_identity():
     psi = np.array([1.0, 0.0], complex)
     s_min = float(np.log(1e-12))
     residuals = [
-        duhamel_residual(model, drive, 0.0, s_min, psi, TimeGrid(s_min, 0.0, h)).residual
+        duhamel_residual(model, drive, 0.0, s_min, psi, TimeGrid(s_min, h)).residual
         for h in (0.04, 0.02, 0.01, 0.005)
     ]
     assert residuals[-1] < TOL["duhamel_residual"]
@@ -340,10 +341,10 @@ def test_criterion_10_propagator_theory():
     drive = DriveProtocol(1.0, (0.0, 0.1))
     s_min = float(np.log(1e-12))
 
-    prop = propagate(model, drive, 0.0, s_min, TimeGrid(s_min, 0.0, 0.01, "magnus2"))
+    prop = propagate(model, drive, 0.0, s_min, TimeGrid(s_min, 0.01, "magnus2"))
     assert prop.unitarity_defect < TOL["propagator_unitarity"]
 
-    grid = TimeGrid(s_min, 0.0, 0.01, "magnus2")
+    grid = TimeGrid(s_min, 0.01, "magnus2")
     u_ts = propagate(model, drive, 0.0, -2.0, grid).matrix
     u_tr = propagate(model, drive, 0.0, -1.0, grid).matrix
     u_rs = propagate(model, drive, -1.0, -2.0, grid).matrix
@@ -353,11 +354,11 @@ def test_criterion_10_propagator_theory():
     weight = propagator_weight_check(model, drive, 0.0, -5.0, grid)
     assert weight.weighted_norm <= weight.bound * (1.0 + TOL["weight_margin"])
 
-    ref = propagate(model, drive, 0.0, -2.0, TimeGrid(s_min, 0.0, 0.0005, "ode_rk4")).matrix
+    ref = propagate(model, drive, 0.0, -2.0, TimeGrid(s_min, 0.0005, "ode_rk4")).matrix
     errs = [
         float(
             np.linalg.norm(
-                propagate(model, drive, 0.0, -2.0, TimeGrid(s_min, 0.0, h, "riemann_product")).matrix
+                propagate(model, drive, 0.0, -2.0, TimeGrid(s_min, h, "riemann_product")).matrix
                 - ref
             )
         )

@@ -37,7 +37,7 @@ from kubolab.dynamics import (
 from kubolab.opspace import norm2, norms, trace_per_unit_volume
 from kubolab.model import CovariantOperator
 
-from conftest import gap_fermi_level, make_chain, make_torus
+from conftest import gap_fermi_level, make_chain, make_torus, spectral_of
 
 
 S_MIN = float(np.log(1e-12))
@@ -74,7 +74,7 @@ def test_positive_rate_required():
 def test_grid_truncation_validated():
     drive = DriveProtocol(1.0, (0.1,))
     with pytest.raises(ConfigurationError):
-        TimeGrid(-5.0, 0.0, 0.01).validate(drive)
+        TimeGrid(-5.0, 0.01).validate(drive)
 
 
 # -- driven Hamiltonian and gauge -------------------------------------------------
@@ -212,7 +212,7 @@ def test_free_case_matches_exponential(method, step):
     model = make_torus((4, 4), potential=pot)
     drive = DriveProtocol(1.0, (0.0, 0.0))
     spectral = SpectralData.from_operator(build_hamiltonian(model))
-    grid = TimeGrid(S_MIN, 0.0, step, method)
+    grid = TimeGrid(S_MIN, step, method)
     prop = propagate(model, drive, 0.0, -2.0, grid)
     assert np.linalg.norm(prop.matrix - free_propagator(spectral, 2.0)) < 1e-10
 
@@ -221,14 +221,14 @@ def test_free_case_matches_exponential(method, step):
 def test_unitarity_exact_for_product_methods(method):
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.1))
-    prop = propagate(model, drive, 0.0, -10.0, TimeGrid(S_MIN, 0.0, 0.02, method))
+    prop = propagate(model, drive, 0.0, -10.0, TimeGrid(S_MIN, 0.02, method))
     assert prop.unitarity_defect < 1e-12
 
 
 def test_group_inverse():
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.1))
-    prop = propagate(model, drive, 0.0, -3.0, TimeGrid(S_MIN, 0.0, 0.01, "magnus2"))
+    prop = propagate(model, drive, 0.0, -3.0, TimeGrid(S_MIN, 0.01, "magnus2"))
     assert np.linalg.norm(prop.matrix @ prop.reversed - np.eye(16)) < 1e-9
 
 
@@ -236,7 +236,7 @@ def test_cocycle_on_aligned_grid():
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.1))
     for method in ("riemann_product", "magnus2", "ode_rk4"):
-        grid = TimeGrid(S_MIN, 0.0, 0.01, method)
+        grid = TimeGrid(S_MIN, 0.01, method)
         u_ts = propagate(model, drive, 0.0, -2.0, grid).matrix
         u_tr = propagate(model, drive, 0.0, -1.0, grid).matrix
         u_rs = propagate(model, drive, -1.0, -2.0, grid).matrix
@@ -246,10 +246,10 @@ def test_cocycle_on_aligned_grid():
 def test_riemann_product_first_order_convergence():
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.1))
-    ref = propagate(model, drive, 0.0, -2.0, TimeGrid(S_MIN, 0.0, 0.0005, "ode_rk4")).matrix
+    ref = propagate(model, drive, 0.0, -2.0, TimeGrid(S_MIN, 0.0005, "ode_rk4")).matrix
     errs = [
         np.linalg.norm(
-            propagate(model, drive, 0.0, -2.0, TimeGrid(S_MIN, 0.0, h, "riemann_product")).matrix
+            propagate(model, drive, 0.0, -2.0, TimeGrid(S_MIN, h, "riemann_product")).matrix
             - ref
         )
         for h in (0.02, 0.01, 0.005)
@@ -261,10 +261,10 @@ def test_riemann_product_first_order_convergence():
 def test_magnus2_second_order_convergence():
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.1))
-    ref = propagate(model, drive, 0.0, -2.0, TimeGrid(S_MIN, 0.0, 0.0005, "ode_rk4")).matrix
+    ref = propagate(model, drive, 0.0, -2.0, TimeGrid(S_MIN, 0.0005, "ode_rk4")).matrix
     errs = [
         np.linalg.norm(
-            propagate(model, drive, 0.0, -2.0, TimeGrid(S_MIN, 0.0, h, "magnus2")).matrix - ref
+            propagate(model, drive, 0.0, -2.0, TimeGrid(S_MIN, h, "magnus2")).matrix - ref
         )
         for h in (0.02, 0.01)
     ]
@@ -286,7 +286,7 @@ def _rk4_four_assemblies(h_at, apply, s, y, h, nsteps):
 def test_rk4_march_assembles_three_matrices_per_step(monkeypatch):
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.1))
-    grid = TimeGrid(S_MIN, 0.0, 0.01, "ode_rk4")
+    grid = TimeGrid(S_MIN, 0.01, "ode_rk4")
     times = []
     real = dynamics._h_at
 
@@ -307,18 +307,19 @@ def test_rk4_midpoint_reuse_keeps_bytes():
     model = make_torus((4, 4), 1, 4, pot)
     drive = DriveProtocol(1.0, (0.1, 0.05))
     state = EquilibriumState("projection", gap_fermi_level(model, 0.25))
-    grid = TimeGrid(S_MIN, 0.0, 0.02)
+    grid = TimeGrid(S_MIN, 0.02)
     n = grid.n_steps(S_MIN, 0.0)
 
     def liouville(hr, m):
         hm = hr @ m
         return -1j * (hm - hm.conj().T)
 
-    zeta = state.build(SpectralData.from_operator(build_hamiltonian(model))).matrix
+    spectral = SpectralData.from_operator(build_hamiltonian(model))
+    zeta = state.build(spectral).matrix
     ref = _rk4_four_assemblies(
         lambda r: _h_phasing_every_hop(model, drive, r), liouville, S_MIN, zeta, (0.0 - S_MIN) / n, n
     )
-    rho = evolve_density_ode(model, drive, state, 0.0, grid).rho.matrix
+    rho = evolve_density_ode(spectral, drive, state, 0.0, grid).rho.matrix
     assert rho.tobytes() == ((ref + ref.conj().T) / 2.0).tobytes()
 
 
@@ -326,7 +327,7 @@ def test_stability_guard():
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.1))
     with pytest.raises(StepSizeError):
-        propagate(model, drive, 0.0, -1.0, TimeGrid(S_MIN, 0.0, 0.5, "magnus2"))
+        propagate(model, drive, 0.0, -1.0, TimeGrid(S_MIN, 0.5, "magnus2"))
 
 
 # -- Duhamel identity ---------------------------------------------------------------
@@ -336,7 +337,7 @@ def test_duhamel_zero_field_exact():
     model = make_chain(2, "open")
     drive = DriveProtocol(1.0, (0.0,))
     psi = np.array([1.0, 0.0], complex)
-    rep = duhamel_residual(model, drive, 0.0, -5.0, psi, TimeGrid(S_MIN, 0.0, 0.01, "magnus2"))
+    rep = duhamel_residual(model, drive, 0.0, -5.0, psi, TimeGrid(S_MIN, 0.01, "magnus2"))
     assert rep.residual < 1e-12
 
 
@@ -345,7 +346,7 @@ def test_duhamel_two_site_refinement():
     drive = DriveProtocol(1.0, (0.1,))
     psi = np.array([1.0, 0.0], complex)
     residuals = [
-        duhamel_residual(model, drive, 0.0, S_MIN, psi, TimeGrid(S_MIN, 0.0, h)).residual
+        duhamel_residual(model, drive, 0.0, S_MIN, psi, TimeGrid(S_MIN, h)).residual
         for h in (0.04, 0.02, 0.01)
     ]
     assert residuals[-1] < 1e-8
@@ -364,11 +365,13 @@ def _gapped_torus_state():
 def test_density_zero_field_stays_equilibrium():
     model, state = _gapped_torus_state()
     drive = DriveProtocol(1.0, (0.0, 0.0))
-    grid = TimeGrid(S_MIN, 0.0, 0.02)
-    zeta = state.build(SpectralData.from_operator(build_hamiltonian(model))).matrix
-    for route in (evolve_density_ode, evolve_density_duhamel):
-        rho = route(model, drive, state, 0.0, grid).rho.matrix
-        assert np.linalg.norm(rho - zeta) < 1e-10
+    grid = TimeGrid(S_MIN, 0.02)
+    spectral = spectral_of(model)
+    zeta = state.build(spectral).matrix
+    ode = evolve_density_ode(spectral, drive, state, 0.0, grid).rho.matrix
+    duh = evolve_density_duhamel(model, drive, state, 0.0, grid).rho.matrix
+    assert np.linalg.norm(ode - zeta) < 1e-10
+    assert np.linalg.norm(duh - zeta) < 1e-10
 
 
 def _duhamel_stored_slices(model, drive, state, t, grid, kernel):
@@ -435,7 +438,7 @@ def _duhamel_stored_slices(model, drive, state, t, grid, kernel):
 def test_streaming_duhamel_matches_stored_slices(method, kernel):
     model, state = _gapped_torus_state()
     drive = DriveProtocol(4.0, (0.0, 0.1))
-    grid = TimeGrid(np.log(1e-12) / 4.0, 0.0, 0.02, method)
+    grid = TimeGrid(np.log(1e-12) / 4.0, 0.02, method)
     rho = evolve_density_duhamel(model, drive, state, 0.0, grid, kernel=kernel).rho.matrix
     ref = _duhamel_stored_slices(model, drive, state, 0.0, grid, kernel)
     assert np.linalg.norm(rho - ref) <= 1e-12
@@ -445,7 +448,7 @@ def test_streaming_duhamel_matches_stored_slices(method, kernel):
 def test_duhamel_decomposes_each_node_once(method, monkeypatch):
     model, state = _gapped_torus_state()
     drive = DriveProtocol(4.0, (0.0, 0.1))
-    grid = TimeGrid(np.log(1e-12) / 4.0, 0.0, 0.02, method)
+    grid = TimeGrid(np.log(1e-12) / 4.0, 0.02, method)
     rho = evolve_density_duhamel(model, drive, state, 0.0, grid).rho.matrix
 
     # the same sum with H(r_k) decomposed afresh at every node
@@ -480,7 +483,7 @@ def test_gauge_check_midpoint_reuse_keeps_value(rng):
     drive = DriveProtocol(1.0, (0.2,))
     psi0 = rng.normal(size=8) + 1j * rng.normal(size=8)
     psi0 /= np.linalg.norm(psi0)
-    grid = TimeGrid(S_MIN, 0.0, 0.01)
+    grid = TimeGrid(S_MIN, 0.01)
     n = grid.n_steps(S_MIN, 0.0)
     h = (0.0 - S_MIN) / n
     h0 = build_hamiltonian(model).matrix
@@ -505,7 +508,7 @@ def test_duhamel_memory_flat_in_step_count():
     drive = DriveProtocol(4.0, (0.0, 0.1))
     peaks = []
     for step in (0.04, 0.02):
-        grid = TimeGrid(np.log(1e-12) / 4.0, 0.0, step, "magnus2")
+        grid = TimeGrid(np.log(1e-12) / 4.0, step, "magnus2")
         tracemalloc.start()
         try:
             evolve_density_duhamel(model, drive, state, 0.0, grid)
@@ -519,18 +522,19 @@ def test_duhamel_memory_flat_in_step_count():
 def test_density_routes_agree():
     model, state = _gapped_torus_state()
     drive = DriveProtocol(1.0, (0.0, 0.1))
-    grid = TimeGrid(S_MIN, 0.0, 0.01)
+    grid = TimeGrid(S_MIN, 0.01)
     duh = evolve_density_duhamel(model, drive, state, 0.0, grid).rho
-    ode = evolve_density_ode(model, drive, state, 0.0, grid).rho
+    ode = evolve_density_ode(spectral_of(model), drive, state, 0.0, grid).rho
     assert norm2(CovariantOperator(duh.matrix - ode.matrix, model)) < 1e-8
 
 
 def test_density_trace_and_norms_conserved():
     model, state = _gapped_torus_state()
     drive = DriveProtocol(1.0, (0.0, 0.1))
-    grid = TimeGrid(S_MIN, 0.0, 0.01)
-    zeta = state.build(SpectralData.from_operator(build_hamiltonian(model)))
-    rho = evolve_density_ode(model, drive, state, 0.0, grid).rho
+    grid = TimeGrid(S_MIN, 0.01)
+    spectral = spectral_of(model)
+    zeta = state.build(spectral)
+    rho = evolve_density_ode(spectral, drive, state, 0.0, grid).rho
     assert abs(trace_per_unit_volume(rho) - trace_per_unit_volume(zeta)) < 1e-10
     nz, nr = norms(zeta), norms(rho)
     assert abs(nz.norm1 - nr.norm1) < 1e-8
@@ -541,7 +545,7 @@ def test_density_trace_and_norms_conserved():
 def test_density_projection_preserved_and_nonnegative():
     model, state = _gapped_torus_state()
     drive = DriveProtocol(1.0, (0.0, 0.1))
-    rho = evolve_density_ode(model, drive, state, 0.0, TimeGrid(S_MIN, 0.0, 0.01)).rho
+    rho = evolve_density_ode(spectral_of(model), drive, state, 0.0, TimeGrid(S_MIN, 0.01)).rho
     assert np.linalg.norm(rho.matrix @ rho.matrix - rho.matrix) < 1e-8
     assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-10
 
@@ -549,10 +553,11 @@ def test_density_projection_preserved_and_nonnegative():
 def test_density_conjugation_consistency():
     model, state = _gapped_torus_state()
     drive = DriveProtocol(1.0, (0.0, 0.1))
-    grid = TimeGrid(S_MIN, 0.0, 0.01)
-    rho_s = evolve_density_ode(model, drive, state, -1.0, grid)
-    rho_t = evolve_density_ode(model, drive, state, 0.0, grid)
-    prop = propagate(model, drive, 0.0, -1.0, TimeGrid(S_MIN, 0.0, 0.01, "ode_rk4"))
+    grid = TimeGrid(S_MIN, 0.01)
+    spectral = spectral_of(model)
+    rho_s = evolve_density_ode(spectral, drive, state, -1.0, grid)
+    rho_t = evolve_density_ode(spectral, drive, state, 0.0, grid)
+    prop = propagate(model, drive, 0.0, -1.0, TimeGrid(S_MIN, 0.01, "ode_rk4"))
     conj = conjugate_density(rho_s, prop)
     assert norm2(CovariantOperator(conj.rho.matrix - rho_t.rho.matrix, model)) < 1e-8
     assert conj.provenance == "conjugation"
@@ -582,11 +587,11 @@ def test_density_covariance_under_magnetic_translation():
     e_f = gap_fermi_level(model, 1.0 / 3.0)
     state = EquilibriumState("projection", e_f)
     drive = DriveProtocol(1.0, (0.0, 0.1))
-    grid = TimeGrid(S_MIN, 0.0, 0.02)
+    grid = TimeGrid(S_MIN, 0.02)
     a = (1, 2)
     u = magnetic_translation(model, a).matrix
-    rho = evolve_density_ode(model, drive, state, 0.0, grid).rho.matrix
-    rho_shift = evolve_density_ode(shift_disorder(model, a), drive, state, 0.0, grid).rho.matrix
+    rho = evolve_density_ode(spectral_of(model), drive, state, 0.0, grid).rho.matrix
+    rho_shift = evolve_density_ode(spectral_of(shift_disorder(model, a)), drive, state, 0.0, grid).rho.matrix
     assert np.linalg.norm(u @ rho @ u.conj().T - rho_shift) < 1e-10
 
 
@@ -594,9 +599,10 @@ def test_positive_time_branch_sane():
     # t > 0 uses the linearly growing branch of the drive; norms stay conserved
     model, state = _gapped_torus_state()
     drive = DriveProtocol(1.0, (0.0, 0.1))
-    grid = TimeGrid(S_MIN, 1.0, 0.01)
-    zeta = state.build(SpectralData.from_operator(build_hamiltonian(model)))
-    rho = evolve_density_ode(model, drive, state, 1.0, grid).rho
+    grid = TimeGrid(S_MIN, 0.01)
+    spectral = spectral_of(model)
+    zeta = state.build(spectral)
+    rho = evolve_density_ode(spectral, drive, state, 1.0, grid).rho
     assert abs(norm2(rho) - norm2(zeta)) < 1e-8
 
 
@@ -608,7 +614,7 @@ def test_gauge_equivalence_zero_field():
     drive = DriveProtocol(1.0, (0.0,))
     psi0 = np.zeros(8, complex)
     psi0[3] = 1.0
-    disc = gauge_equivalence_check(model, drive, psi0, 0.0, TimeGrid(S_MIN, 0.0, 0.01))
+    disc = gauge_equivalence_check(model, drive, psi0, 0.0, TimeGrid(S_MIN, 0.01))
     assert disc < 1e-12
 
 
@@ -617,9 +623,9 @@ def test_gauge_equivalence_open_chain(rng):
     drive = DriveProtocol(1.0, (0.2,))
     psi0 = rng.normal(size=8) + 1j * rng.normal(size=8)
     psi0 /= np.linalg.norm(psi0)
-    disc = gauge_equivalence_check(model, drive, psi0, 0.0, TimeGrid(S_MIN, 0.0, 0.002))
+    disc = gauge_equivalence_check(model, drive, psi0, 0.0, TimeGrid(S_MIN, 0.002))
     assert disc < 1e-8
-    coarse = gauge_equivalence_check(model, drive, psi0, 0.0, TimeGrid(S_MIN, 0.0, 0.008))
+    coarse = gauge_equivalence_check(model, drive, psi0, 0.0, TimeGrid(S_MIN, 0.008))
     assert disc < coarse
 
 
@@ -627,13 +633,13 @@ def test_gauge_equivalence_rejects_torus():
     model = make_chain(8, "torus")
     drive = DriveProtocol(1.0, (0.2,))
     with pytest.raises(UnsupportedOperationError):
-        gauge_equivalence_check(model, drive, np.ones(8), 0.0, TimeGrid(S_MIN, 0.0, 0.01))
+        gauge_equivalence_check(model, drive, np.ones(8), 0.0, TimeGrid(S_MIN, 0.01))
 
 
 def test_weight_check_zero_field_saturates():
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.0))
-    rep = propagator_weight_check(model, drive, 0.0, -3.0, TimeGrid(S_MIN, 0.0, 0.01, "magnus2"))
+    rep = propagator_weight_check(model, drive, 0.0, -3.0, TimeGrid(S_MIN, 0.01, "magnus2"))
     assert rep.weighted_norm == pytest.approx(1.0, abs=1e-8)
     assert rep.bound == pytest.approx(1.0, abs=1e-12)
 
@@ -641,7 +647,7 @@ def test_weight_check_zero_field_saturates():
 def test_weight_check_inequality_holds():
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.1))
-    rep = propagator_weight_check(model, drive, 0.0, -5.0, TimeGrid(S_MIN, 0.0, 0.01, "magnus2"))
+    rep = propagator_weight_check(model, drive, 0.0, -5.0, TimeGrid(S_MIN, 0.01, "magnus2"))
     assert rep.holds
     assert rep.gamma >= 1.0
 
@@ -649,7 +655,7 @@ def test_weight_check_inequality_holds():
 def test_weight_bound_monotone_in_interval():
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.1))
-    grid = TimeGrid(S_MIN, 0.0, 0.01, "magnus2")
+    grid = TimeGrid(S_MIN, 0.01, "magnus2")
     b1 = propagator_weight_check(model, drive, 0.0, -2.0, grid).bound
     b2 = propagator_weight_check(model, drive, 0.0, -5.0, grid).bound
     assert b2 >= b1

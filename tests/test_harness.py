@@ -1,7 +1,6 @@
 import csv
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,7 +47,8 @@ def small_config(overrides=None):
 
 
 def test_config_round_trip():
-    cfg = small_config()
+    # validated text values (e_f, s_min, method) are stored as written
+    cfg = small_config({("drive", "s_min"): "-30", ("drive", "method"): "magnus2"})
     again = ExperimentConfig.parse(cfg.serialize())
     assert again.values == cfg.values
     assert again.digest() == cfg.digest()
@@ -235,13 +235,13 @@ def test_dynamics_suite_gates_timeseries_and_determinism(tmp_path):
         checks = list(csv.DictReader(fh))
     assert len(checks) == 8 and all(row["pass"] == "True" for row in checks)
 
-    # the timeseries is the magnus2 Liouville march; its last row is rho(0)
+    # the timeseries is the suite's one Liouville march, on its own grid; its
+    # last row is the rho(0) the gates judge
     with open(tmp_path / "a/t/dynamics_timeseries.csv", newline="") as fh:
         last = list(csv.DictReader(fh))[-1]
-    model = cfg.model_for(0)
-    grid = replace(cfg.grid_for(4.0), method="magnus2")
-    state = cfg.state_for(cfg.spectral_for(0))
-    rho = evolve_density_ode(model, cfg.drive_for(4.0), state, 0.0, grid).rho
+    spectral = cfg.spectral_for(0)
+    state = cfg.state_for(spectral)
+    rho = evolve_density_ode(spectral, cfg.drive_for(4.0), state, 0.0, cfg.grid_for(4.0)).rho
     n = norms(rho)
     assert float(last["t"]) == 0.0
     assert [float(last[c]) for c in ("norm1", "norm2", "norminf")] == [n.norm1, n.norm2, n.norminf]
@@ -274,11 +274,8 @@ DECOMPOSITION_CASES = {
 }
 
 
-@pytest.mark.parametrize("experiment", sorted(DECOMPOSITION_CASES))
-def test_one_eigendecomposition_per_realization(tmp_path, monkeypatch, experiment):
-    text, eigh_calls, eigvalsh_calls = DECOMPOSITION_CASES[experiment]
-    cfg = ExperimentConfig.parse(text + f"[run]\nexperiment = {experiment}\nname = t\n")
-    n = cfg.lattice_config().n_sites
+def _count_decompositions(monkeypatch, n):
+    """Counts of np.linalg.eigh and eigvalsh calls on n x n inputs, live."""
     counts = {"eigh": 0, "eigvalsh": 0}
     for name in counts:
         def counted(a, *args, _raw=getattr(np.linalg, name), _name=name, **kwargs):
@@ -287,15 +284,38 @@ def test_one_eigendecomposition_per_realization(tmp_path, monkeypatch, experimen
             return _raw(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("experiment", sorted(DECOMPOSITION_CASES))
+def test_one_eigendecomposition_per_realization(tmp_path, monkeypatch, experiment):
+    text, eigh_calls, eigvalsh_calls = DECOMPOSITION_CASES[experiment]
+    cfg = ExperimentConfig.parse(text + f"[run]\nexperiment = {experiment}\nname = t\n")
+    counts = _count_decompositions(monkeypatch, cfg.lattice_config().n_sites)
     manifest = run_experiment(cfg, out_dir=tmp_path)
     assert not [v for v in manifest.violations if v[0] == "cell_error"]
     assert counts == {"eigh": eigh_calls, "eigvalsh": eigvalsh_calls}
 
 
+def test_dynamics_check_decomposition_budget(tmp_path, monkeypatch):
+    # the realization's H once, H(r_k) at every node of the RK4 Duhamel march,
+    # and one H at each step of the two magnus2 propagator marches (unitarity
+    # and the weight bound); the Liouville march of an RK4 grid decomposes nothing
+    cfg = ExperimentConfig.parse(DYNAMICS_TINY)
+    grid = cfg.grid_for(4.0)
+    assert grid.method == "ode_rk4"
+    s = grid.s_min
+    expected = 1 + (grid.n_steps(s, 0.0, even=True) + 1) + grid.n_steps(s, 0.0) + grid.n_steps(s / 4.0, 0.0)
+    counts = _count_decompositions(monkeypatch, cfg.lattice_config().n_sites)
+    assert run_experiment(cfg, out_dir=tmp_path).violations == []
+    assert counts["eigh"] == expected
+
+
 @pytest.mark.parametrize("include_fd,bases_per_realization", [(False, 1), (True, 2)])
 def test_one_response_basis_per_realization(tmp_path, monkeypatch, include_fd, bases_per_realization):
     # the eta loop builds only kernels; the FD cross-check adds one
-    # gauge-derivative basis per realization
+    # gauge-derivative basis per realization, and per eta one eigh of H(0)
+    # for each of its 2d net currents, which start from the realization's zeta
     text, _, _ = DECOMPOSITION_CASES["kubo-sweep"]
     fd = "include_fd = true\nstep = 0.05\ntruncation_tol = 1e-6\n" if include_fd else ""
     cfg = ExperimentConfig.parse(text + fd + "[run]\nexperiment = kubo-sweep\nname = t\n")
@@ -307,10 +327,13 @@ def test_one_response_basis_per_realization(tmp_path, monkeypatch, include_fd, b
         return raw(cls, spectral, state, kernel)
 
     monkeypatch.setattr(ResponseBasis, "of", classmethod(counted))
+    counts = _count_decompositions(monkeypatch, cfg.lattice_config().n_sites)
     manifest = run_experiment(cfg, out_dir=tmp_path)
     assert not [v for v in manifest.violations if v[0] == "cell_error"]
     assert len(kernels) == 2 * bases_per_realization
     assert kernels.count("minimal_image") == 2
+    d, n_eta = cfg[("model", "dimension")], len(cfg[("drive", "eta_list")])
+    assert counts["eigh"] == 2 * (1 + 2 * d * n_eta * include_fd)
 
 
 def test_manifest_records_seeds_and_hashes(tmp_path):
@@ -369,6 +392,24 @@ def test_cli_runs_and_exits_zero(tmp_path):
     cfg_path.write_text(MINIMAL_CONFIG)
     rc = cli_main(["algebra-check", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 0
+
+
+@pytest.mark.parametrize(
+    "suite,section,key,raw",
+    [
+        ("equilibrium", "state", "e_f", "abc"),
+        ("dynamics-check", "drive", "s_min", "-1e3x"),
+        ("dynamics-check", "drive", "method", "rk5"),
+    ],
+)
+def test_cli_rejects_malformed_value_as_config_error(tmp_path, capsys, suite, section, key, raw):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(f"[{section}]\n{key} = {raw}\n[run]\nname = t\n")
+    rc = cli_main([suite, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error:") and f"{section}.{key}" in err
+    assert not (tmp_path / "out").exists()
 
 
 # suite -> (config, tolerance override that fails a gate, that gate's name)

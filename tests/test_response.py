@@ -144,18 +144,19 @@ def test_net_current_zero_field():
     model = make_torus((4, 4), 1, 4)
     state = EquilibriumState("projection", gap_fermi_level(model, 0.25))
     drive = DriveProtocol(1.0, (0.0, 0.0))
-    grid = TimeGrid(np.log(1e-12), 0.0, 0.02)
-    j = net_current(model, drive, state, grid)
+    grid = TimeGrid(np.log(1e-12), 0.02)
+    j = net_current(spectral_of(model), drive, state, grid)
     assert np.max(np.abs(j)) < 1e-12
 
 
 def test_net_current_odd_in_field():
     model = make_torus((4, 4), 1, 4)
     state = EquilibriumState("projection", gap_fermi_level(model, 0.25))
-    grid = TimeGrid(np.log(1e-10), 0.0, 0.01, truncation_tol=1e-10)
+    grid = TimeGrid(np.log(1e-10), 0.01, truncation_tol=1e-10)
     delta = 1e-2
-    j_plus = net_current(model, DriveProtocol(1.0, (0.0, delta)), state, grid)
-    j_minus = net_current(model, DriveProtocol(1.0, (0.0, -delta)), state, grid)
+    spectral = spectral_of(model)
+    j_plus = net_current(spectral, DriveProtocol(1.0, (0.0, delta)), state, grid)
+    j_minus = net_current(spectral, DriveProtocol(1.0, (0.0, -delta)), state, grid)
     even_part = np.max(np.abs(j_plus + j_minus))
     assert even_part < 10.0 * delta**2
 
@@ -166,12 +167,13 @@ def test_net_current_matches_streda_linear_response():
     e_f = gap_fermi_level(model, 1.0 / 3.0)
     state = EquilibriumState("projection", e_f)
     eta, emag = 0.35, 1e-3
-    grid = TimeGrid(np.log(1e-8) / eta, 0.0, 0.02, truncation_tol=1e-8)
+    grid = TimeGrid(np.log(1e-8) / eta, 0.02, truncation_tol=1e-8)
+    spectral = spectral_of(model)
     j = net_current(
-        model, DriveProtocol(eta, (0.0, emag)), state, grid,
+        spectral, DriveProtocol(eta, (0.0, emag)), state, grid,
         route="duhamel_integral", kernel="minimal_image",
     )
-    target = sigma_streda(fermi_projection(spectral_of(model), e_f))[0, 1].real * emag
+    target = sigma_streda(fermi_projection(spectral, e_f))[0, 1].real * emag
     assert abs(j[0] - target) < 0.05 * abs(target)
 
 
@@ -349,9 +351,10 @@ def test_fd_matches_resolvent_small_1d():
     e_f = gap_fermi_level(model, 0.5)
     state = EquilibriumState("projection", e_f)
     eta = 1.0
-    grid = TimeGrid(np.log(1e-10), 0.0, 0.005, truncation_tol=1e-10)
-    fd = sigma_finite_difference(model, state, eta, grid, delta_e=1e-3)
-    res = sigma_resolvent(ResponseBasis.of(spectral_of(model), state, "gauge_derivative"), eta)
+    grid = TimeGrid(np.log(1e-10), 0.005, truncation_tol=1e-10)
+    spectral = spectral_of(model)
+    fd = sigma_finite_difference(spectral, state, eta, grid, delta_e=1e-3)
+    res = sigma_resolvent(ResponseBasis.of(spectral, state, "gauge_derivative"), eta)
     assert np.max(np.abs(fd - res)) < 1e-3
 
 
