@@ -113,22 +113,12 @@ class TimeGrid:
 @dataclass
 class Propagator:
     matrix: np.ndarray
-    t: float
-    s: float
-    method: str
     unitarity_defect: float = 0.0
 
     @property
     def reversed(self) -> np.ndarray:
         """U(s, t) = U(t, s)^*."""
         return self.matrix.conj().T
-
-
-@dataclass
-class DensityMatrix:
-    rho: CovariantOperator
-    provenance: str  # "duhamel_integral" | "ode_liouville" | "conjugation"
-    t: float = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +280,9 @@ def propagate(
     eye = np.eye(model.n_sites, dtype=complex)
     march = _march(model, drive, grid, s, t, grid.n_steps(s, t), eye)
     if t == s:
-        return Propagator(next(march)[1], t, s, grid.method)
+        return Propagator(next(march)[1])
     _, u, _ = _final(march)
-    defect = float(np.linalg.norm(u.conj().T @ u - eye))
-    return Propagator(u, t, s, grid.method, unitarity_defect=defect)
+    return Propagator(u, float(np.linalg.norm(u.conj().T @ u - eye)))
 
 
 def free_propagator(spectral: SpectralData, tau: float) -> np.ndarray:
@@ -392,18 +381,19 @@ def evolve_density_duhamel(
     t: float,
     grid: TimeGrid,
     kernel: str = "gauge_derivative",
-) -> DensityMatrix:
-    """rho(t) = zeta(t) - i * integral_{s_min}^{t} e^{eta r_-} U(t,r) [E.x, zeta(r)] U(r,t) dr.
+) -> CovariantOperator:
+    """The driven state rho(t), symmetrized, from the integral formula
+    rho(t) = zeta(t) - i * integral_{s_min}^{t} e^{eta r_-} U(t,r) [E.x, zeta(r)] U(r,t) dr.
 
     The commutator with zeta(r) = f(H(r)) is taken spectrally at every node
     (torus consistent) and realized per `kernel` (see _drive_commutator);
     zeta(t) itself is built once, from the last node.  The default keeps
     the integral identity exact at finite volume so this route
-    cross-validates the Liouville integration to integrator accuracy.  One forward march of V(r) = U(r, s_min)
-    carries the propagator sandwich, and each node's Simpson term is added
-    as the march passes it, so memory is O(N^2) whatever the step count.
-    H(r) is decomposed once per node: a riemann_product march hands over
-    the decomposition its step makes.
+    cross-validates the Liouville integration to integrator accuracy.  One
+    forward march of V(r) = U(r, s_min) carries the propagator sandwich, and
+    each node's Simpson term is added as the march passes it, so memory is
+    O(N^2) whatever the step count.  H(r) is decomposed once per node: a
+    riemann_product march hands over the decomposition its step makes.
     """
     grid.validate(drive)
     s = grid.s_min
@@ -419,8 +409,7 @@ def evolve_density_duhamel(
         acc += weight * (v.conj().T @ m_r @ v)
     acc *= (t - s) / nsteps / 3.0
     rho = _zeta(state, eig) - 1j * (v @ acc @ v.conj().T)
-    rho = (rho + rho.conj().T) / 2.0
-    return DensityMatrix(CovariantOperator(rho, model, hermitian=True), "duhamel_integral", t)
+    return CovariantOperator((rho + rho.conj().T) / 2.0, model, hermitian=True)
 
 
 def density_path(
@@ -444,23 +433,19 @@ def evolve_density_ode(
     state: EquilibriumState,
     t: float,
     grid: TimeGrid,
-) -> DensityMatrix:
-    """Direct integration of i d(rho)/dt = [H(t), rho] from zeta = f(H) at
-    s_min, zeta built on the caller's decomposition `spectral` of H (no eigh)."""
+) -> CovariantOperator:
+    """The driven state rho(t), symmetrized, by direct integration of
+    i d(rho)/dt = [H(t), rho] from zeta = f(H) at s_min, zeta built on the
+    caller's decomposition `spectral` of H (no eigh)."""
     model = spectral.model
     _, rho = _final(density_path(model, drive, state.build(spectral).matrix, t, grid))
-    rho = (rho + rho.conj().T) / 2.0
-    return DensityMatrix(CovariantOperator(rho, model, hermitian=True), "ode_liouville", t)
+    return CovariantOperator((rho + rho.conj().T) / 2.0, model, hermitian=True)
 
 
-def conjugate_density(dm: DensityMatrix, prop: Propagator) -> DensityMatrix:
-    """rho(t) = U(t,s) rho(s) U(s,t)."""
-    rho = prop.matrix @ dm.rho.matrix @ prop.reversed
-    return DensityMatrix(
-        CovariantOperator((rho + rho.conj().T) / 2, dm.rho.model, hermitian=True),
-        "conjugation",
-        prop.t,
-    )
+def conjugate_density(rho: CovariantOperator, prop: Propagator) -> CovariantOperator:
+    """rho(t) = U(t,s) rho(s) U(s,t), symmetrized, for prop = U(t, s)."""
+    out = prop.matrix @ rho.matrix @ prop.reversed
+    return CovariantOperator((out + out.conj().T) / 2, rho.model, hermitian=True)
 
 
 # ---------------------------------------------------------------------------

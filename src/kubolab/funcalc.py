@@ -10,15 +10,15 @@ Pure functions throughout; the contour accumulation sums in a fixed node
 order so results are independent of scheduling.
 
 Importing this module needs numpy only.  scipy is loaded on first use by
-the two functions that call it: `fermi_dirac` (scipy.special.expit, for
-finite-temperature states) and `hs_norm` (scipy.integrate.quad, reached
-from the funcalc-check suite).
+the two functions that call it: `_occupation` at finite temperature
+(scipy.special.expit, for `fermi_dirac` states and their profile) and
+`hs_norm` (scipy.integrate.quad, reached from the funcalc-check suite).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,16 +106,24 @@ def fermi_projection(spectral: SpectralData, e_f: float) -> CovariantOperator:
             f"E_F={e_f} is within 1e-9 of an eigenvalue; nearest clean gap "
             f"edges are ({lo}, {hi})"
         )
-    return apply_spectral(spectral, lambda e: (e <= e_f).astype(float))
+    return apply_spectral(spectral, _occupation(e_f))
+
+
+def _occupation(e_f: float, beta: float | None = None):
+    """The occupation profile E -> f(E) that every Fermi state is built
+    from: the step E <= E_F for beta None, else 1 / (1 + e^{beta (E - E_F)})."""
+    if beta is None:
+        return lambda e: (np.asarray(e) <= e_f).astype(float)
+    from scipy.special import expit  # local, so that `import kubolab` needs numpy only
+
+    return lambda e: expit(-beta * (np.asarray(e) - e_f))
 
 
 def fermi_dirac(spectral: SpectralData, beta: float, e_f: float) -> CovariantOperator:
     """f(H) with f(E) = 1 / (1 + e^{beta (E - E_F)}), finite beta > 0."""
-    from scipy.special import expit  # local, so that `import kubolab` needs numpy only
-
     if not (0 < beta < np.inf):
         raise ValueError("beta must be finite and positive")
-    return apply_spectral(spectral, lambda e: expit(-beta * (e - e_f)))
+    return apply_spectral(spectral, _occupation(e_f, beta))
 
 
 @dataclass(frozen=True)
@@ -134,10 +142,8 @@ class EquilibriumState:
         raise ValueError(f"unknown equilibrium kind {self.kind!r}")
 
     def profile(self):
-        if self.kind == "projection":
-            return lambda e: (np.asarray(e) <= self.e_f).astype(float)
-        beta, e_f = self.beta, self.e_f
-        return lambda e: 1.0 / (1.0 + np.exp(np.clip(beta * (np.asarray(e) - e_f), -700, 700)))
+        """f(E), the same function `build` applies to the spectrum."""
+        return _occupation(self.e_f, None if self.kind == "projection" else self.beta)
 
     def profile_derivative(self):
         if self.kind == "projection":
@@ -312,17 +318,15 @@ class HSQuadrature:
             self.y_min = 0.5 * (self.y_max / self.ny)
 
     @classmethod
-    def for_spectrum(cls, e_lo, e_hi, order_m=3, nx=96, ny=None, margin=None, y_max=None):
+    def for_spectrum(cls, e_lo, e_hi, order_m=3, nx=96, margin=None):
         """Rectangle sized so the cutoff's transition band |y| in
         [<x>, 2<x>] is fully inside: that band carries an O(1) share of
         the contour mass."""
         width = max(e_hi - e_lo, 1.0)
         margin = margin if margin is not None else 0.75 * width
         x_edge = max(abs(e_lo - margin), abs(e_hi + margin))
-        y_max = y_max if y_max is not None else 2.05 * np.sqrt(1.0 + x_edge**2)
-        if ny is None:
-            hx = (e_hi - e_lo + 2 * margin) / nx
-            ny = max(8, int(np.ceil(y_max / hx)))
+        y_max = 2.05 * np.sqrt(1.0 + x_edge**2)
+        ny = max(8, int(np.ceil(y_max / ((e_hi - e_lo + 2 * margin) / nx))))
         return cls(order_m, e_lo - margin, e_hi + margin, y_max, nx, ny)
 
     def refine(self) -> "HSQuadrature":
@@ -412,8 +416,7 @@ def hs_apply(
             acc += w * res
     # real f: the lower half plane contributes the conjugate transpose
     result = acc + acc.conj().T
-    diagnostics = {"abs_convergence_surrogate": 2.0 * surrogate, "nodes": len(xs) * len(ys)}
-    return CovariantOperator(result, op.model), diagnostics
+    return CovariantOperator(result, op.model), {"abs_convergence_surrogate": 2.0 * surrogate}
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +470,6 @@ def spectral_position_commutator(
 class LocalizationReport:
     comm_norm2: list[float]
     decay_rate: float
-    r_squared: float
-    distances: np.ndarray = field(repr=False)
-    mean_weight: np.ndarray = field(repr=False)
-
-    @property
-    def localized(self) -> bool:
-        return self.decay_rate > 0
 
 
 def _pair_distances(model: LatticeModel) -> np.ndarray:
@@ -514,19 +510,14 @@ def localization_diagnostic(p: CovariantOperator) -> LocalizationReport:
         if np.any(mask):
             centers.append(lo + 0.5 if lo > 0 else 0.0)
             means.append(float(np.sqrt(np.mean(weight[mask]))))
-    centers = np.array(centers)
-    means = np.array(means)
-    rate, r2 = _fit_log_decay(centers, means)
-    return LocalizationReport(comm, rate, r2, centers, means)
+    return LocalizationReport(comm, _fit_log_decay(np.array(centers), np.array(means))[0])
 
 
 @dataclass
 class ResolventDecayReport:
-    z: complex
     rate: float
     r_squared: float
     exact_locality: bool
-    conditioning_warning: bool
 
 
 def combes_thomas_probe(op: CovariantOperator, z: complex) -> ResolventDecayReport:
@@ -539,17 +530,15 @@ def combes_thomas_probe(op: CovariantOperator, z: complex) -> ResolventDecayRepo
         raise ValueError("need Im z != 0")
     h = op.matrix
     n = h.shape[0]
-    cond_warn = False
     mat = h - z * np.eye(n)
     sv = np.linalg.svd(mat, compute_uv=False)
     if sv[-1] < 1e-12 * sv[0]:
-        cond_warn = True
         warnings.warn("resolvent solve is badly conditioned (z near spectrum)")
     res = np.linalg.solve(mat, np.eye(n, dtype=complex))
     off = res - np.diag(np.diag(res))
     if np.max(np.abs(off)) < 1e-14:
-        return ResolventDecayReport(z, np.inf, 1.0, True, cond_warn)
+        return ResolventDecayReport(np.inf, 1.0, True)
     dist = _pair_distances(op.model)
     mask = dist > 0.5
     rate, r2 = _fit_log_decay(dist[mask], np.abs(res[mask]))
-    return ResolventDecayReport(z, rate, r2, False, cond_warn)
+    return ResolventDecayReport(rate, r2, False)

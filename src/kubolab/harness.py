@@ -20,6 +20,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -124,6 +125,13 @@ def _integrator(s):
     return s
 
 
+def _eta_list(s):
+    etas = _parse_float_list(s)
+    if not etas or not all(eta > 0 for eta in etas) or len(set(etas)) != len(etas):
+        raise ValueError("must be non-empty, positive and without repeats")
+    return etas
+
+
 # (section, key) -> (parser, formatter, default)
 _SCHEMA = {
     ("model", "dimension"): (int, str, 2),
@@ -138,8 +146,7 @@ _SCHEMA = {
     ("state", "beta"): (float, repr, 10.0),
     ("state", "e_f"): (_auto_or_float, str, "auto"),
     ("state", "filling"): (float, repr, 1.0 / 3.0),
-    ("state", "assumption_form"): (str, str, "b"),
-    ("drive", "eta_list"): (_parse_float_list, _fmt_list, (1.0, 0.5, 0.25, 0.125)),
+    ("drive", "eta_list"): (_eta_list, _fmt_list, (1.0, 0.5, 0.25, 0.125)),
     ("drive", "field_magnitude"): (float, repr, 1e-3),
     ("drive", "field_axis"): (int, str, 2),  # 1-based axis label
     ("drive", "s_min"): (_auto_or_float, str, "auto"),
@@ -159,11 +166,23 @@ _SCHEMA = {
 _EXECUTION_ONLY = {("run", "name"), ("run", "output_dir"), ("run", "threads")}
 
 
-def _check_eta_list(etas):
-    if not etas or not all(eta > 0 for eta in etas) or len(set(etas)) != len(etas):
-        raise ConfigError(
-            f"drive.eta_list must be non-empty, positive and without repeats: {_fmt_list(etas)!r}"
-        )
+def _checked(key, value):
+    """`value` through the schema parser of `key`, on parse, construction and set alike."""
+    parser, fmt, _ = _SCHEMA[key]
+    try:
+        return parser(value if isinstance(value, str) else fmt(value))
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad value for {key[0]}.{key[1]}: {value!r} ({exc})") from exc
+
+
+@contextmanager
+def _building_from(*keys):
+    """Turns a ValueError (ConfigurationError included) raised while building
+    from these keys into a ConfigError that names them."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {', '.join(keys)}: {exc}") from exc
 
 
 @dataclass
@@ -171,13 +190,14 @@ class ExperimentConfig:
     values: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for key, (_, _, default) in _SCHEMA.items():
-            self.values.setdefault(key, default)
         unknown = set(self.values) - set(_SCHEMA)
         if unknown:
             sec, key = sorted(unknown)[0]
             raise ConfigError(f"unknown config key {sec}.{key}")
-        _check_eta_list(self.values[("drive", "eta_list")])
+        self.values = {
+            key: _checked(key, self.values.get(key, default))
+            for key, (_, _, default) in _SCHEMA.items()
+        }
 
     def __getitem__(self, key):
         return self.values[key]
@@ -185,9 +205,7 @@ class ExperimentConfig:
     def set(self, section, key, value):
         if (section, key) not in _SCHEMA:
             raise ConfigError(f"unknown config key {section}.{key}")
-        if (section, key) == ("drive", "eta_list"):
-            _check_eta_list(value)
-        self.values[(section, key)] = value
+        self.values[(section, key)] = _checked((section, key), value)
 
     # -- persistence ------------------------------------------------------
 
@@ -195,17 +213,7 @@ class ExperimentConfig:
     def parse(cls, text: str) -> "ExperimentConfig":
         cp = configparser.ConfigParser()
         cp.read_string(text)
-        values = {}
-        for section in cp.sections():
-            for key, raw in cp.items(section):
-                if (section, key) not in _SCHEMA:
-                    raise ConfigError(f"unknown config key {section}.{key}")
-                parser = _SCHEMA[(section, key)][0]
-                try:
-                    values[(section, key)] = parser(raw)
-                except Exception as exc:
-                    raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
-        return cls(values)
+        return cls({(sec, key): raw for sec in cp.sections() for key, raw in cp.items(sec)})
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -230,22 +238,23 @@ class ExperimentConfig:
     # -- derived objects ----------------------------------------------------
 
     def lattice_config(self) -> LatticeConfig:
-        return LatticeConfig(
-            self[("model", "dimension")],
-            self[("model", "sides")],
-            self[("model", "boundary")],
-        )
+        keys = ("dimension", "sides", "boundary")
+        with _building_from(*(f"model.{k}" for k in keys)):
+            return LatticeConfig(*(self[("model", k)] for k in keys))
 
     def flux(self) -> FluxSpec:
-        return FluxSpec(self[("model", "flux_p")], self[("model", "flux_q")])
+        with _building_from("model.flux_p", "model.flux_q"):
+            return FluxSpec(self[("model", "flux_p")], self[("model", "flux_q")])
 
     def disorder(self) -> DisorderSpec:
-        return DisorderSpec(self[("model", "disorder_w")], self[("model", "base_seed")])
+        with _building_from("model.disorder_w"):
+            return DisorderSpec(self[("model", "disorder_w")], self[("model", "base_seed")])
 
     def model_for(self, index: int) -> LatticeModel:
-        cfg = self.lattice_config()
+        cfg, flux = self.lattice_config(), self.flux()
         pot = sample_disorder(self.disorder(), index, cfg.n_sites)
-        return LatticeModel(cfg, self.flux(), pot)
+        with _building_from("model.dimension", "model.sides", "model.flux_q"):
+            return LatticeModel(cfg, flux, pot)
 
     def spectral_for(self, index: int) -> SpectralData:
         """The one eigendecomposition of realization `index`'s H."""
@@ -282,17 +291,21 @@ class ExperimentConfig:
         raw = self[("drive", "s_min")]
         tol = self[("drive", "truncation_tol")]
         s_min = float(np.log(tol) / eta) if raw == "auto" else float(raw)
-        return TimeGrid(s_min, self[("drive", "step")], self[("drive", "method")], truncation_tol=tol)
+        drive = self.drive_for(eta)  # its own ConfigError names drive.field_axis
+        with _building_from("drive.s_min", "drive.step", "drive.truncation_tol"):
+            grid = TimeGrid(s_min, self[("drive", "step")], self[("drive", "method")], tol)
+            grid.validate(drive)
+        return grid
 
     def tolerances(self) -> dict:
         tol = dict(THRESHOLDS)
-        raw = self[("run", "tolerance_overrides")]
-        for item in raw.split(","):
+        for item in self[("run", "tolerance_overrides")].split(","):
             if item.strip():
                 key, _, val = item.partition("=")
                 if key.strip() not in tol:
                     raise ConfigError(f"unknown tolerance {key.strip()!r}")
-                tol[key.strip()] = float(val)
+                with _building_from("run.tolerance_overrides"):
+                    tol[key.strip()] = float(val)
         return tol
 
 
@@ -321,10 +334,11 @@ class _OutputWriter:
 
     def __init__(self, out_dir: Path):
         self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.hashes = {}
 
     def write_text(self, name: str, text: str):
+        # the directory is made with the first file, so a run that fails first leaves none
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         data = text.encode()
         (self.out_dir / name).write_bytes(data)
         self.hashes[name] = hashlib.sha256(data).hexdigest()
@@ -369,7 +383,7 @@ def _mean_parts(values):
 
 _CELL_FAILURES = (
     DegenerateFermiLevelError, CoverageError, QuadratureAccuracyError,
-    StepSizeError, ConfigurationError, np.linalg.LinAlgError,
+    StepSizeError, np.linalg.LinAlgError,
 )
 
 
@@ -539,31 +553,28 @@ def _suite_hall(cfg: ExperimentConfig, writer: _OutputWriter, tol):
 def _suite_kubo_sweep(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     etas = sorted(cfg[("drive", "eta_list")], reverse=True)
     grid_for = cfg.grid_for if cfg[("drive", "include_fd")] else None
-    d = cfg[("model", "dimension")]
+    d, delta_e = cfg[("model", "dimension")], cfg[("drive", "delta_e")]
 
     def one(index):
         spectral = cfg.spectral_for(index)
-        reports = eta_sweep(
-            spectral, cfg.state_for(spectral), etas, grid_for, delta_e=cfg[("drive", "delta_e")]
-        )
-        return index, reports
+        return index, eta_sweep(spectral, cfg.state_for(spectral), etas, grid_for, delta_e)
 
     sweeps, cell_errors = _map_realizations(one, cfg)
+    # per realization: the Streda tensor, the resolvent, Kubo and FD stacks, the FD gaps
+    streda, res, kubo, fd, fd_gap = ([sweep[i] for _, sweep in sweeps] for i in range(5))
     raw_rows = []
     for e, eta in enumerate(etas):  # eta-major rows
-        for index, reports in sweeps:
-            rep = reports[e]
-            res, kubo, streda, fd = rep.sigma_resolvent, rep.sigma_kubo, rep.sigma_streda, rep.sigma_fd
+        for r, (index, _) in enumerate(sweeps):
             for j in range(d):
                 for k in range(d):
                     raw_rows.append(
                         [
                             eta, index, j + 1, k + 1,
-                            res[j, k].real, res[j, k].imag,
-                            kubo[j, k].real, kubo[j, k].imag,
-                            streda[j, k].real, streda[j, k].imag,
-                            fd[j, k].real if fd is not None else "",
-                            fd[j, k].imag if fd is not None else "",
+                            res[r][e, j, k].real, res[r][e, j, k].imag,
+                            kubo[r][e, j, k].real, kubo[r][e, j, k].imag,
+                            streda[r][j, k].real, streda[r][j, k].imag,
+                            fd[r][e, j, k].real if fd[r] is not None else "",
+                            fd[r][e, j, k].imag if fd[r] is not None else "",
                         ]
                     )
     writer.write_csv(
@@ -579,31 +590,27 @@ def _suite_kubo_sweep(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     ens_rows, checks, gaps = [], [], {}
     t_kubo, t_fd, t_final = tol["kubo_vs_resolvent"], tol["fd_vs_resolvent"], tol["eta_sweep_final_gap"]
     for e, eta in enumerate(etas if sweeps else ()):  # no ensemble when every cell failed
-        sub = [reports[e] for _, reports in sweeps]
         for j in range(d):
             for k in range(d):
-                fd = [r.sigma_fd[j, k] for r in sub if r.sigma_fd is not None]
-                res = [r.sigma_resolvent[j, k] for r in sub]
-                res_mean, stderr = ensemble_average(np.real(res))
-                streda_mean, streda_im = _mean_parts([r.sigma_streda[j, k] for r in sub])
+                fd_jk = [f[e, j, k] for f in fd if f is not None]
+                res_jk = [rs[e, j, k] for rs in res]
+                res_mean, stderr = ensemble_average(np.real(res_jk))
+                streda_mean, streda_im = _mean_parts([st[j, k] for st in streda])
                 ens_rows.append(
                     [
                         eta, j + 1, k + 1,
-                        *(_mean_parts(fd) if fd else ("", "")),
-                        *_mean_parts([r.sigma_kubo[j, k] for r in sub]),
-                        res_mean, ensemble_average(np.imag(res))[0],
+                        *(_mean_parts(fd_jk) if fd_jk else ("", "")),
+                        *_mean_parts([kb[e, j, k] for kb in kubo]),
+                        res_mean, ensemble_average(np.imag(res_jk))[0],
                         streda_mean, streda_im,
-                        len(sub), stderr if stderr is not None else "",
+                        len(sweeps), stderr if stderr is not None else "",
                     ]
                 )
                 if j != k:
                     gaps.setdefault((j, k), []).append(abs(res_mean - streda_mean))
-        kubo_gap = max(float(np.max(np.abs(r.sigma_kubo - r.sigma_resolvent))) for r in sub)
+        kubo_gap = max(float(np.max(np.abs(kb[e] - rs[e]))) for kb, rs in zip(kubo, res))
         checks.append(Check("kubo_vs_resolvent", kubo_gap, t_kubo, kubo_gap <= t_kubo))
-        for r in sub:
-            fd_gap = r.diagnostics.get("fd_vs_resolvent")
-            if fd_gap is not None:
-                checks.append(Check("fd_vs_resolvent", fd_gap, t_fd, fd_gap <= t_fd))
+        checks += [Check("fd_vs_resolvent", g[e], t_fd, g[e] <= t_fd) for g in fd_gap if g]
     writer.write_csv(
         "kubo_sweep.csv",
         [
@@ -643,8 +650,8 @@ def _suite_dynamics(cfg: ExperimentConfig, writer: _OutputWriter, tol):
             defect = float(np.linalg.norm(rho_t @ rho_t - rho_t))
             timeseries.append([r, n.norm1, n.norm2, n.norminf, defect])
 
-    dm_duh = evolve_density_duhamel(model, drive, state, 0.0, grid)
-    diff = norm2(CovariantOperator(rho_ode.matrix - dm_duh.rho.matrix, model))
+    rho_duh = evolve_density_duhamel(model, drive, state, 0.0, grid)
+    diff = norm2(CovariantOperator(rho_ode.matrix - rho_duh.matrix, model))
     min_eig = float(np.linalg.eigvalsh(rho_ode.matrix)[0])
     checks = [
         Check.below("density_route_agreement", diff, tol["density_route_agreement"]),
@@ -758,10 +765,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
     experiment = cfg[("run", "experiment")]
     if experiment not in _SUITE_FN:
         raise ConfigError(f"unknown experiment {experiment!r}; choose from {SUITES}")
+    tol = cfg.tolerances()
     out = Path(out_dir) if out_dir is not None else Path(cfg[("run", "output_dir")])
     writer = _OutputWriter(out / cfg[("run", "name")])
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
-    summary, checks = _SUITE_FN[experiment](cfg, writer, cfg.tolerances())
+    try:
+        summary, checks = _SUITE_FN[experiment](cfg, writer, tol)
+    except ConfigurationError as exc:  # values that each parse but do not fit together
+        raise ConfigError(f"{experiment}: {exc}") from exc
     finished = time.strftime("%Y-%m-%dT%H:%M:%S")
     violations = [c for c in checks if not c.passed]
     violations += [Check("cell_error", msg, "", False) for msg in summary.get("cell_errors", ())]

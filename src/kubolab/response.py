@@ -18,7 +18,7 @@ computation; callers may parallelize over realizations freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -35,7 +35,6 @@ from .funcalc import (
 from .dynamics import (
     DriveProtocol,
     TimeGrid,
-    evolve_density_duhamel,
     evolve_density_ode,
     hamiltonian_at,
     velocity_at,
@@ -115,34 +114,23 @@ def _realness_guard(values: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
 
 def net_current(
-    spectral: SpectralData,
-    drive: DriveProtocol,
-    state: EquilibriumState,
-    grid: TimeGrid,
-    route: str = "ode_liouville",
-    kernel: str = "gauge_derivative",
+    rho: CovariantOperator, drive: DriveProtocol, state: EquilibriumState
 ) -> np.ndarray:
-    """Net current J_j = T(v_j(0) (rho(0) - zeta(0))), v(0) the velocity of
-    the driven Hamiltonian at t = 0, for the model of `spectral`.
+    """Net current J_j = T(v_j(0) (rho - zeta(0))) of the driven state
+    rho = rho(0), which the caller evolves by either density route; v(0) is
+    the velocity of the driven Hamiltonian at t = 0 and zeta(0) the state
+    built on H(0), the one decomposition made here.
 
     The difference form subtracts the instantaneous equilibrium current of
     H(0); on the finite torus the drive phases act as a boundary twist, so
     this form (rather than subtracting the undriven T(v_j zeta)) is the one
     whose E-derivative matches the response formulas.  The two agree in the
     infinite-volume limit, where the equilibrium current vanishes at every
-    twist.  The ODE route starts from zeta built on `spectral`, the caller's
-    decomposition of H; the one made here is that of H(0).
+    twist.
     """
-    model = spectral.model
+    model = rho.model
     d = model.config.dimension
-    if route == "ode_liouville":
-        rho = evolve_density_ode(spectral, drive, state, 0.0, grid).rho
-    elif route == "duhamel_integral":
-        rho = evolve_density_duhamel(model, drive, state, 0.0, grid, kernel=kernel).rho
-    else:
-        raise ValueError(f"unknown dynamics route {route!r}")
-    spectral0 = SpectralData.from_operator(hamiltonian_at(model, drive, 0.0))
-    zeta0 = state.build(spectral0)
+    zeta0 = state.build(SpectralData.from_operator(hamiltonian_at(model, drive, 0.0)))
     out = np.zeros(d, dtype=complex)
     for j in range(d):
         v0 = velocity_at(model, drive, 0.0, j).matrix
@@ -150,14 +138,12 @@ def net_current(
     return _realness_guard(out)
 
 
-def equilibrium_current(spectral: SpectralData, state_or_profile) -> np.ndarray:
-    """T(D_j f(H)) per axis, D_j = v_j / 2; vanishes for clean models and
-    in ensemble mean for disordered ones."""
+def equilibrium_current(spectral: SpectralData, state: EquilibriumState) -> np.ndarray:
+    """T(D_j zeta) per axis, D_j = v_j / 2, zeta the state built on
+    `spectral`; vanishes for clean models and in ensemble mean for
+    disordered ones."""
     model = spectral.model
-    if isinstance(state_or_profile, EquilibriumState):
-        zeta = state_or_profile.build(spectral).matrix
-    else:
-        zeta = apply_spectral(spectral, state_or_profile).matrix
+    zeta = state.build(spectral).matrix
     d = model.config.dimension
     out = np.zeros(d, dtype=complex)
     for j in range(d):
@@ -280,16 +266,18 @@ def sigma_finite_difference(
     delta_e: float = 1e-3,
 ) -> np.ndarray:
     """Central difference of the net current over +- delta_e along each axis;
-    the Liouville dynamics runs per evaluation, from zeta built on `spectral`
-    (see net_current), so each of the 2d evaluations decomposes only H(0)."""
+    the Liouville dynamics runs per evaluation, from zeta built on `spectral`,
+    so each of the 2d evaluations decomposes only H(0) (see net_current)."""
+    def current(field):
+        drive = DriveProtocol(eta, tuple(field))
+        return net_current(evolve_density_ode(spectral, drive, state, 0.0, grid), drive, state)
+
     d = spectral.model.config.dimension
     sigma = np.zeros((d, d))
     for k in range(d):
         e_plus = np.zeros(d)
         e_plus[k] = delta_e
-        j_plus = net_current(spectral, DriveProtocol(eta, tuple(e_plus)), state, grid)
-        j_minus = net_current(spectral, DriveProtocol(eta, tuple(-e_plus)), state, grid)
-        sigma[:, k] = (j_plus - j_minus) / (2.0 * delta_e)
+        sigma[:, k] = (current(e_plus) - current(-e_plus)) / (2.0 * delta_e)
     return sigma.astype(complex)
 
 
@@ -426,30 +414,8 @@ def chern_number_fhs(p: int, q: int, n_occ: int, nk1: int = 18, nk2: int = 18) -
 
 
 # ---------------------------------------------------------------------------
-# report and sweep
+# sweep
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class ResponseReport:
-    eta: float
-    sigma_resolvent: np.ndarray
-    sigma_streda: np.ndarray | None = None
-    sigma_kubo: np.ndarray | None = None
-    sigma_fd: np.ndarray | None = None
-    diagnostics: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name in ("sigma_resolvent", "sigma_kubo", "sigma_fd"):
-            mat = getattr(self, name)
-            if mat is not None:
-                resid = float(np.max(np.abs(np.asarray(mat).imag)))
-                self.diagnostics.setdefault("imag_residues", {})[name] = resid
-        if self.sigma_streda is not None:
-            s = np.asarray(self.sigma_streda)
-            self.diagnostics["streda_antisymmetry_defect"] = float(
-                np.max(np.abs(s + s.T))
-            )
 
 
 def eta_sweep(
@@ -458,36 +424,25 @@ def eta_sweep(
     etas,
     grid_for=None,
     delta_e: float = 1e-3,
-) -> list[ResponseReport]:
-    """Resolvent and Kubo conductivity of one realization along a strictly
-    descending eta list, with its Streda value (computed once) attached for
-    the gap comparison.  The response basis is built once; each eta builds
-    only its kernels.
+):
+    """(streda, resolvent, kubo, fd, fd_gap) of one realization along a
+    strictly descending eta list: the d x d Streda tensor, once, and one
+    d x d resolvent and Kubo array per eta, from one response basis.
 
-    With `grid_for` (eta -> TimeGrid) the finite difference of the real
-    dynamics runs too, and its gap to the gauge-derivative resolvent, the
-    response formula on the same finite-volume kernel, is recorded as the
-    `fd_vs_resolvent` diagnostic."""
+    With `grid_for` (eta -> TimeGrid), `fd` holds the finite difference of
+    the real dynamics per eta, and `fd_gap` its max gap to the
+    gauge-derivative resolvent, the response formula on the same
+    finite-volume kernel; without it both are None."""
     etas = list(etas)
     if any(e <= 0 for e in etas) or any(b >= a for a, b in zip(etas, etas[1:])):
         raise ValueError("etas must be positive and strictly descending")
     streda = sigma_streda(fermi_projection(spectral, state.e_f))
     basis = ResponseBasis.of(spectral, state)
-    fd_basis = None if grid_for is None else ResponseBasis.of(spectral, state, "gauge_derivative")
-    out = []
-    for eta in etas:
-        rep = ResponseReport(
-            eta=eta,
-            sigma_resolvent=sigma_resolvent(basis, eta),
-            sigma_streda=streda,
-            sigma_kubo=sigma_kubo_integral(basis, eta),
-        )
-        if fd_basis is not None:
-            rep.sigma_fd = sigma_finite_difference(spectral, state, eta, grid_for(eta), delta_e=delta_e)
-            fd_ref = sigma_resolvent(fd_basis, eta)
-            rep.diagnostics["fd_vs_resolvent"] = float(np.max(np.abs(rep.sigma_fd - fd_ref)))
-        rep.diagnostics["gap_to_streda"] = float(
-            np.max(np.abs(rep.sigma_resolvent - streda))
-        )
-        out.append(rep)
-    return out
+    resolvent = np.array([sigma_resolvent(basis, eta) for eta in etas])
+    kubo = np.array([sigma_kubo_integral(basis, eta) for eta in etas])
+    if grid_for is None:
+        return streda, resolvent, kubo, None, None
+    fd_basis = ResponseBasis.of(spectral, state, "gauge_derivative")
+    fd = np.array([sigma_finite_difference(spectral, state, e, grid_for(e), delta_e) for e in etas])
+    fd_gap = [float(np.max(np.abs(f - sigma_resolvent(fd_basis, eta)))) for f, eta in zip(fd, etas)]
+    return streda, resolvent, kubo, fd, fd_gap

@@ -8,6 +8,7 @@ measured value so the suite doubles as a report.
 import time
 
 import numpy as np
+import pytest
 
 from kubolab.acceptance import THRESHOLDS as TOL
 from kubolab.model import (
@@ -108,6 +109,7 @@ def test_criterion_1_hall_quantization():
 # -- 2. three-method agreement ---------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_2_three_method_agreement():
     pot = sample_disorder(DisorderSpec(0.5, 42), 0, 64)
     model = LatticeModel(LatticeConfig(2, (8, 8), "torus"), FluxSpec(1, 4), pot)
@@ -139,10 +141,10 @@ def test_criterion_2_three_method_agreement():
 
 def test_criterion_3_eta_to_zero():
     model, e_f = clean_flux_third(12)
-    reports = eta_sweep(
+    streda, res, _, _, _ = eta_sweep(
         spectral_of(model), EquilibriumState("projection", e_f), list(TOL["eta_sweep_values"])
     )
-    gaps = [r.diagnostics["gap_to_streda"] for r in reports]
+    gaps = [float(np.max(np.abs(r - streda))) for r in res]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < TOL["eta_sweep_final_gap"]
     report(
@@ -154,6 +156,7 @@ def test_criterion_3_eta_to_zero():
 # -- 4. Liouville dynamics ----------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_4_liouville_dynamics():
     model, e_f = clean_flux_third(6)
     state = EquilibriumState("projection", e_f)
@@ -162,17 +165,17 @@ def test_criterion_4_liouville_dynamics():
     spectral = SpectralData.from_operator(build_hamiltonian(model))
     duh = evolve_density_duhamel(model, drive, state, 0.0, grid)
     ode = evolve_density_ode(spectral, drive, state, 0.0, grid)
-    agreement = norm2(CovariantOperator(duh.rho.matrix - ode.rho.matrix, model))
+    agreement = norm2(CovariantOperator(duh.matrix - ode.matrix, model))
     assert agreement < TOL["density_route_agreement"]
 
     zeta = state.build(spectral)
-    conservation = abs(norm2(ode.rho) - norm2(zeta))
+    conservation = abs(norm2(ode) - norm2(zeta))
     assert conservation < TOL["density_norm_conservation"]
 
-    defect = float(np.linalg.norm(ode.rho.matrix @ ode.rho.matrix - ode.rho.matrix))
+    defect = float(np.linalg.norm(ode.matrix @ ode.matrix - ode.matrix))
     assert defect < TOL["density_projection_defect"]
 
-    min_eig = float(np.linalg.eigvalsh(ode.rho.matrix)[0])
+    min_eig = float(np.linalg.eigvalsh(ode.matrix)[0])
     assert min_eig >= TOL["density_min_eigenvalue"]
     report(
         "4 liouville",
@@ -251,6 +254,7 @@ def test_criterion_7_equilibrium_current():
 # -- 8. contour functional calculus --------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_8_helffer_sjostrand():
     rng = np.random.default_rng(11)
     model = make_chain(32, "open")

@@ -319,7 +319,7 @@ def test_rk4_midpoint_reuse_keeps_bytes():
     ref = _rk4_four_assemblies(
         lambda r: _h_phasing_every_hop(model, drive, r), liouville, S_MIN, zeta, (0.0 - S_MIN) / n, n
     )
-    rho = evolve_density_ode(spectral, drive, state, 0.0, grid).rho.matrix
+    rho = evolve_density_ode(spectral, drive, state, 0.0, grid).matrix
     assert rho.tobytes() == ((ref + ref.conj().T) / 2.0).tobytes()
 
 
@@ -368,8 +368,8 @@ def test_density_zero_field_stays_equilibrium():
     grid = TimeGrid(S_MIN, 0.02)
     spectral = spectral_of(model)
     zeta = state.build(spectral).matrix
-    ode = evolve_density_ode(spectral, drive, state, 0.0, grid).rho.matrix
-    duh = evolve_density_duhamel(model, drive, state, 0.0, grid).rho.matrix
+    ode = evolve_density_ode(spectral, drive, state, 0.0, grid).matrix
+    duh = evolve_density_duhamel(model, drive, state, 0.0, grid).matrix
     assert np.linalg.norm(ode - zeta) < 1e-10
     assert np.linalg.norm(duh - zeta) < 1e-10
 
@@ -439,7 +439,7 @@ def test_streaming_duhamel_matches_stored_slices(method, kernel):
     model, state = _gapped_torus_state()
     drive = DriveProtocol(4.0, (0.0, 0.1))
     grid = TimeGrid(np.log(1e-12) / 4.0, 0.02, method)
-    rho = evolve_density_duhamel(model, drive, state, 0.0, grid, kernel=kernel).rho.matrix
+    rho = evolve_density_duhamel(model, drive, state, 0.0, grid, kernel=kernel).matrix
     ref = _duhamel_stored_slices(model, drive, state, 0.0, grid, kernel)
     assert np.linalg.norm(rho - ref) <= 1e-12
 
@@ -449,7 +449,7 @@ def test_duhamel_decomposes_each_node_once(method, monkeypatch):
     model, state = _gapped_torus_state()
     drive = DriveProtocol(4.0, (0.0, 0.1))
     grid = TimeGrid(np.log(1e-12) / 4.0, 0.02, method)
-    rho = evolve_density_duhamel(model, drive, state, 0.0, grid).rho.matrix
+    rho = evolve_density_duhamel(model, drive, state, 0.0, grid).matrix
 
     # the same sum with H(r_k) decomposed afresh at every node
     march = dynamics._march
@@ -460,7 +460,7 @@ def test_duhamel_decomposes_each_node_once(method, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(dynamics, "_march", without_handover)
-        fresh = evolve_density_duhamel(model, drive, state, 0.0, grid).rho.matrix
+        fresh = evolve_density_duhamel(model, drive, state, 0.0, grid).matrix
     assert rho.tobytes() == fresh.tobytes()
 
     if method == "riemann_product":
@@ -519,12 +519,13 @@ def test_duhamel_memory_flat_in_step_count():
     assert peaks[1] <= 1.1 * peaks[0]
 
 
+@pytest.mark.slow
 def test_density_routes_agree():
     model, state = _gapped_torus_state()
     drive = DriveProtocol(1.0, (0.0, 0.1))
     grid = TimeGrid(S_MIN, 0.01)
-    duh = evolve_density_duhamel(model, drive, state, 0.0, grid).rho
-    ode = evolve_density_ode(spectral_of(model), drive, state, 0.0, grid).rho
+    duh = evolve_density_duhamel(model, drive, state, 0.0, grid)
+    ode = evolve_density_ode(spectral_of(model), drive, state, 0.0, grid)
     assert norm2(CovariantOperator(duh.matrix - ode.matrix, model)) < 1e-8
 
 
@@ -534,7 +535,7 @@ def test_density_trace_and_norms_conserved():
     grid = TimeGrid(S_MIN, 0.01)
     spectral = spectral_of(model)
     zeta = state.build(spectral)
-    rho = evolve_density_ode(spectral, drive, state, 0.0, grid).rho
+    rho = evolve_density_ode(spectral, drive, state, 0.0, grid)
     assert abs(trace_per_unit_volume(rho) - trace_per_unit_volume(zeta)) < 1e-10
     nz, nr = norms(zeta), norms(rho)
     assert abs(nz.norm1 - nr.norm1) < 1e-8
@@ -545,7 +546,7 @@ def test_density_trace_and_norms_conserved():
 def test_density_projection_preserved_and_nonnegative():
     model, state = _gapped_torus_state()
     drive = DriveProtocol(1.0, (0.0, 0.1))
-    rho = evolve_density_ode(spectral_of(model), drive, state, 0.0, TimeGrid(S_MIN, 0.01)).rho
+    rho = evolve_density_ode(spectral_of(model), drive, state, 0.0, TimeGrid(S_MIN, 0.01))
     assert np.linalg.norm(rho.matrix @ rho.matrix - rho.matrix) < 1e-8
     assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-10
 
@@ -559,8 +560,7 @@ def test_density_conjugation_consistency():
     rho_t = evolve_density_ode(spectral, drive, state, 0.0, grid)
     prop = propagate(model, drive, 0.0, -1.0, TimeGrid(S_MIN, 0.01, "ode_rk4"))
     conj = conjugate_density(rho_s, prop)
-    assert norm2(CovariantOperator(conj.rho.matrix - rho_t.rho.matrix, model)) < 1e-8
-    assert conj.provenance == "conjugation"
+    assert norm2(CovariantOperator(conj.matrix - rho_t.matrix, model)) < 1e-8
 
 
 def test_initial_condition_recovery():
@@ -590,8 +590,9 @@ def test_density_covariance_under_magnetic_translation():
     grid = TimeGrid(S_MIN, 0.02)
     a = (1, 2)
     u = magnetic_translation(model, a).matrix
-    rho = evolve_density_ode(spectral_of(model), drive, state, 0.0, grid).rho.matrix
-    rho_shift = evolve_density_ode(spectral_of(shift_disorder(model, a)), drive, state, 0.0, grid).rho.matrix
+    rho = evolve_density_ode(spectral_of(model), drive, state, 0.0, grid).matrix
+    shifted = spectral_of(shift_disorder(model, a))
+    rho_shift = evolve_density_ode(shifted, drive, state, 0.0, grid).matrix
     assert np.linalg.norm(u @ rho @ u.conj().T - rho_shift) < 1e-10
 
 
@@ -602,7 +603,7 @@ def test_positive_time_branch_sane():
     grid = TimeGrid(S_MIN, 0.01)
     spectral = spectral_of(model)
     zeta = state.build(spectral)
-    rho = evolve_density_ode(spectral, drive, state, 1.0, grid).rho
+    rho = evolve_density_ode(spectral, drive, state, 1.0, grid)
     assert abs(norm2(rho) - norm2(zeta)) < 1e-8
 
 
@@ -618,6 +619,7 @@ def test_gauge_equivalence_zero_field():
     assert disc < 1e-12
 
 
+@pytest.mark.slow
 def test_gauge_equivalence_open_chain(rng):
     model = make_chain(8, "open")
     drive = DriveProtocol(1.0, (0.2,))

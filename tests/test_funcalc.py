@@ -156,6 +156,20 @@ def test_equilibrium_state_builders(spectral):
     assert evals.min() > 0.0 and evals.max() < 1.0
 
 
+@pytest.mark.parametrize("kind", ["projection", "fermi_dirac"])
+def test_profile_is_the_built_occupation_bit_for_bit(kind, monkeypatch):
+    # the Duhamel zeta(r) and the gauge-derivative basis read profile(); build
+    # applies its own f(E) to the spectrum; both must be one function
+    energies = np.linspace(-4.0, 4.0, 100_001)
+    state = EquilibriumState(kind, -0.50003, 3.0)
+    applied = []
+    monkeypatch.setattr(
+        "kubolab.funcalc.apply_spectral", lambda sp, f: applied.append(f(sp.eigenvalues))
+    )
+    state.build(SpectralData(energies, None, None))
+    assert np.array_equal(state.profile()(energies), applied[0])
+
+
 # -- smooth functions and norms -----------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import configparser
 import csv
 import json
 import math
@@ -226,6 +227,7 @@ name = t
 """
 
 
+@pytest.mark.slow
 def test_dynamics_suite_gates_timeseries_and_determinism(tmp_path):
     cfg = ExperimentConfig.parse(DYNAMICS_TINY)
     first = run_experiment(cfg, out_dir=tmp_path / "a")
@@ -241,7 +243,7 @@ def test_dynamics_suite_gates_timeseries_and_determinism(tmp_path):
         last = list(csv.DictReader(fh))[-1]
     spectral = cfg.spectral_for(0)
     state = cfg.state_for(spectral)
-    rho = evolve_density_ode(spectral, cfg.drive_for(4.0), state, 0.0, cfg.grid_for(4.0)).rho
+    rho = evolve_density_ode(spectral, cfg.drive_for(4.0), state, 0.0, cfg.grid_for(4.0))
     n = norms(rho)
     assert float(last["t"]) == 0.0
     assert [float(last[c]) for c in ("norm1", "norm2", "norminf")] == [n.norm1, n.norm2, n.norminf]
@@ -394,22 +396,57 @@ def test_cli_runs_and_exits_zero(tmp_path):
     assert rc == 0
 
 
+# the base each kubo-sweep case starts from: its finite-difference route runs
+# in well under a second when the config is sound
+CONFIG_ERROR_BASES = {
+    "kubo-sweep": (
+        "[model]\ndimension = 2\nsides = 4,4\nflux_p = 1\nflux_q = 4\n"
+        "disorder_w = 0.5\nbase_seed = 11\n"
+        "[state]\nfilling = 0.25\n"
+        "[drive]\neta_list = 4.0\ninclude_fd = true\n"
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "suite,section,key,raw",
     [
         ("equilibrium", "state", "e_f", "abc"),
         ("dynamics-check", "drive", "s_min", "-1e3x"),
         ("dynamics-check", "drive", "method", "rk5"),
+        # values that each parse, but that the lattice or the time grid rejects
+        ("kubo-sweep", "model", "sides", "6"),
+        ("hall", "model", "sides", "6"),
+        ("kubo-sweep", "drive", "step", "-0.01"),
+        ("kubo-sweep", "drive", "s_min", "-3"),
+        ("algebra-check", "run", "tolerance_overrides", "algebra_identity=abc"),
     ],
 )
 def test_cli_rejects_malformed_value_as_config_error(tmp_path, capsys, suite, section, key, raw):
+    parser = configparser.ConfigParser()
+    parser.read_string(CONFIG_ERROR_BASES.get(suite, ""))
+    parser.read_dict({"run": {"name": "t"}})
+    parser.read_dict({section: {key: raw}})
     cfg_path = tmp_path / "cfg.ini"
-    cfg_path.write_text(f"[{section}]\n{key} = {raw}\n[run]\nname = t\n")
+    with cfg_path.open("w") as fh:
+        parser.write(fh)
     rc = cli_main([suite, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("config error:") and f"{section}.{key}" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_set_and_constructor_run_the_schema_parser():
+    # the parser's own reason is kept in the message
+    with pytest.raises(ConfigError, match=r"drive\.method.*choose from"):
+        small_config().set("drive", "method", "rk5")
+    with pytest.raises(ConfigError, match=r"drive\.method.*choose from"):
+        ExperimentConfig({("drive", "method"): "rk5"})
+    with pytest.raises(ConfigError, match=r"model\.dimension.*invalid literal"):
+        ExperimentConfig.parse("[model]\ndimension = two\n")
+    cfg = small_config({("model", "sides"): [6, 6], ("drive", "s_min"): -30.0})
+    assert cfg[("model", "sides")] == (6, 6) and cfg[("drive", "s_min")] == "-30.0"
 
 
 # suite -> (config, tolerance override that fails a gate, that gate's name)
@@ -423,7 +460,10 @@ FAILING_GATE_CASES = {
 }
 
 
-@pytest.mark.parametrize("suite", SUITES)
+@pytest.mark.parametrize(
+    "suite",
+    [pytest.param(s, marks=pytest.mark.slow) if s == "funcalc-check" else s for s in SUITES],
+)
 def test_cli_check_mode_flags_violations(tmp_path, capsys, suite):
     # every suite's violations are [name, value, tolerance, passed] records,
     # printed field by field

@@ -1,7 +1,8 @@
 """The import graph: `import kubolab` needs numpy only.
 
-scipy is loaded by `fermi_dirac` and `hs_norm` alone, on first use, and the
-zero-temperature suites never reach either.  numpy.random is loaded with
+scipy is loaded by the Fermi-Dirac occupation (`fermi_dirac` and a
+finite-temperature state's profile) and `hs_norm` alone, on first use, and
+the zero-temperature suites never reach either.  numpy.random is loaded with
 the package, so that a suite's first disorder draw imports nothing.  Each
 check runs in a fresh interpreter, because this test process has long
 since imported everything.
@@ -13,6 +14,8 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 from kubolab.funcalc import SpectralData, fermi_dirac, gaussian_function, hs_norm
 from kubolab.model import CovariantOperator
@@ -99,6 +102,7 @@ def _probe(tmp_path):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+@pytest.mark.slow
 def test_zero_temperature_suites_never_load_scipy(tmp_path):
     facts = _probe(tmp_path)
 

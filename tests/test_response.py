@@ -17,12 +17,13 @@ from kubolab.funcalc import (
     position_commutator,
     spectral_position_commutator,
 )
-from kubolab.dynamics import DriveProtocol, TimeGrid
+from kubolab.dynamics import (
+    DriveProtocol, TimeGrid, evolve_density_duhamel, evolve_density_ode,
+)
 from kubolab.opspace import hs_inner
 from kubolab.response import (
     LiouvillianRep,
     ResponseBasis,
-    ResponseReport,
     chern_number_fhs,
     equilibrium_current,
     eta_sweep,
@@ -145,7 +146,7 @@ def test_net_current_zero_field():
     state = EquilibriumState("projection", gap_fermi_level(model, 0.25))
     drive = DriveProtocol(1.0, (0.0, 0.0))
     grid = TimeGrid(np.log(1e-12), 0.02)
-    j = net_current(spectral_of(model), drive, state, grid)
+    j = net_current(evolve_density_ode(spectral_of(model), drive, state, 0.0, grid), drive, state)
     assert np.max(np.abs(j)) < 1e-12
 
 
@@ -155,8 +156,12 @@ def test_net_current_odd_in_field():
     grid = TimeGrid(np.log(1e-10), 0.01, truncation_tol=1e-10)
     delta = 1e-2
     spectral = spectral_of(model)
-    j_plus = net_current(spectral, DriveProtocol(1.0, (0.0, delta)), state, grid)
-    j_minus = net_current(spectral, DriveProtocol(1.0, (0.0, -delta)), state, grid)
+
+    def current(drive):
+        return net_current(evolve_density_ode(spectral, drive, state, 0.0, grid), drive, state)
+
+    j_plus = current(DriveProtocol(1.0, (0.0, delta)))
+    j_minus = current(DriveProtocol(1.0, (0.0, -delta)))
     even_part = np.max(np.abs(j_plus + j_minus))
     assert even_part < 10.0 * delta**2
 
@@ -169,10 +174,9 @@ def test_net_current_matches_streda_linear_response():
     eta, emag = 0.35, 1e-3
     grid = TimeGrid(np.log(1e-8) / eta, 0.02, truncation_tol=1e-8)
     spectral = spectral_of(model)
-    j = net_current(
-        spectral, DriveProtocol(eta, (0.0, emag)), state, grid,
-        route="duhamel_integral", kernel="minimal_image",
-    )
+    drive = DriveProtocol(eta, (0.0, emag))
+    rho = evolve_density_duhamel(model, drive, state, 0.0, grid, kernel="minimal_image")
+    j = net_current(rho, drive, state)
     target = sigma_streda(fermi_projection(spectral, e_f))[0, 1].real * emag
     assert abs(j[0] - target) < 0.05 * abs(target)
 
@@ -473,13 +477,35 @@ def test_eta_sweep_consistency_and_monotonicity():
     e_f = gap_fermi_level(model, 1.0 / 3.0)
     state = EquilibriumState("projection", e_f)
     spectral = spectral_of(model)
-    reports = eta_sweep(spectral, state, [1.0, 0.5, 0.25])
-    single = sigma_resolvent(ResponseBasis.of(spectral, state), 0.5)
-    assert np.allclose(reports[1].sigma_resolvent, single)
-    gaps = [r.diagnostics["gap_to_streda"] for r in reports]
+    etas = [1.0, 0.5, 0.25]
+    streda, res, kubo, fd, fd_gap = eta_sweep(spectral, state, etas)
+    assert fd is None and fd_gap is None
+    assert np.array_equal(streda, sigma_streda(fermi_projection(spectral, e_f)))
+    basis = ResponseBasis.of(spectral, state)
+    assert len(res) == len(kubo) == len(etas)
+    for eta, r, k in zip(etas, res, kubo):
+        assert np.array_equal(r, sigma_resolvent(basis, eta))
+        assert np.array_equal(k, sigma_kubo_integral(basis, eta))
+    gaps = [float(np.max(np.abs(r - streda))) for r in res]
     assert gaps[0] > gaps[1] > gaps[2]
-    assert all(r.diagnostics["imag_residues"]["sigma_resolvent"] < 1e-8 for r in reports)
-    assert all(r.diagnostics["streda_antisymmetry_defect"] < 1e-10 for r in reports)
+    assert np.max(np.abs(res.imag)) < 1e-8
+
+
+def test_eta_sweep_finite_difference_arrays():
+    model = make_torus((4, 4), 1, 4)
+    state = EquilibriumState("projection", gap_fermi_level(model, 0.25))
+    spectral = spectral_of(model)
+    etas = [4.0, 2.0]
+
+    def grid_for(eta):
+        return TimeGrid(np.log(1e-12) / eta, 0.02)
+
+    _, _, _, fd, fd_gap = eta_sweep(spectral, state, etas, grid_for, delta_e=1e-3)
+    basis = ResponseBasis.of(spectral, state, "gauge_derivative")
+    assert len(fd) == len(fd_gap) == len(etas)
+    for eta, f, gap in zip(etas, fd, fd_gap):
+        assert np.array_equal(f, sigma_finite_difference(spectral, state, eta, grid_for(eta), 1e-3))
+        assert gap == float(np.max(np.abs(f - sigma_resolvent(basis, eta))))
 
 
 def test_eta_sweep_requires_descending():
@@ -487,13 +513,6 @@ def test_eta_sweep_requires_descending():
     state = EquilibriumState("projection", gap_fermi_level(model, 1.0 / 3.0))
     with pytest.raises(ValueError):
         eta_sweep(spectral_of(model), state, [0.5, 1.0])
-
-
-def test_response_report_diagnostics():
-    sigma = np.array([[0.0, -0.1], [0.1, 0.0]], dtype=complex)
-    rep = ResponseReport(eta=0.5, sigma_resolvent=sigma, sigma_streda=sigma)
-    assert rep.diagnostics["imag_residues"]["sigma_resolvent"] == 0.0
-    assert rep.diagnostics["streda_antisymmetry_defect"] < 1e-15
 
 
 def test_streda_volume_consistency():
