@@ -15,8 +15,8 @@ Every propagator, Duhamel sum and density route is one march of H(t)
 (`_march`): the integrator and the step-size guard are chosen there and
 nowhere else, and only the current state is held, so memory is O(N^2)
 whatever the number of steps.  An RK4 step assembles H three times (the
-midpoint once for both middle stages), and a riemann_product march hands the
-eigendecomposition of H(r_k) that its step makes on to the caller.
+midpoint once for both middle stages), and the march hands on what its step
+holds of H(r_k): an RK4 step's k1 matrix, a riemann_product step's eigh.
 
 A single evolution is sequential in time; independent (realization, field,
 eta) evolutions may run concurrently.  The only state they may share is the
@@ -195,10 +195,10 @@ def _liouville(hr: np.ndarray, m: np.ndarray) -> np.ndarray:
     return -1j * (hm - hm.conj().T)
 
 
-def _rk4_step(h_at, apply, r: float, y: np.ndarray, h: float) -> np.ndarray:
-    """One RK4 step of y' = apply(H(r), y): H is assembled at r, once at the
-    midpoint r + h/2 for both middle stages, and at r + h."""
-    k1 = apply(h_at(r), y)
+def _rk4_step(h_at, apply, r: float, y: np.ndarray, h: float, h_r: np.ndarray) -> np.ndarray:
+    """One RK4 step of y' = apply(H(r), y) from h_r = H(r): H is assembled
+    once at the midpoint r + h/2 for both middle stages, and at r + h."""
+    k1 = apply(h_r, y)
     h_mid = h_at(r + h / 2)
     k2 = apply(h_mid, y + (h / 2) * k1)
     k3 = apply(h_mid, y + (h / 2) * k2)
@@ -207,15 +207,15 @@ def _rk4_step(h_at, apply, r: float, y: np.ndarray, h: float) -> np.ndarray:
 
 
 def _march(model, drive, grid: TimeGrid, s: float, t: float, nsteps: int, y, conjugate=False):
-    """Yield (r_k, y_k, eig_k), k = 0..nsteps, along one march of H(r) from
+    """Yield (r_k, y_k, h_k), k = 0..nsteps, along one march of H(r) from
     y at s, with r_k = s + k (t - s) / nsteps and r_n = t, by grid.method
     (see propagate).
 
     States and propagators advance as y -> U y; with `conjugate`, density
-    matrices advance as y -> U y U*.  eig_k is the eigendecomposition of
-    H(r_k) when the step from r_k exponentiates it (riemann_product, k < n),
-    else None.  The step-size guard is checked before the first step, and
-    only the current y is held.
+    matrices advance as y -> U y U*.  h_k is what the step from r_k holds of
+    H(r_k): its eigendecomposition (riemann_product), the matrix (ode_rk4, the
+    step's k1), or None (magnus2, and k = n).  The step-size guard is checked
+    before the first step, and only the current y is held.
     """
     hnorm = float(np.max(np.abs(np.linalg.eigvalsh(_h_at(model, drive, s)))))
     if grid.step * hnorm >= 0.5:
@@ -233,8 +233,9 @@ def _march(model, drive, grid: TimeGrid, s: float, t: float, nsteps: int, y, con
     r = s
     for k in range(nsteps):
         if grid.method == "ode_rk4":
-            yield r, y, None
-            y = _rk4_step(h_at, apply, s + k * h, y, h)
+            h_r = h_at(s + k * h)
+            yield r, y, h_r
+            y = _rk4_step(h_at, apply, s + k * h, y, h, h_r)
         else:
             eig = np.linalg.eigh(h_at(s + (k + offset) * h))
             yield r, y, (eig if riemann else None)
@@ -392,8 +393,8 @@ def evolve_density_duhamel(
     cross-validates the Liouville integration to integrator accuracy.  One
     forward march of V(r) = U(r, s_min) carries the propagator sandwich, and
     each node's Simpson term is added as the march passes it, so memory is
-    O(N^2) whatever the step count.  H(r) is decomposed once per node: a
-    riemann_product march hands over the decomposition its step makes.
+    O(N^2) whatever the step count.  H(r) is assembled and decomposed once
+    per node: the march hands over its step's k1 matrix or eigendecomposition.
     """
     grid.validate(drive)
     s = grid.s_min
@@ -402,8 +403,8 @@ def evolve_density_duhamel(
     acc = np.zeros((model.n_sites, model.n_sites), dtype=complex)
     eye = np.eye(model.n_sites, dtype=complex)
     for k, (r, v, eig) in enumerate(_march(model, drive, grid, s, t, nsteps, eye)):
-        if eig is None:
-            eig = np.linalg.eigh(_h_at(model, drive, r))
+        if not isinstance(eig, tuple):  # H(r) itself, or None
+            eig = np.linalg.eigh(_h_at(model, drive, r) if eig is None else eig)
         m_r = _drive_commutator(model, drive, state, tables, r, kernel, eig)
         weight = _simpson_weight(k, nsteps) * np.exp(drive.eta * min(r, 0.0))
         acc += weight * (v.conj().T @ m_r @ v)
@@ -485,7 +486,7 @@ def gauge_equivalence_check(
     _, psi_vec, _ = _final(_march(model, drive, rk4, s, t, nsteps, psi0))
     psi_scal = psi0
     for k in range(nsteps):
-        psi_scal = _rk4_step(h_scal, _schrodinger, s + k * h, psi_scal, h)
+        psi_scal = _rk4_step(h_scal, _schrodinger, s + k * h, psi_scal, h, h_scal(s + k * h))
     g = gauge_operator(model, drive, t).matrix
     return float(np.linalg.norm(g.conj().T @ psi_vec - psi_scal))
 

@@ -89,7 +89,7 @@ def apply_spectral(spectral: SpectralData, f) -> CovariantOperator:
 
 
 def fermi_projection(spectral: SpectralData, e_f: float) -> CovariantOperator:
-    """Spectral projection onto energies <= E_F.
+    """Spectral projection W W* onto energies <= E_F, W the occupied eigenvectors.
 
     E_F within 1e-9 of an eigenvalue is an error (reporting the enclosing
     gap edges) rather than a convention: silently half-filling a degenerate
@@ -106,7 +106,8 @@ def fermi_projection(spectral: SpectralData, e_f: float) -> CovariantOperator:
             f"E_F={e_f} is within 1e-9 of an eigenvalue; nearest clean gap "
             f"edges are ({lo}, {hi})"
         )
-    return apply_spectral(spectral, _occupation(e_f))
+    w = spectral.eigenvectors[:, _occupation(e_f)(evals) == 1.0]
+    return CovariantOperator(w @ w.conj().T, spectral.model, hermitian=True)
 
 
 def _occupation(e_f: float, beta: float | None = None):

@@ -212,7 +212,10 @@ class ExperimentConfig:
     @classmethod
     def parse(cls, text: str) -> "ExperimentConfig":
         cp = configparser.ConfigParser()
-        cp.read_string(text)
+        try:
+            cp.read_string(text)
+        except configparser.Error as exc:
+            raise ConfigError(f"unreadable config: {exc}") from exc
         return cls({(sec, key): raw for sec in cp.sections() for key, raw in cp.items(sec)})
 
     @classmethod

@@ -224,6 +224,7 @@ class LatticeModel:
 
     @cached_property
     def _forward_parts(self) -> list[np.ndarray]:
+        # dense, d N x N: for the driven-H path, which reads them every step
         return [self.forward_hop_matrix(axis) for axis in range(self.config.dimension)]
 
     @cached_property
@@ -291,7 +292,8 @@ class CovariantOperator:
 def build_hamiltonian(model: LatticeModel) -> CovariantOperator:
     """Assemble the Hermitian lattice Hamiltonian for one realization."""
     h = np.zeros((model.n_sites, model.n_sites), dtype=complex)
-    for part in model._forward_parts:
+    for axis in range(model.config.dimension):
+        part = model.forward_hop_matrix(axis)
         h += part
         h += part.conj().T
     h += np.diag(model.potential.astype(complex))
@@ -387,7 +389,7 @@ def velocity_operator(model: LatticeModel, axis: int) -> CovariantOperator:
     (+-1) on every bond, wrap bonds included; supported only on hopping
     bonds, zero diagonal.
     """
-    part = model._forward_parts[axis]
+    part = model.forward_hop_matrix(axis)
     v = -1j * (part - part.conj().T)
     return CovariantOperator(v, model, hermitian=True)
 

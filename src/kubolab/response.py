@@ -292,9 +292,13 @@ def sigma_streda(p: CovariantOperator) -> np.ndarray:
     d = p.model.config.dimension
     n = p.model.n_sites
     m_ops = [position_commutator(p, axis).matrix for axis in range(d)]
-    pm_ops = [p.matrix @ m for m in m_ops]
-    # T(P [M_j, M_k]) = tr(P M_j M_k) - tr(P M_k M_j); each trace is O(N^2)
-    traces = np.array([[np.sum(pm_ops[j] * m_ops[k].T) for k in range(d)] for j in range(d)])
+    # T(P [M_j, M_k]) = tr(P M_j M_k) - tr(P M_k M_j), each O(N^2).  T_kj is not
+    # conj(T_jk): M_j is not exactly anti-Hermitian at half-box separations.
+    traces = np.zeros((d, d), dtype=complex)
+    for j in range(d):
+        pm = p.matrix @ m_ops[j]
+        traces[j] = [np.sum(pm * m.T) for m in m_ops]
+        del pm  # one P M_j alive at a time
     return -1j * (traces - traces.T) / n
 
 

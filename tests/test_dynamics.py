@@ -477,6 +477,21 @@ def test_duhamel_decomposes_each_node_once(method, monkeypatch):
         # one per node: the march's n step exponents, and H(t) at the last node
         assert n == 346 and len(calls) == n + 1 == 347
 
+    if method == "ode_rk4":
+        times = []
+        h_at = dynamics._h_at
+
+        def counting(model, drive, t):
+            times.append(t)
+            return h_at(model, drive, t)
+
+        monkeypatch.setattr(dynamics, "_h_at", counting)
+        evolve_density_duhamel(model, drive, state, 0.0, grid)
+        n = grid.n_steps(grid.s_min, 0.0, even=True)
+        # the step-size guard, three per step, and H(t) at the last node: each
+        # other node decomposes its step's k1 matrix
+        assert n == 346 and len(times) == 3 * n + 2 == 1040
+
 
 def test_gauge_check_midpoint_reuse_keeps_value(rng):
     model = make_chain(8, "open")

@@ -157,17 +157,30 @@ def test_equilibrium_state_builders(spectral):
 
 
 @pytest.mark.parametrize("kind", ["projection", "fermi_dirac"])
-def test_profile_is_the_built_occupation_bit_for_bit(kind, monkeypatch):
+def test_profile_is_the_built_occupation_bit_for_bit(kind):
     # the Duhamel zeta(r) and the gauge-derivative basis read profile(); build
-    # applies its own f(E) to the spectrum; both must be one function
-    energies = np.linspace(-4.0, 4.0, 100_001)
-    state = EquilibriumState(kind, -0.50003, 3.0)
-    applied = []
-    monkeypatch.setattr(
-        "kubolab.funcalc.apply_spectral", lambda sp, f: applied.append(f(sp.eigenvalues))
-    )
-    state.build(SpectralData(energies, None, None))
-    assert np.array_equal(state.profile()(energies), applied[0])
+    # forms f(H) from its own selection of the spectrum; both must be one
+    # function.  With V = I the built state is diag(f(E)), exactly: for the
+    # projection, 1 on the columns it keeps and 0 elsewhere.
+    e_f = -0.50003
+    near = e_f + np.array([-1e-6, -1e-8, -2e-9, 2e-9, 1e-8, 1e-6])
+    energies = np.sort(np.concatenate([np.linspace(-4.0, 4.0, 401), near]))
+    state = EquilibriumState(kind, e_f, 3.0)
+    built = state.build(SpectralData(energies, np.eye(energies.size), make_chain(energies.size)))
+    assert np.array_equal(built.matrix, np.diag(state.profile()(energies)))
+
+
+def test_fermi_projection_is_the_spectral_step():
+    # W W* over the occupied columns against (V diag f) V*
+    model = make_torus((8, 8), 1, 4, sample_disorder(DisorderSpec(0.5, 42), 0, 64))
+    sp = SpectralData.from_operator(build_hamiltonian(model))
+    e_f = gap_fermi_level(model, 0.25)
+    p = fermi_projection(sp, e_f)
+    ref = apply_spectral(sp, lambda e: (e <= e_f).astype(float)).matrix
+    assert p.hermitian and np.max(np.abs(p.matrix - ref)) <= 1e-14
+    assert np.linalg.norm(p.matrix @ p.matrix - p.matrix) < 1e-12
+    with pytest.raises(DegenerateFermiLevelError):
+        fermi_projection(sp, float(sp.eigenvalues[16]))
 
 
 # -- smooth functions and norms -----------------------------------------------------

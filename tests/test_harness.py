@@ -2,6 +2,11 @@ import configparser
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from kubolab.harness import (
     ensemble_average,
     run_experiment,
 )
+from kubolab.model import LatticeModel
 from kubolab.opspace import norms
 from kubolab.response import ResponseBasis
 
@@ -338,6 +344,27 @@ def test_one_response_basis_per_realization(tmp_path, monkeypatch, include_fd, b
     assert counts["eigh"] == 2 * (1 + 2 * d * n_eta * include_fd)
 
 
+@pytest.mark.parametrize(
+    "experiment,extra,filled",
+    [
+        ("hall", "", False),
+        ("kubo-sweep", "", False),
+        ("kubo-sweep", "include_fd = true\nstep = 0.05\ntruncation_tol = 1e-6\n", True),
+    ],
+    ids=["hall", "kubo-sweep", "kubo-sweep-fd"],
+)
+def test_dense_hop_cache_only_on_the_driven_path(tmp_path, monkeypatch, experiment, extra, filled):
+    # H and the velocities form their hop matrices on demand; only H(t) keeps them
+    models = []
+    parts = LatticeModel._forward_parts.func
+    monkeypatch.setattr(LatticeModel, "_forward_parts", property(lambda m: models.append(m) or parts(m)))
+    text, _, _ = DECOMPOSITION_CASES[experiment]
+    cfg = ExperimentConfig.parse(text + extra + f"[run]\nexperiment = {experiment}\nname = t\n")
+    manifest = run_experiment(cfg, out_dir=tmp_path)
+    assert not [v for v in manifest.violations if v[0] == "cell_error"]
+    assert bool(models) == filled
+
+
 def test_manifest_records_seeds_and_hashes(tmp_path):
     cfg = small_config({("model", "n_realizations"): 3})
     manifest = run_experiment(cfg, out_dir=tmp_path)
@@ -420,20 +447,27 @@ CONFIG_ERROR_BASES = {
         ("kubo-sweep", "drive", "step", "-0.01"),
         ("kubo-sweep", "drive", "s_min", "-3"),
         ("algebra-check", "run", "tolerance_overrides", "algebra_identity=abc"),
+        # files that configparser itself rejects (section None: raw is the whole file)
+        ("hall", None, "no section header", "x = 1\n"),
+        ("hall", None, "duplicate key", "[model]\ndimension = 2\ndimension = 2\n"),
     ],
 )
 def test_cli_rejects_malformed_value_as_config_error(tmp_path, capsys, suite, section, key, raw):
-    parser = configparser.ConfigParser()
-    parser.read_string(CONFIG_ERROR_BASES.get(suite, ""))
-    parser.read_dict({"run": {"name": "t"}})
-    parser.read_dict({section: {key: raw}})
     cfg_path = tmp_path / "cfg.ini"
-    with cfg_path.open("w") as fh:
-        parser.write(fh)
+    if section is None:
+        cfg_path.write_text(raw)
+    else:
+        parser = configparser.ConfigParser()
+        parser.read_string(CONFIG_ERROR_BASES.get(suite, ""))
+        parser.read_dict({"run": {"name": "t"}})
+        parser.read_dict({section: {key: raw}})
+        with cfg_path.open("w") as fh:
+            parser.write(fh)
     rc = cli_main([suite, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith("config error:") and f"{section}.{key}" in err
+    assert err.startswith("config error:")
+    assert section is None or f"{section}.{key}" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -551,3 +585,48 @@ def test_cell_programming_error_is_fatal(tmp_path, monkeypatch, threads):
     })
     with pytest.raises(TypeError, match="unsupported operand"):
         run_experiment(cfg, out_dir=tmp_path)
+
+
+HALL_L24 = (
+    "[model]\ndimension = 2\nsides = 24,24\nflux_p = 1\nflux_q = 3\n"
+    "disorder_w = 0.5\nbase_seed = 20240811\nn_realizations = 2\n"
+    "[state]\ne_f = auto\nfilling = 0.3333333333333333\n"
+    "[run]\nexperiment = hall\nname = hall\n"
+)
+
+RSS_PROBE = textwrap.dedent(
+    """
+    import json, sys
+    import kubolab
+    from kubolab.harness import ExperimentConfig, run_experiment
+
+    def status_kib(field):
+        # this process's own counters: ru_maxrss would also carry the peak
+        # of the forking parent, which exec keeps
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith(field + ":"))
+
+    after_import = status_kib("VmRSS")
+    manifest = run_experiment(ExperimentConfig.parse(sys.argv[1]), sys.argv[2])
+    growth = (status_kib("VmHWM") - after_import) * 1024
+    print(json.dumps({"growth": growth, "violations": manifest.violations}))
+    """
+)
+
+
+@pytest.mark.slow
+def test_hall_peak_rss_over_import_is_bounded(tmp_path):
+    # the working set of one realization: P, M_0, M_1, one P M_j, the
+    # eigenvectors and the eigh workspace, well under the dozen N x N arrays
+    # a dense hop cache and a whole-spectrum P would hold
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", RSS_PROBE, HALL_L24, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    facts = json.loads(proc.stdout.splitlines()[-1])
+    assert facts["violations"] == []
+    n = 24 * 24
+    assert facts["growth"] <= 9 * n * n * 16

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,21 @@ def test_hamiltonian_exactly_hermitian(rng):
     pot = sample_disorder(DisorderSpec(1.5, 3), 0, 36)
     h = build_hamiltonian(make_torus((6, 6), 1, 3, pot)).matrix
     assert np.linalg.norm(h - h.conj().T) == 0.0
+
+
+def test_hamiltonian_retains_one_matrix():
+    # the hop matrices are formed per axis and dropped; no dense cache stays on the model
+    model = make_torus((12, 12), 1, 3, sample_disorder(DisorderSpec(0.5, 7), 0, 144))
+    matrix_bytes = model.n_sites**2 * 16
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        h = build_hamiltonian(model)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert h.matrix.nbytes == matrix_bytes
+    assert retained <= 1.1 * matrix_bytes
 
 
 def test_flux_commensurability_rejected():

@@ -390,6 +390,20 @@ def test_streda_structure_is_exact():
         assert np.array_equal(sigma, -sigma.T)
 
 
+def test_streda_holds_one_product_at_a_time():
+    # M_0, M_1, one P M_j and one entrywise product; the displacement tables are warm
+    model = make_torus((12, 12), 1, 3, sample_disorder(DisorderSpec(0.5, 7), 0, 144))
+    p = fermi_projection(spectral_of(model), gap_fermi_level(model, 1.0 / 3.0))
+    sigma_streda(p)
+    tracemalloc.start()
+    try:
+        sigma_streda(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * model.n_sites**2 * 16
+
+
 def test_streda_time_reversal_odd_torus():
     pot = sample_disorder(DisorderSpec(2.0, 23), 0, 81)
     model = make_torus((9, 9), potential=pot)
