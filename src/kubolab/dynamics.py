@@ -12,8 +12,9 @@ driven axis a (E_a != 0), so `_h_at` adds those phased hops to a static part
 cached on the model (`LatticeModel._static_part`).
 
 Every propagator, Duhamel sum and density route is one march of H(t)
-(`_march`): the integrator and the step-size guard are chosen there and
-nowhere else, and only the current state is held, so memory is O(N^2)
+(`_march`), and so are both gauges of the gauge check, the scalar one a
+march of H + E(t).X: the integrator and the step-size guard are chosen there
+and nowhere else, and only the current state is held, so memory is O(N^2)
 whatever the number of steps.  An RK4 step assembles H three times (the
 midpoint once for both middle stages), and the march hands on what its step
 holds of H(r_k): an RK4 step's k1 matrix, a riemann_product step's eigh.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -206,10 +207,10 @@ def _rk4_step(h_at, apply, r: float, y: np.ndarray, h: float, h_r: np.ndarray) -
     return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _march(model, drive, grid: TimeGrid, s: float, t: float, nsteps: int, y, conjugate=False):
-    """Yield (r_k, y_k, h_k), k = 0..nsteps, along one march of H(r) from
-    y at s, with r_k = s + k (t - s) / nsteps and r_n = t, by grid.method
-    (see propagate).
+def _march(h_at, grid: TimeGrid, s: float, t: float, nsteps: int, y, conjugate=False):
+    """Yield (r_k, y_k, h_k), k = 0..nsteps, along one march of H(r) = h_at(r)
+    from y at s, with r_k = s + k (t - s) / nsteps and r_n = t, by
+    grid.method (see propagate).
 
     States and propagators advance as y -> U y; with `conjugate`, density
     matrices advance as y -> U y U*.  h_k is what the step from r_k holds of
@@ -217,17 +218,13 @@ def _march(model, drive, grid: TimeGrid, s: float, t: float, nsteps: int, y, con
     step's k1), or None (magnus2, and k = n).  The step-size guard is checked
     before the first step, and only the current y is held.
     """
-    hnorm = float(np.max(np.abs(np.linalg.eigvalsh(_h_at(model, drive, s)))))
+    hnorm = float(np.max(np.abs(np.linalg.eigvalsh(h_at(s)))))
     if grid.step * hnorm >= 0.5:
         raise StepSizeError(
             f"step {grid.step} violates h * ||H|| = {grid.step * hnorm:.3f} < 0.5"
         )
     h = (t - s) / nsteps
     apply = _liouville if conjugate else _schrodinger
-
-    def h_at(r):
-        return _h_at(model, drive, r)
-
     riemann = grid.method == "riemann_product"
     offset = 0.0 if riemann else 0.5
     r = s
@@ -279,7 +276,7 @@ def propagate(
     if t < s:
         raise ValueError("propagate needs s <= t")
     eye = np.eye(model.n_sites, dtype=complex)
-    march = _march(model, drive, grid, s, t, grid.n_steps(s, t), eye)
+    march = _march(partial(_h_at, model, drive), grid, s, t, grid.n_steps(s, t), eye)
     if t == s:
         return Propagator(next(march)[1])
     _, u, _ = _final(march)
@@ -324,8 +321,9 @@ def duhamel_residual(
     nsteps = grid.n_steps(s, t, even=True)
     simpson = np.zeros_like(psi)
     trapezoid = np.zeros_like(psi)
-    for k, (r, y, _) in enumerate(_march(model, drive, grid, s, t, nsteps, psi)):
-        node = free_propagator(spectral, t - r) @ ((h0.matrix - _h_at(model, drive, r)) @ y)
+    h_at = partial(_h_at, model, drive)
+    for k, (r, y, _) in enumerate(_march(h_at, grid, s, t, nsteps, psi)):
+        node = free_propagator(spectral, t - r) @ ((h0.matrix - h_at(r)) @ y)
         simpson += _simpson_weight(k, nsteps) * node
         trapezoid += node if 0 < k < nsteps else node / 2
     h = (t - s) / nsteps
@@ -402,9 +400,10 @@ def evolve_density_duhamel(
     tables = [displacement_table(model, axis) for axis in range(model.config.dimension)]
     acc = np.zeros((model.n_sites, model.n_sites), dtype=complex)
     eye = np.eye(model.n_sites, dtype=complex)
-    for k, (r, v, eig) in enumerate(_march(model, drive, grid, s, t, nsteps, eye)):
+    h_at = partial(_h_at, model, drive)
+    for k, (r, v, eig) in enumerate(_march(h_at, grid, s, t, nsteps, eye)):
         if not isinstance(eig, tuple):  # H(r) itself, or None
-            eig = np.linalg.eigh(_h_at(model, drive, r) if eig is None else eig)
+            eig = np.linalg.eigh(h_at(r) if eig is None else eig)
         m_r = _drive_commutator(model, drive, state, tables, r, kernel, eig)
         weight = _simpson_weight(k, nsteps) * np.exp(drive.eta * min(r, 0.0))
         acc += weight * (v.conj().T @ m_r @ v)
@@ -424,7 +423,7 @@ def density_path(
     the matrix rho at grid.s_min to t; the matrices are not symmetrized."""
     grid.validate(drive)
     s = grid.s_min
-    march = _march(model, drive, grid, s, t, grid.n_steps(s, t), rho, conjugate=True)
+    march = _march(partial(_h_at, model, drive), grid, s, t, grid.n_steps(s, t), rho, conjugate=True)
     return ((r, y) for r, y, _ in march)
 
 
@@ -473,7 +472,6 @@ def gauge_equivalence_check(
     psi0 = np.asarray(psi0, dtype=complex)
     s = grid.s_min
     nsteps = grid.n_steps(s, t)
-    h = (t - s) / nsteps
     h0 = build_hamiltonian(model).matrix
     xs = [position_matrix(model, axis).matrix for axis in range(model.config.dimension)]
 
@@ -483,10 +481,8 @@ def gauge_equivalence_check(
 
     # both sides by RK4, so the discrepancy measures the gauge, not the integrator
     rk4 = replace(grid, method="ode_rk4")
-    _, psi_vec, _ = _final(_march(model, drive, rk4, s, t, nsteps, psi0))
-    psi_scal = psi0
-    for k in range(nsteps):
-        psi_scal = _rk4_step(h_scal, _schrodinger, s + k * h, psi_scal, h, h_scal(s + k * h))
+    _, psi_vec, _ = _final(_march(partial(_h_at, model, drive), rk4, s, t, nsteps, psi0))
+    _, psi_scal, _ = _final(_march(h_scal, rk4, s, t, nsteps, psi0))
     g = gauge_operator(model, drive, t).matrix
     return float(np.linalg.norm(g.conj().T @ psi_vec - psi_scal))
 
@@ -496,10 +492,6 @@ class WeightReport:
     weighted_norm: float
     bound: float
     gamma: float
-
-    @property
-    def holds(self) -> bool:
-        return self.weighted_norm <= self.bound * (1.0 + 1e-6)
 
 
 def propagator_weight_check(

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import CovariantOperator, LatticeModel, displacement_table, velocity_operator
-from .opspace import norm2
 
 
 class DegenerateFermiLevelError(ValueError):
@@ -467,12 +466,6 @@ def spectral_position_commutator(
     return CovariantOperator(out, model)
 
 
-@dataclass
-class LocalizationReport:
-    comm_norm2: list[float]
-    decay_rate: float
-
-
 def _pair_distances(model: LatticeModel) -> np.ndarray:
     d2 = np.zeros((model.n_sites, model.n_sites))
     for axis in range(model.config.dimension):
@@ -493,14 +486,9 @@ def _fit_log_decay(dist, weight):
     return -slope, float(r2)
 
 
-def localization_diagnostic(p: CovariantOperator) -> LocalizationReport:
-    """Per-axis norm2 of [x_k, P] plus an exponential fit of |P_xy| vs the
-    minimal-image distance; positive rate flags the localized/gapped
-    regime."""
-    comm = [
-        norm2(position_commutator(p, axis))
-        for axis in range(p.model.config.dimension)
-    ]
+def localization_diagnostic(p: CovariantOperator) -> float:
+    """Decay rate of an exponential fit of |P_xy| vs the minimal-image
+    distance; a positive rate flags the localized/gapped regime."""
     dist = _pair_distances(p.model)
     weight = np.abs(p.matrix) ** 2
     rmax = dist.max()
@@ -511,7 +499,7 @@ def localization_diagnostic(p: CovariantOperator) -> LocalizationReport:
         if np.any(mask):
             centers.append(lo + 0.5 if lo > 0 else 0.0)
             means.append(float(np.sqrt(np.mean(weight[mask]))))
-    return LocalizationReport(comm, _fit_log_decay(np.array(centers), np.array(means))[0])
+    return float(_fit_log_decay(np.array(centers), np.array(means))[0])
 
 
 @dataclass

@@ -119,10 +119,13 @@ def _auto_or_float(s):
     return s
 
 
-def _integrator(s):
-    if s not in INTEGRATORS:
-        raise ValueError(f"choose from {INTEGRATORS}")
-    return s
+def _one_of(*choices):
+    """A parser that accepts exactly the given words."""
+    def parse(s):
+        if s not in choices:
+            raise ValueError(f"choose from {choices}")
+        return s
+    return parse
 
 
 def _eta_list(s):
@@ -142,7 +145,7 @@ _SCHEMA = {
     ("model", "disorder_w"): (float, repr, 0.0),
     ("model", "base_seed"): (int, str, 12345),
     ("model", "n_realizations"): (int, str, 1),
-    ("state", "kind"): (str, str, "projection"),
+    ("state", "kind"): (_one_of("projection", "fermi_dirac"), str, "projection"),
     ("state", "beta"): (float, repr, 10.0),
     ("state", "e_f"): (_auto_or_float, str, "auto"),
     ("state", "filling"): (float, repr, 1.0 / 3.0),
@@ -151,7 +154,7 @@ _SCHEMA = {
     ("drive", "field_axis"): (int, str, 2),  # 1-based axis label
     ("drive", "s_min"): (_auto_or_float, str, "auto"),
     ("drive", "step"): (float, repr, 0.01),
-    ("drive", "method"): (_integrator, str, "ode_rk4"),
+    ("drive", "method"): (_one_of(*INTEGRATORS), str, "ode_rk4"),
     ("drive", "truncation_tol"): (float, repr, 1e-12),
     ("drive", "include_fd"): (lambda s: s.lower() == "true", lambda b: str(bool(b)).lower(), False),
     ("drive", "delta_e"): (float, repr, 1e-3),
@@ -274,12 +277,8 @@ class ExperimentConfig:
 
     def state_for(self, spectral: SpectralData) -> EquilibriumState:
         kind = self[("state", "kind")]
-        e_f = self.fermi_energy(spectral.eigenvalues)
-        if kind == "projection":
-            return EquilibriumState("projection", e_f)
-        if kind == "fermi_dirac":
-            return EquilibriumState("fermi_dirac", e_f, self[("state", "beta")])
-        raise ConfigError(f"unknown state kind {kind!r}")
+        beta = self[("state", "beta")] if kind == "fermi_dirac" else None
+        return EquilibriumState(kind, self.fermi_energy(spectral.eigenvalues), beta)
 
     def drive_for(self, eta: float) -> DriveProtocol:
         d = self[("model", "dimension")]
@@ -293,8 +292,8 @@ class ExperimentConfig:
     def grid_for(self, eta: float) -> TimeGrid:
         raw = self[("drive", "s_min")]
         tol = self[("drive", "truncation_tol")]
-        s_min = float(np.log(tol) / eta) if raw == "auto" else float(raw)
         drive = self.drive_for(eta)  # its own ConfigError names drive.field_axis
+        s_min = drive.s_min_for(tol) if raw == "auto" else float(raw)
         with _building_from("drive.s_min", "drive.step", "drive.truncation_tol"):
             grid = TimeGrid(s_min, self[("drive", "step")], self[("drive", "method")], tol)
             grid.validate(drive)
@@ -509,6 +508,8 @@ def _suite_equilibrium(cfg: ExperimentConfig, writer: _OutputWriter, tol):
 
 
 def _suite_hall(cfg: ExperimentConfig, writer: _OutputWriter, tol):
+    if cfg[("state", "kind")] != "projection":
+        raise ConfigError("hall needs state.kind = projection, the Fermi projection it traces")
     p, q = cfg[("model", "flux_p")], cfg[("model", "flux_q")]
     clean_model = LatticeModel(cfg.lattice_config(), cfg.flux())
     clean_evals = np.linalg.eigvalsh(build_hamiltonian(clean_model).matrix)
@@ -520,15 +521,13 @@ def _suite_hall(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     def one(index):
         p_fermi = fermi_projection(cfg.spectral_for(index), e_f)
         sigma = sigma_streda(p_fermi)
-        scaled = hall_scaled(sigma)
-        loc = localization_diagnostic(p_fermi)
         return [
             index,
             realization_seed(cfg[("model", "base_seed")], index),
             float(sigma[0, 1].real),
-            scaled,
+            hall_scaled(sigma),
             chern,
-            loc.decay_rate,
+            localization_diagnostic(p_fermi),
         ]
 
     rows, cell_errors = _map_realizations(one, cfg)
@@ -565,21 +564,40 @@ def _suite_kubo_sweep(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     sweeps, cell_errors = _map_realizations(one, cfg)
     # per realization: the Streda tensor, the resolvent, Kubo and FD stacks, the FD gaps
     streda, res, kubo, fd, fd_gap = ([sweep[i] for _, sweep in sweeps] for i in range(5))
-    raw_rows = []
-    for e, eta in enumerate(etas):  # eta-major rows
+    raw_rows, ens_rows, checks, gaps = [], [], [], {}
+    t_kubo, t_fd, t_final = tol["kubo_vs_resolvent"], tol["fd_vs_resolvent"], tol["eta_sweep_final_gap"]
+    for e, eta in enumerate(etas if sweeps else ()):  # eta-major; no ensemble when every cell failed
         for r, (index, _) in enumerate(sweeps):
-            for j in range(d):
-                for k in range(d):
-                    raw_rows.append(
-                        [
-                            eta, index, j + 1, k + 1,
-                            res[r][e, j, k].real, res[r][e, j, k].imag,
-                            kubo[r][e, j, k].real, kubo[r][e, j, k].imag,
-                            streda[r][j, k].real, streda[r][j, k].imag,
-                            fd[r][e, j, k].real if fd[r] is not None else "",
-                            fd[r][e, j, k].imag if fd[r] is not None else "",
-                        ]
-                    )
+            for j, k in np.ndindex(d, d):
+                raw_rows.append(
+                    [
+                        eta, index, j + 1, k + 1,
+                        res[r][e, j, k].real, res[r][e, j, k].imag,
+                        kubo[r][e, j, k].real, kubo[r][e, j, k].imag,
+                        streda[r][j, k].real, streda[r][j, k].imag,
+                        *((fd[r][e, j, k].real, fd[r][e, j, k].imag) if grid_for else ("", "")),
+                    ]
+                )
+        for j, k in np.ndindex(d, d):
+            res_jk = [rs[e, j, k] for rs in res]
+            res_mean, stderr = ensemble_average(np.real(res_jk))
+            streda_mean, streda_im = _mean_parts([st[j, k] for st in streda])
+            ens_rows.append(
+                [
+                    eta, j + 1, k + 1,
+                    *(_mean_parts([f[e, j, k] for f in fd]) if grid_for else ("", "")),
+                    *_mean_parts([kb[e, j, k] for kb in kubo]),
+                    res_mean, ensemble_average(np.imag(res_jk))[0],
+                    streda_mean, streda_im,
+                    len(sweeps), stderr if stderr is not None else "",
+                ]
+            )
+            if j != k:
+                gaps.setdefault((j, k), []).append(abs(res_mean - streda_mean))
+        kubo_gap = max(float(np.max(np.abs(kb[e] - rs[e]))) for kb, rs in zip(kubo, res))
+        checks.append(Check("kubo_vs_resolvent", kubo_gap, t_kubo, kubo_gap <= t_kubo))
+        if grid_for:
+            checks += [Check("fd_vs_resolvent", g[e], t_fd, g[e] <= t_fd) for g in fd_gap]
     writer.write_csv(
         "kubo_sweep_raw.csv",
         [
@@ -589,31 +607,6 @@ def _suite_kubo_sweep(cfg: ExperimentConfig, writer: _OutputWriter, tol):
         ],
         raw_rows,
     )
-
-    ens_rows, checks, gaps = [], [], {}
-    t_kubo, t_fd, t_final = tol["kubo_vs_resolvent"], tol["fd_vs_resolvent"], tol["eta_sweep_final_gap"]
-    for e, eta in enumerate(etas if sweeps else ()):  # no ensemble when every cell failed
-        for j in range(d):
-            for k in range(d):
-                fd_jk = [f[e, j, k] for f in fd if f is not None]
-                res_jk = [rs[e, j, k] for rs in res]
-                res_mean, stderr = ensemble_average(np.real(res_jk))
-                streda_mean, streda_im = _mean_parts([st[j, k] for st in streda])
-                ens_rows.append(
-                    [
-                        eta, j + 1, k + 1,
-                        *(_mean_parts(fd_jk) if fd_jk else ("", "")),
-                        *_mean_parts([kb[e, j, k] for kb in kubo]),
-                        res_mean, ensemble_average(np.imag(res_jk))[0],
-                        streda_mean, streda_im,
-                        len(sweeps), stderr if stderr is not None else "",
-                    ]
-                )
-                if j != k:
-                    gaps.setdefault((j, k), []).append(abs(res_mean - streda_mean))
-        kubo_gap = max(float(np.max(np.abs(kb[e] - rs[e]))) for kb, rs in zip(kubo, res))
-        checks.append(Check("kubo_vs_resolvent", kubo_gap, t_kubo, kubo_gap <= t_kubo))
-        checks += [Check("fd_vs_resolvent", g[e], t_fd, g[e] <= t_fd) for g in fd_gap if g]
     writer.write_csv(
         "kubo_sweep.csv",
         [
@@ -669,7 +662,8 @@ def _suite_dynamics(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     prop = propagate(model, drive, 0.0, grid.s_min, magnus)
     checks.append(Check.below("propagator_unitarity", prop.unitarity_defect, tol["propagator_unitarity"]))
     wreport = propagator_weight_check(model, drive, 0.0, grid.s_min / 4.0, magnus)
-    checks.append(Check("weight_inequality", wreport.weighted_norm - wreport.bound, tol["weight_margin"], wreport.holds))
+    holds = wreport.weighted_norm <= wreport.bound * (1.0 + tol["weight_margin"])
+    checks.append(Check("weight_inequality", wreport.weighted_norm - wreport.bound, tol["weight_margin"], holds))
 
     # two-site Duhamel residual refinement
     chain = LatticeModel(LatticeConfig(1, (2,), "open"), FluxSpec(), np.zeros(2))

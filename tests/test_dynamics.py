@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kubolab import dynamics
+from kubolab.acceptance import THRESHOLDS
 from kubolab.model import (
     ConfigurationError,
     DisorderSpec,
@@ -665,7 +666,7 @@ def test_weight_check_inequality_holds():
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.1))
     rep = propagator_weight_check(model, drive, 0.0, -5.0, TimeGrid(S_MIN, 0.01, "magnus2"))
-    assert rep.holds
+    assert rep.weighted_norm <= rep.bound * (1.0 + THRESHOLDS["weight_margin"])
     assert rep.gamma >= 1.0
 
 

@@ -233,6 +233,15 @@ name = t
 """
 
 
+def test_weight_gate_reads_its_margin(tmp_path):
+    # a margin of -0.5 asks for a weighted norm below half the bound
+    cfg = ExperimentConfig.parse(DYNAMICS_TINY)
+    cfg.set("run", "tolerance_overrides", "weight_margin=-0.5")
+    manifest = run_experiment(cfg, out_dir=tmp_path)
+    gate = [v for v in manifest.violations if v[0] == "weight_inequality"]
+    assert len(gate) == 1 and gate[0][2] == -0.5
+
+
 @pytest.mark.slow
 def test_dynamics_suite_gates_timeseries_and_determinism(tmp_path):
     cfg = ExperimentConfig.parse(DYNAMICS_TINY)
@@ -447,6 +456,9 @@ CONFIG_ERROR_BASES = {
         ("kubo-sweep", "drive", "step", "-0.01"),
         ("kubo-sweep", "drive", "s_min", "-3"),
         ("algebra-check", "run", "tolerance_overrides", "algebra_identity=abc"),
+        # an unknown state, and a state the Streda trace of hall does not take
+        ("hall", "state", "kind", "bogus"),
+        ("hall", "state", "kind", "fermi_dirac"),
         # files that configparser itself rejects (section None: raw is the whole file)
         ("hall", None, "no section header", "x = 1\n"),
         ("hall", None, "duplicate key", "[model]\ndimension = 2\ndimension = 2\n"),
@@ -469,6 +481,16 @@ def test_cli_rejects_malformed_value_as_config_error(tmp_path, capsys, suite, se
     assert err.startswith("config error:")
     assert section is None or f"{section}.{key}" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_shipped_configs_parse_round_trip_and_build():
+    paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
+    assert paths
+    for path in paths:
+        cfg = ExperimentConfig.load(path)
+        assert cfg[("run", "experiment")] in SUITES, path.name
+        assert ExperimentConfig.parse(cfg.serialize()).values == cfg.values, path.name
+        cfg.lattice_config(), cfg.flux(), cfg.disorder()
 
 
 def test_set_and_constructor_run_the_schema_parser():
