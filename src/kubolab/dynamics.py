@@ -111,17 +111,6 @@ class TimeGrid:
         return n
 
 
-@dataclass
-class Propagator:
-    matrix: np.ndarray
-    unitarity_defect: float = 0.0
-
-    @property
-    def reversed(self) -> np.ndarray:
-        """U(s, t) = U(t, s)^*."""
-        return self.matrix.conj().T
-
-
 # ---------------------------------------------------------------------------
 # driven Hamiltonian and gauge
 # ---------------------------------------------------------------------------
@@ -265,8 +254,8 @@ def propagate(
     t: float,
     s: float,
     grid: TimeGrid,
-) -> Propagator:
-    """Unitary propagator U(t, s), s <= t, by the method named in the grid.
+) -> CovariantOperator:
+    """U(t, s), s <= t, as a unitary CovariantOperator, by the grid's method.
 
     `riemann_product` multiplies exact exponentials of the Hamiltonian
     frozen at the left endpoint of each step (first order, exactly unitary
@@ -277,16 +266,13 @@ def propagate(
         raise ValueError("propagate needs s <= t")
     eye = np.eye(model.n_sites, dtype=complex)
     march = _march(partial(_h_at, model, drive), grid, s, t, grid.n_steps(s, t), eye)
-    if t == s:
-        return Propagator(next(march)[1])
-    _, u, _ = _final(march)
-    return Propagator(u, float(np.linalg.norm(u.conj().T @ u - eye)))
+    _, u, _ = next(march) if t == s else _final(march)
+    return CovariantOperator(u, model)
 
 
 def free_propagator(spectral: SpectralData, tau: float) -> np.ndarray:
     """U0(tau) = e^{-i tau H} from the eigendecomposition."""
-    v = spectral.eigenvectors
-    return (v * np.exp(-1j * tau * spectral.eigenvalues)) @ v.conj().T
+    return _expm_hermitian((spectral.eigenvalues, spectral.eigenvectors), -1j * tau)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +380,8 @@ def evolve_density_duhamel(
     O(N^2) whatever the step count.  H(r) is assembled and decomposed once
     per node: the march hands over its step's k1 matrix or eigendecomposition.
     """
+    if kernel not in ("gauge_derivative", "minimal_image"):
+        raise ValueError(f"unknown commutator kernel {kernel!r}")
     grid.validate(drive)
     s = grid.s_min
     nsteps = grid.n_steps(s, t, even=True)
@@ -440,12 +428,6 @@ def evolve_density_ode(
     model = spectral.model
     _, rho = _final(density_path(model, drive, state.build(spectral).matrix, t, grid))
     return CovariantOperator((rho + rho.conj().T) / 2.0, model, hermitian=True)
-
-
-def conjugate_density(rho: CovariantOperator, prop: Propagator) -> CovariantOperator:
-    """rho(t) = U(t,s) rho(s) U(s,t), symmetrized, for prop = U(t, s)."""
-    out = prop.matrix @ rho.matrix @ prop.reversed
-    return CovariantOperator((out + out.conj().T) / 2, rho.model, hermitian=True)
 
 
 # ---------------------------------------------------------------------------

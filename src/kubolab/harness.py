@@ -113,10 +113,19 @@ def _fmt_list(v):
 
 
 def _auto_or_float(s):
-    """A value that is "auto" or parses as a float, kept as written."""
-    if s != "auto":
-        float(s)
+    """A value that is "auto" or a finite float, kept as written."""
+    if s != "auto" and not math.isfinite(float(s)):
+        raise ValueError("must be auto or finite")
     return s
+
+
+def _between(lo, hi, cast=float):
+    """A parser for `cast` values strictly between lo and hi; NaN never is."""
+    def parse(s):
+        if not lo < cast(s) < hi:
+            raise ValueError(f"must lie strictly between {lo} and {hi}")
+        return cast(s)
+    return parse
 
 
 def _one_of(*choices):
@@ -130,8 +139,8 @@ def _one_of(*choices):
 
 def _eta_list(s):
     etas = _parse_float_list(s)
-    if not etas or not all(eta > 0 for eta in etas) or len(set(etas)) != len(etas):
-        raise ValueError("must be non-empty, positive and without repeats")
+    if not etas or not all(0 < eta < math.inf for eta in etas) or len(set(etas)) != len(etas):
+        raise ValueError("must be non-empty, finite, positive and without repeats")
     return etas
 
 
@@ -142,22 +151,22 @@ _SCHEMA = {
     ("model", "boundary"): (str, str, "torus"),
     ("model", "flux_p"): (int, str, 0),
     ("model", "flux_q"): (int, str, 1),
-    ("model", "disorder_w"): (float, repr, 0.0),
+    ("model", "disorder_w"): (_between(-math.inf, math.inf), repr, 0.0),
     ("model", "base_seed"): (int, str, 12345),
-    ("model", "n_realizations"): (int, str, 1),
+    ("model", "n_realizations"): (_between(0, math.inf, int), str, 1),
     ("state", "kind"): (_one_of("projection", "fermi_dirac"), str, "projection"),
-    ("state", "beta"): (float, repr, 10.0),
+    ("state", "beta"): (_between(0, math.inf), repr, 10.0),
     ("state", "e_f"): (_auto_or_float, str, "auto"),
-    ("state", "filling"): (float, repr, 1.0 / 3.0),
+    ("state", "filling"): (_between(0, 1), repr, 1.0 / 3.0),
     ("drive", "eta_list"): (_eta_list, _fmt_list, (1.0, 0.5, 0.25, 0.125)),
-    ("drive", "field_magnitude"): (float, repr, 1e-3),
+    ("drive", "field_magnitude"): (_between(-math.inf, math.inf), repr, 1e-3),
     ("drive", "field_axis"): (int, str, 2),  # 1-based axis label
     ("drive", "s_min"): (_auto_or_float, str, "auto"),
-    ("drive", "step"): (float, repr, 0.01),
+    ("drive", "step"): (_between(0, math.inf), repr, 0.01),
     ("drive", "method"): (_one_of(*INTEGRATORS), str, "ode_rk4"),
-    ("drive", "truncation_tol"): (float, repr, 1e-12),
-    ("drive", "include_fd"): (lambda s: s.lower() == "true", lambda b: str(bool(b)).lower(), False),
-    ("drive", "delta_e"): (float, repr, 1e-3),
+    ("drive", "truncation_tol"): (_between(0, 1), repr, 1e-12),
+    ("drive", "include_fd"): (lambda s: _one_of("true", "false")(s.lower()) == "true", lambda b: str(bool(b)).lower(), False),
+    ("drive", "delta_e"): (_between(0, math.inf), repr, 1e-3),
     ("run", "experiment"): (str, str, "algebra-check"),
     ("run", "name"): (str, str, "run"),
     ("run", "output_dir"): (str, str, "out"),
@@ -659,8 +668,9 @@ def _suite_dynamics(cfg: ExperimentConfig, writer: _OutputWriter, tol):
         checks.append(Check.below("projection_defect", proj, tol["density_projection_defect"]))
 
     magnus = replace(grid, method="magnus2")
-    prop = propagate(model, drive, 0.0, grid.s_min, magnus)
-    checks.append(Check.below("propagator_unitarity", prop.unitarity_defect, tol["propagator_unitarity"]))
+    u = propagate(model, drive, 0.0, grid.s_min, magnus).matrix
+    unitarity = np.linalg.norm(u.conj().T @ u - np.eye(model.n_sites))
+    checks.append(Check.below("propagator_unitarity", unitarity, tol["propagator_unitarity"]))
     wreport = propagator_weight_check(model, drive, 0.0, grid.s_min / 4.0, magnus)
     holds = wreport.weighted_norm <= wreport.bound * (1.0 + tol["weight_margin"])
     checks.append(Check("weight_inequality", wreport.weighted_norm - wreport.bound, tol["weight_margin"], holds))

@@ -23,7 +23,6 @@ from kubolab.dynamics import (
     DriveProtocol,
     StepSizeError,
     TimeGrid,
-    conjugate_density,
     duhamel_residual,
     evolve_density_duhamel,
     evolve_density_ode,
@@ -222,15 +221,16 @@ def test_free_case_matches_exponential(method, step):
 def test_unitarity_exact_for_product_methods(method):
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.1))
-    prop = propagate(model, drive, 0.0, -10.0, TimeGrid(S_MIN, 0.02, method))
-    assert prop.unitarity_defect < 1e-12
+    u = propagate(model, drive, 0.0, -10.0, TimeGrid(S_MIN, 0.02, method)).matrix
+    assert np.linalg.norm(u.conj().T @ u - np.eye(16)) < 1e-12
 
 
 def test_group_inverse():
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.1))
     prop = propagate(model, drive, 0.0, -3.0, TimeGrid(S_MIN, 0.01, "magnus2"))
-    assert np.linalg.norm(prop.matrix @ prop.reversed - np.eye(16)) < 1e-9
+    assert isinstance(prop, CovariantOperator) and prop.model is model
+    assert np.linalg.norm(prop.matrix @ prop.matrix.conj().T - np.eye(16)) < 1e-9
 
 
 def test_cocycle_on_aligned_grid():
@@ -445,6 +445,15 @@ def test_streaming_duhamel_matches_stored_slices(method, kernel):
     assert np.linalg.norm(rho - ref) <= 1e-12
 
 
+def test_duhamel_rejects_unknown_kernel_before_marching(monkeypatch):
+    model, state = _gapped_torus_state()
+    drive = DriveProtocol(4.0, (0.0, 0.1))
+    grid = TimeGrid(np.log(1e-12) / 4.0, 0.02)
+    monkeypatch.setattr(dynamics, "_march", None)  # any march would fail with TypeError
+    with pytest.raises(ValueError, match="'minimal'"):
+        evolve_density_duhamel(model, drive, state, 0.0, grid, kernel="minimal")
+
+
 @pytest.mark.parametrize("method", ["riemann_product", "magnus2", "ode_rk4"])
 def test_duhamel_decomposes_each_node_once(method, monkeypatch):
     model, state = _gapped_torus_state()
@@ -574,9 +583,10 @@ def test_density_conjugation_consistency():
     spectral = spectral_of(model)
     rho_s = evolve_density_ode(spectral, drive, state, -1.0, grid)
     rho_t = evolve_density_ode(spectral, drive, state, 0.0, grid)
-    prop = propagate(model, drive, 0.0, -1.0, TimeGrid(S_MIN, 0.01, "ode_rk4"))
-    conj = conjugate_density(rho_s, prop)
-    assert norm2(CovariantOperator(conj.matrix - rho_t.matrix, model)) < 1e-8
+    u = propagate(model, drive, 0.0, -1.0, TimeGrid(S_MIN, 0.01, "ode_rk4")).matrix
+    conj = u @ rho_s.matrix @ u.conj().T
+    conj = (conj + conj.conj().T) / 2
+    assert norm2(CovariantOperator(conj - rho_t.matrix, model)) < 1e-8
 
 
 def test_initial_condition_recovery():

@@ -441,6 +441,7 @@ CONFIG_ERROR_BASES = {
         "[state]\nfilling = 0.25\n"
         "[drive]\neta_list = 4.0\ninclude_fd = true\n"
     ),
+    "equilibrium": "[model]\nsides = 4,4\n[state]\nkind = fermi_dirac\n",
 }
 
 
@@ -459,6 +460,19 @@ CONFIG_ERROR_BASES = {
         # an unknown state, and a state the Streda trace of hall does not take
         ("hall", "state", "kind", "bogus"),
         ("hall", "state", "kind", "fermi_dirac"),
+        # values outside their key's own domain, which its schema parser rejects
+        ("kubo-sweep", "drive", "include_fd", "yes"),
+        ("kubo-sweep", "model", "n_realizations", "0"),
+        ("kubo-sweep", "state", "e_f", "nan"),
+        ("equilibrium", "state", "beta", "0"),
+        ("kubo-sweep", "state", "filling", "nan"),
+        ("kubo-sweep", "drive", "truncation_tol", "0"),
+        ("dynamics-check", "drive", "step", "nan"),
+        ("dynamics-check", "drive", "s_min", "nan"),
+        ("kubo-sweep", "drive", "eta_list", "inf"),
+        ("dynamics-check", "drive", "field_magnitude", "nan"),
+        ("kubo-sweep", "drive", "delta_e", "0"),
+        ("hall", "model", "disorder_w", "nan"),
         # files that configparser itself rejects (section None: raw is the whole file)
         ("hall", None, "no section header", "x = 1\n"),
         ("hall", None, "duplicate key", "[model]\ndimension = 2\ndimension = 2\n"),
