@@ -40,5 +40,7 @@ THRESHOLDS = {
     "algebra_identity": 1e-12,
     # 10. propagator theory
     "propagator_unitarity": 1e-10,
+    "propagator_cocycle": 1e-10,
+    "riemann_order_ratio": (1.7, 2.3),
     "weight_margin": 1e-6,
 }

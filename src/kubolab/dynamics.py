@@ -58,7 +58,7 @@ class DriveProtocol:
     field: tuple[float, ...]
 
     def __post_init__(self):
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise ConfigurationError("adiabatic rate eta must be positive")
         object.__setattr__(self, "field", tuple(float(e) for e in self.field))
 
@@ -92,13 +92,13 @@ class TimeGrid:
     truncation_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.step <= 0:
+        if not self.step > 0:
             raise ConfigurationError("step must be positive")
         if self.method not in INTEGRATORS:
             raise ConfigurationError(f"unknown integrator {self.method!r}")
 
     def validate(self, drive: DriveProtocol) -> None:
-        if np.exp(drive.eta * self.s_min) > self.truncation_tol * (1.0 + 1e-9):
+        if not np.exp(drive.eta * self.s_min) <= self.truncation_tol * (1.0 + 1e-9):
             raise ConfigurationError(
                 f"s_min={self.s_min} truncates too early: e^(eta s_min) = "
                 f"{np.exp(drive.eta * self.s_min):.2e} > {self.truncation_tol:.0e}"
@@ -143,7 +143,7 @@ def hamiltonian_at(model: LatticeModel, drive: DriveProtocol, t: float) -> Covar
     """H(t): every forward hop along axis j carries the extra phase
     e^{i F_j(t)}, wrap bonds included; the t -> -inf limit is the undriven
     Hamiltonian and covariance on the torus holds for all t."""
-    return CovariantOperator(_h_at(model, drive, t), model, hermitian=True)
+    return CovariantOperator(_h_at(model, drive, t), model)
 
 
 def _v_at(model: LatticeModel, drive: DriveProtocol, t: float, axis: int) -> np.ndarray:
@@ -154,7 +154,7 @@ def _v_at(model: LatticeModel, drive: DriveProtocol, t: float, axis: int) -> np.
 
 def velocity_at(model: LatticeModel, drive: DriveProtocol, t: float, axis: int) -> CovariantOperator:
     """Velocity of H(t): the bond rule applied to the driven hops."""
-    return CovariantOperator(_v_at(model, drive, t, axis), model, hermitian=True)
+    return CovariantOperator(_v_at(model, drive, t, axis), model)
 
 
 def gauge_operator(model: LatticeModel, drive: DriveProtocol, t: float) -> CovariantOperator:
@@ -207,6 +207,8 @@ def _march(h_at, grid: TimeGrid, s: float, t: float, nsteps: int, y, conjugate=F
     step's k1), or None (magnus2, and k = n).  The step-size guard is checked
     before the first step, and only the current y is held.
     """
+    if t < s:
+        raise ValueError(f"a march needs s <= t, got s={s}, t={t}")
     hnorm = float(np.max(np.abs(np.linalg.eigvalsh(h_at(s)))))
     if grid.step * hnorm >= 0.5:
         raise StepSizeError(
@@ -262,8 +264,6 @@ def propagate(
     per step); `magnus2` freezes at the midpoint (second order);
     `ode_rk4` integrates i dU/dt = H(t) U (fourth order).
     """
-    if t < s:
-        raise ValueError("propagate needs s <= t")
     eye = np.eye(model.n_sites, dtype=complex)
     march = _march(partial(_h_at, model, drive), grid, s, t, grid.n_steps(s, t), eye)
     _, u, _ = next(march) if t == s else _final(march)
@@ -397,7 +397,7 @@ def evolve_density_duhamel(
         acc += weight * (v.conj().T @ m_r @ v)
     acc *= (t - s) / nsteps / 3.0
     rho = _zeta(state, eig) - 1j * (v @ acc @ v.conj().T)
-    return CovariantOperator((rho + rho.conj().T) / 2.0, model, hermitian=True)
+    return CovariantOperator((rho + rho.conj().T) / 2.0, model)
 
 
 def density_path(
@@ -427,7 +427,7 @@ def evolve_density_ode(
     caller's decomposition `spectral` of H (no eigh)."""
     model = spectral.model
     _, rho = _final(density_path(model, drive, state.build(spectral).matrix, t, grid))
-    return CovariantOperator((rho + rho.conj().T) / 2.0, model, hermitian=True)
+    return CovariantOperator((rho + rho.conj().T) / 2.0, model)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,10 @@ class SpectralData:
 
     @classmethod
     def from_operator(cls, op: CovariantOperator) -> "SpectralData":
+        # eigh reads one triangle, so a non-Hermitian op would give a wrong spectrum
+        scale, defect = np.linalg.norm(op.matrix), np.linalg.norm(op.matrix - op.matrix.conj().T)
+        if scale > 0 and defect > 1e-12 * scale:
+            raise ValueError(f"eigh needs a Hermitian operator: ||A - A*|| = {defect:.3e} > 1e-12 ||A||")
         evals, evecs = np.linalg.eigh(op.matrix)
         return cls(evals, evecs, op.model)
 
@@ -82,9 +86,7 @@ def apply_spectral(spectral: SpectralData, f) -> CovariantOperator:
     fn = f.value if isinstance(f, SmoothFunction) else f
     fe = np.asarray(fn(spectral.eigenvalues), dtype=complex)
     v = spectral.eigenvectors
-    out = (v * fe) @ v.conj().T
-    herm = bool(np.allclose(fe.imag, 0.0))
-    return CovariantOperator(out, spectral.model, hermitian=herm)
+    return CovariantOperator((v * fe) @ v.conj().T, spectral.model)
 
 
 def fermi_projection(spectral: SpectralData, e_f: float) -> CovariantOperator:
@@ -106,7 +108,7 @@ def fermi_projection(spectral: SpectralData, e_f: float) -> CovariantOperator:
             f"edges are ({lo}, {hi})"
         )
     w = spectral.eigenvectors[:, _occupation(e_f)(evals) == 1.0]
-    return CovariantOperator(w @ w.conj().T, spectral.model, hermitian=True)
+    return CovariantOperator(w @ w.conj().T, spectral.model)
 
 
 def _occupation(e_f: float, beta: float | None = None):

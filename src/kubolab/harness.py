@@ -650,7 +650,7 @@ def _suite_dynamics(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     every = max(1, nsteps // 8)
     for k, (r, rho_t) in enumerate(density_path(model, drive, zeta.matrix, 0.0, grid)):
         if k % every == 0 or k == nsteps:
-            rho_ode = CovariantOperator((rho_t + rho_t.conj().T) / 2, model, hermitian=True)
+            rho_ode = CovariantOperator((rho_t + rho_t.conj().T) / 2, model)
             n = norms(rho_ode)
             defect = float(np.linalg.norm(rho_t @ rho_t - rho_t))
             timeseries.append([r, n.norm1, n.norm2, n.norminf, defect])
@@ -716,7 +716,7 @@ def _suite_funcalc(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     n = 32
     chain = LatticeModel(LatticeConfig(1, (n,), "open"), FluxSpec(), np.zeros(n))
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    h = CovariantOperator((m + m.conj().T) / (2 * np.sqrt(n)), chain, hermitian=True)
+    h = CovariantOperator((m + m.conj().T) / (2 * np.sqrt(n)), chain)
     spectral = SpectralData.from_operator(h)
     f = gaussian_function(center=float(np.mean(spectral.eigenvalues)), width=1.0)
     exact = apply_spectral(spectral, f)

@@ -18,8 +18,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 import numpy.random  # loaded here, not lazily by the first sample_disorder call
 
-HERMITICITY_RTOL = 1e-12
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -129,14 +127,12 @@ class LatticeModel:
     """One disorder realization of the magnetic tight-binding lattice.
 
     `potential` holds the per-site values of a single realization; the
-    hopping amplitude is the standard Anderson-Hofstadter convention -1
-    (overridable only for degenerate test models).
+    hopping amplitude is the standard Anderson-Hofstadter convention -1.
     """
 
     config: LatticeConfig
     flux: FluxSpec = field(default_factory=FluxSpec)
     potential: np.ndarray | None = None
-    hopping: float = -1.0
 
     def __post_init__(self):
         n = self.config.n_sites
@@ -191,7 +187,7 @@ class LatticeModel:
         """Per axis: (head sites m, tail sites n, Peierls phase theta).
 
         Each entry describes the forward hop n -> m = n + e_axis (with wrap
-        on the torus), carrying matrix element hopping * e^{i theta} in
+        on the torus), carrying matrix element -e^{i theta} in
         H[m, n].
         """
         d = self.config.dimension
@@ -219,7 +215,8 @@ class LatticeModel:
         """Matrix of forward hops along `axis` (one triangle of the bonds)."""
         head, tail, theta = self.bonds[axis]
         m = np.zeros((self.n_sites, self.n_sites), dtype=complex)
-        np.add.at(m, (head, tail), self.hopping * np.exp(1j * theta))
+        # a complex product, not a negation: it keeps H's signed zeros
+        np.add.at(m, (head, tail), -1.0 * np.exp(1j * theta))
         return m
 
     @cached_property
@@ -262,7 +259,6 @@ class CovariantOperator:
 
     matrix: np.ndarray
     model: LatticeModel
-    hermitian: bool = False
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
@@ -271,14 +267,6 @@ class CovariantOperator:
             raise ModelMismatchError(
                 f"matrix shape {self.matrix.shape} does not match {n} sites"
             )
-        if self.hermitian:
-            scale = np.linalg.norm(self.matrix)
-            defect = np.linalg.norm(self.matrix - self.matrix.conj().T)
-            if scale > 0 and defect > HERMITICITY_RTOL * scale:
-                raise ValueError(
-                    f"hermitian flag set but ||A - A*|| = {defect:.3e} "
-                    f"exceeds {HERMITICITY_RTOL:.0e} * ||A||"
-                )
 
     @property
     def n(self) -> int:
@@ -297,7 +285,7 @@ def build_hamiltonian(model: LatticeModel) -> CovariantOperator:
         h += part
         h += part.conj().T
     h += np.diag(model.potential.astype(complex))
-    return CovariantOperator(h, model, hermitian=True)
+    return CovariantOperator(h, model)
 
 
 def magnetic_translation(model: LatticeModel, a) -> CovariantOperator:
@@ -344,7 +332,6 @@ def shift_disorder(model: LatticeModel, a) -> LatticeModel:
         config=model.config,
         flux=model.flux,
         potential=model.potential[src_idx],
-        hopping=model.hopping,
     )
 
 
@@ -391,11 +378,9 @@ def velocity_operator(model: LatticeModel, axis: int) -> CovariantOperator:
     """
     part = model.forward_hop_matrix(axis)
     v = -1j * (part - part.conj().T)
-    return CovariantOperator(v, model, hermitian=True)
+    return CovariantOperator(v, model)
 
 
 def position_matrix(model: LatticeModel, axis: int) -> CovariantOperator:
     """Diagonal matrix of integer site coordinates (exact on the open box)."""
-    return CovariantOperator(
-        np.diag(model.coords[:, axis].astype(complex)), model, hermitian=True
-    )
+    return CovariantOperator(np.diag(model.coords[:, axis].astype(complex)), model)

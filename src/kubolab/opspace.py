@@ -84,7 +84,7 @@ def norm2(a: CovariantOperator) -> float:
 
 def dagger(a: CovariantOperator) -> CovariantOperator:
     """Conjugation A -> A^dd; the conjugate transpose at finite volume."""
-    return CovariantOperator(a.matrix.conj().T, a.model, hermitian=a.hermitian)
+    return CovariantOperator(a.matrix.conj().T, a.model)
 
 
 def prod_left(b: CovariantOperator, a: CovariantOperator) -> CovariantOperator:

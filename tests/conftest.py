@@ -24,14 +24,14 @@ def random_operator(model, rng, scale=1.0, hermitian=False):
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     if hermitian:
         m = (m + m.conj().T) / 2
-    return CovariantOperator(scale * m / np.sqrt(n), model, hermitian=hermitian)
+    return CovariantOperator(scale * m / np.sqrt(n), model)
 
 
 def random_projector(model, rng, rank):
     n = model.n_sites
     m = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
     q, _ = np.linalg.qr(m)
-    return CovariantOperator(q @ q.conj().T, model, hermitian=True)
+    return CovariantOperator(q @ q.conj().T, model)
 
 
 def spectral_of(model):

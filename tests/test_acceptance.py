@@ -354,7 +354,7 @@ def test_criterion_10_propagator_theory():
     u_tr = propagate(model, drive, 0.0, -1.0, grid).matrix
     u_rs = propagate(model, drive, -1.0, -2.0, grid).matrix
     cocycle = float(np.linalg.norm(u_tr @ u_rs - u_ts))
-    assert cocycle < 1e-10
+    assert cocycle < TOL["propagator_cocycle"]
 
     weight = propagator_weight_check(model, drive, 0.0, -5.0, grid)
     assert weight.weighted_norm <= weight.bound * (1.0 + TOL["weight_margin"])
@@ -370,7 +370,8 @@ def test_criterion_10_propagator_theory():
         for h in (0.02, 0.01, 0.005)
     ]
     ratios = [x / y for x, y in zip(errs, errs[1:])]
-    assert all(1.7 < r < 2.3 for r in ratios)
+    lo, hi = TOL["riemann_order_ratio"]
+    assert all(lo < r < hi for r in ratios)
     report(
         "10 propagator",
         f"unitarity={unitarity:.1e}; cocycle={cocycle:.1e}; "

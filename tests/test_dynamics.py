@@ -67,14 +67,18 @@ def test_f_integral_vanishes_at_minus_infinity():
 
 
 def test_positive_rate_required():
-    with pytest.raises(ConfigurationError):
-        DriveProtocol(0.0, (0.1,))
+    # a NaN rate fails here, not later inside eigh
+    for eta in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigurationError):
+            DriveProtocol(eta, (0.1,))
 
 
 def test_grid_truncation_validated():
     drive = DriveProtocol(1.0, (0.1,))
-    with pytest.raises(ConfigurationError):
-        TimeGrid(-5.0, 0.01).validate(drive)
+    # a NaN s_min or step fails here, not later as a step count
+    for s_min, step in ((-5.0, 0.01), (float("nan"), 0.01), (S_MIN, 0.0), (S_MIN, float("nan"))):
+        with pytest.raises(ConfigurationError):
+            TimeGrid(s_min, step).validate(drive)
 
 
 # -- driven Hamiltonian and gauge -------------------------------------------------
@@ -324,6 +328,24 @@ def test_rk4_midpoint_reuse_keeps_bytes():
     assert rho.tobytes() == ((ref + ref.conj().T) / 2.0).tobytes()
 
 
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda m, d, st, g: propagate(m, d, S_MIN - 10.0, S_MIN, g),
+        lambda m, d, st, g: evolve_density_ode(spectral_of(m), d, st, S_MIN - 10.0, g),
+        lambda m, d, st, g: evolve_density_duhamel(m, d, st, S_MIN - 10.0, g),
+        lambda m, d, st, g: duhamel_residual(m, d, S_MIN - 10.0, S_MIN, np.ones(36), g),
+    ],
+    ids=["propagate", "density_ode", "density_duhamel", "duhamel_residual"],
+)
+def test_backward_march_rejected(route):
+    # a march from s back to t < s would run with a negative step past the guard
+    model, state = _gapped_torus_state()
+    drive = DriveProtocol(1.0, (0.0, 0.1))
+    with pytest.raises(ValueError, match="s <= t"):
+        route(model, drive, state, TimeGrid(S_MIN, 0.01))
+
+
 def test_stability_guard():
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.1))
@@ -552,6 +574,9 @@ def test_density_routes_agree():
     duh = evolve_density_duhamel(model, drive, state, 0.0, grid)
     ode = evolve_density_ode(spectral_of(model), drive, state, 0.0, grid)
     assert norm2(CovariantOperator(duh.matrix - ode.matrix, model)) < 1e-8
+    # each route symmetrizes, so rho = rho* holds exactly
+    assert np.array_equal(duh.matrix, duh.matrix.conj().T)
+    assert np.array_equal(ode.matrix, ode.matrix.conj().T)
 
 
 def test_density_trace_and_norms_conserved():

@@ -78,7 +78,7 @@ PROBE = textwrap.dedent(
     facts["hs_norm"] = hs_norm(gaussian_function(), 1)
     facts["scipy_after_hs_norm"] = "scipy.integrate" in sys.modules
     model = LatticeModel(LatticeConfig(1, (2,), "open"), FluxSpec())
-    h = CovariantOperator(np.diag([0.3, 5.0]), model, hermitian=True)
+    h = CovariantOperator(np.diag([0.3, 5.0]), model)
     f = fermi_dirac(SpectralData.from_operator(h), beta=2.0, e_f=0.3)
     facts["fermi_dirac"] = np.diag(f.matrix).real.tolist()
     facts["scipy_after_fermi_dirac"] = "scipy.special" in sys.modules
@@ -119,7 +119,7 @@ def test_zero_temperature_suites_never_load_scipy(tmp_path):
     assert facts["scipy_after_hs_norm"] and facts["scipy_after_fermi_dirac"]
     assert facts["hs_norm"] == hs_norm(gaussian_function(), 1)
     model = make_chain(2, "open")
-    h = CovariantOperator([[0.3, 0.0], [0.0, 5.0]], model, hermitian=True)
+    h = CovariantOperator([[0.3, 0.0], [0.0, 5.0]], model)
     f = fermi_dirac(SpectralData.from_operator(h), beta=2.0, e_f=0.3)
     assert facts["fermi_dirac"] == f.matrix.diagonal().real.tolist()
     assert facts["fermi_dirac"][0] == 0.5

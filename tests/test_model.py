@@ -290,11 +290,6 @@ def test_displacement_table_cached_per_geometry(config):
 # -- velocity ----------------------------------------------------------------
 
 
-def test_velocity_zero_hop_model():
-    model = LatticeModel(LatticeConfig(1, (6,), "torus"), FluxSpec(), hopping=0.0)
-    assert np.all(velocity_operator(model, 0).matrix == 0.0)
-
-
 def test_velocity_equals_commutator_open_chain():
     pot = sample_disorder(DisorderSpec(2.0, 4), 0, 8)
     model = make_chain(8, "open", pot)
@@ -326,13 +321,6 @@ def test_velocity_hermitian_bond_supported():
 
 
 # -- covariant operator bookkeeping -------------------------------------------
-
-
-def test_hermitian_flag_verified():
-    model = make_chain(4, "open")
-    with pytest.raises(ValueError):
-        CovariantOperator(np.array([[0, 1], [0, 0]]), make_chain(2, "open"), hermitian=True)
-    CovariantOperator(np.eye(4), model, hermitian=True)
 
 
 def test_model_tag_mismatch_rejected():

@@ -80,7 +80,7 @@ def test_liouvillian_exponential_is_conjugation(liou, rng):
 
 def test_resolvent_two_level_oracle():
     model = make_chain(2, "open")
-    h = CovariantOperator(np.diag([0.0, 1.0]), model, hermitian=True)
+    h = CovariantOperator(np.diag([0.0, 1.0]), model)
     rep = LiouvillianRep(SpectralData.from_operator(h))
     b = CovariantOperator(np.array([[0.0, 1.0], [1.0, 0.0]]), model)
     out = rep.resolvent(1.0, b).matrix
@@ -420,8 +420,8 @@ def test_streda_quantized_at_l6():
 
 def test_triple_commutator_trivial_projectors():
     model = make_chain(8, "open")
-    zero = CovariantOperator(np.zeros((8, 8)), model, hermitian=True)
-    eye = CovariantOperator(np.eye(8), model, hermitian=True)
+    zero = CovariantOperator(np.zeros((8, 8)), model)
+    eye = CovariantOperator(np.eye(8), model)
     assert triple_commutator_check(zero) == 0.0
     assert triple_commutator_check(eye) == 0.0
 
