@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -243,6 +243,16 @@ def _simpson_weight(k: int, n: int) -> float:
     if k in (0, n):
         return 1.0
     return 4.0 if k % 2 else 2.0
+
+
+@lru_cache(maxsize=8)
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only and cached
+    per order."""
+    rule = leggauss(order)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +506,7 @@ def propagator_weight_check(
     hs = _h_at(model, drive, s) + gamma * eye
     lhs = float(np.linalg.norm(ht @ prop.matrix @ np.linalg.inv(hs), 2))
 
-    nodes, weights = leggauss(24)
+    nodes, weights = gauss_legendre(24)
     total = 0.0
     n_panels = max(4, int(np.ceil((t - s))))
     edges = np.linspace(s, t, n_panels + 1)

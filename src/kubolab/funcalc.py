@@ -197,32 +197,6 @@ def gaussian_function(center: float = 0.0, width: float = 1.0, m_max: int = 12) 
     return SmoothFunction(value, derivative, m_max=m_max)
 
 
-def verify_derivatives(f: SmoothFunction, points, orders=None, rtol: float = 1e-6) -> float:
-    """Check declared derivatives against central finite differences.
-
-    Returns the worst relative error over the sampled points and orders;
-    raises if it exceeds rtol.
-    """
-    orders = orders if orders is not None else range(1, min(f.m_max, 4) + 1)
-    worst = 0.0
-    for r in orders:
-        for x in points:
-            g = lambda u: f.deriv(r - 1, u)
-            stencil = _richardson_difference(g, x, 1e-2)
-            claimed = f.deriv(r, x)
-            scale = max(abs(claimed), abs(stencil), 1e-8)
-            worst = max(worst, abs(claimed - stencil) / scale)
-    if worst > rtol:
-        raise ValueError(f"derivative check failed: relative error {worst:.3e}")
-    return worst
-
-
-def _richardson_difference(g, x, h):
-    d1 = (g(x + h) - g(x - h)) / (2 * h)
-    d2 = (g(x + h / 2) - g(x - h / 2)) / h
-    return (4.0 * d2 - d1) / 3.0
-
-
 # ---------------------------------------------------------------------------
 # the |||f|||_m norms
 # ---------------------------------------------------------------------------

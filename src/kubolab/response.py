@@ -21,13 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .model import CovariantOperator, velocity_operator
 from .funcalc import (
     EquilibriumState,
     SpectralData,
-    apply_spectral,
     divided_difference_kernel,
     fermi_projection,
     position_commutator,
@@ -36,69 +34,10 @@ from .dynamics import (
     DriveProtocol,
     TimeGrid,
     evolve_density_ode,
+    gauss_legendre,
     hamiltonian_at,
     velocity_at,
 )
-from .opspace import comm_ddagger, prod_right
-
-
-# ---------------------------------------------------------------------------
-# Liouvillian superoperator in the eigenbasis
-# ---------------------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class LiouvillianRep:
-    """Superoperator B -> [H, B] represented in the eigenbasis of H, where
-    it acts entrywise as multiplication by E_m - E_n."""
-
-    spectral: SpectralData
-    degeneracy_tol: float | None = None
-
-    def __post_init__(self):
-        if self.degeneracy_tol is None:
-            self.degeneracy_tol = 1e-9 * max(self.spectral.width, 1.0)
-        e = self.spectral.eigenvalues
-        self._gaps = e[:, None] - e[None, :]
-
-    def to_eigenbasis(self, b: np.ndarray) -> np.ndarray:
-        v = self.spectral.eigenvectors
-        return v.conj().T @ b @ v
-
-    def from_eigenbasis(self, bt: np.ndarray) -> np.ndarray:
-        v = self.spectral.eigenvectors
-        return v @ bt @ v.conj().T
-
-    def apply(self, b: CovariantOperator) -> CovariantOperator:
-        bt = self.to_eigenbasis(b.matrix)
-        return CovariantOperator(self.from_eigenbasis(self._gaps * bt), b.model)
-
-    def evolve(self, t: float, b: CovariantOperator) -> CovariantOperator:
-        """exp(-i t L)(B) = U0(t) B U0(-t)."""
-        bt = self.to_eigenbasis(b.matrix)
-        return CovariantOperator(
-            self.from_eigenbasis(np.exp(-1j * t * self._gaps) * bt), b.model
-        )
-
-    def resolvent(self, eta: float, b: CovariantOperator) -> CovariantOperator:
-        """(i L + eta)^{-1} B, exact entrywise division."""
-        if eta <= 0:
-            raise ValueError("eta must be positive")
-        bt = self.to_eigenbasis(b.matrix)
-        return CovariantOperator(
-            self.from_eigenbasis(bt / (1j * self._gaps + eta)), b.model
-        )
-
-    def kernel_projection(self, b: CovariantOperator, tol: float | None = None) -> CovariantOperator:
-        """Orthogonal projection onto the complement of Ker L: zero out the
-        eigenbasis entries with |E_m - E_n| below the degeneracy tolerance."""
-        tol = self.degeneracy_tol if tol is None else tol
-        if tol <= 0:
-            raise ValueError("kernel tolerance must be positive")
-        bt = self.to_eigenbasis(b.matrix)
-        return CovariantOperator(
-            self.from_eigenbasis(np.where(np.abs(self._gaps) < tol, 0.0, bt)), b.model
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +139,15 @@ class ResponseBasis:
         )
 
 
+def _require_rate(eta: float) -> None:
+    if not 0.0 < eta < np.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta!r}")
+
+
 def sigma_resolvent(basis: ResponseBasis, eta: float) -> np.ndarray:
     """sigma_jk(eta) = -T{ 2 D_j (i L + eta)^{-1} (i [x_k, zeta]) }, the basis
     contracted with the kernel 1 / (eta + i (E_m - E_n))."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    _require_rate(eta)
     e = basis.energies
     return basis.contract(1.0 / (1j * (e[:, None] - e[None, :]) + eta))
 
@@ -222,16 +165,20 @@ def sigma_kubo_integral(
     In the eigenbasis of H, U0(-r) multiplies entry (m, n) by
     e^{i r w}, w = E_m - E_n.  The P panels share the half-width h, and node
     i of panel q sits at r = c_q + h x_i, so every term factorizes as
-    e^{(eta + i w) r} = e^{(eta + i w) c_q} e^{(eta + i w) h x_i} and the
-    weighted node sum is one entrywise product K = B o G of
+    e^{z r} = e^{z c_q} e^{z h x_i}, z = eta + i w, and the weighted node sum
+    is one entrywise product K = B o G of
       - the in-panel factor B = A diag(w_i h e^{eta h x_i}) A^*,
         A_mi = e^{i h x_i E_m}, one (N x p)(p x N) product; and
-      - the panel factor G = sum_q e^{eta c_q} d_q d_q^*, d_q = e^{i c_q E},
-        summed as (N x b)(b x N) products over blocks of b <= N centres,
-    contracted with the basis.  Cost O(N (p + P)) exponentials and
-    O(N^2 (p + P)) multiply-adds; memory O(N^2 + P)."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+      - the panel factor G = sum_q e^{z c_q}, a geometric series over the
+        centres c_q = s_min + (2q + 1) h, summed in closed form:
+            G = (1 - e^{z s_min}) / (2 sinh(z h)),
+        with 1 - e^{eta s_min} u_m u_n^* over
+        2 sinh(eta h) Re(v_m v_n^*) + 2i cosh(eta h) Im(v_m v_n^*),
+        u = e^{i s_min E}, v = e^{i h E}; written so, the denominator does
+        not cancel at w = 0 and is nonzero for every eta > 0,
+    contracted with the basis.  Cost O(N (p + 1)) exponentials and O(N^2 p)
+    multiply-adds, whatever the panel count P; memory O(N^2)."""
+    _require_rate(eta)
     if s_min is None:
         s_min = float(np.log(1e-12) / eta)
     if not s_min < 0:
@@ -240,19 +187,18 @@ def sigma_kubo_integral(
         raise ValueError("panel_width must be positive")
     if panel_order < 1:
         raise ValueError("panel_order must be at least 1")
-    nodes, weights = leggauss(panel_order)
-    n_panels = max(1, int(np.ceil(-s_min / panel_width)))
-    edges = np.linspace(s_min, 0.0, n_panels + 1)
-    centres, half = (edges[:-1] + edges[1:]) / 2.0, -s_min / (2.0 * n_panels)
+    nodes, weights = gauss_legendre(panel_order)
+    half = -s_min / (2.0 * max(1, int(np.ceil(-s_min / panel_width))))
     energies = basis.energies
-    n = len(energies)
-    # G first, then B multiplied into it in place, so no N x N factor is held
-    # alongside the block products or the contraction's temporaries
-    kern = np.zeros((n, n), dtype=complex)
-    for start in range(0, n_panels, n):
-        c = centres[start:start + n]
-        d = np.exp(1j * np.outer(energies, c))
-        kern += (d * np.exp(eta * c)) @ d.conj().T
+    u, v = np.exp(1j * s_min * energies), np.exp(1j * half * energies)
+    # G, then B multiplied into it; each step works in place or drops its
+    # operand, so no more N x N arrays are alive than the contraction makes
+    kern = 1.0 - np.exp(eta * s_min) * np.outer(u, u.conj())
+    den = np.outer(v, v.conj())
+    den.real *= 2.0 * np.sinh(eta * half)
+    den.imag *= 2.0 * np.cosh(eta * half)
+    kern /= den
+    del den
     a = np.exp(1j * np.outer(energies, half * nodes))
     kern *= (a * (weights * half * np.exp(eta * half * nodes))) @ a.conj().T
     return basis.contract(kern)
@@ -320,50 +266,6 @@ def triple_commutator_check(p: CovariantOperator, axis: int | None = None) -> fl
         outer = pm @ inner - inner @ pm
         worst = max(worst, float(np.linalg.norm(outer - m, 2)))
     return worst
-
-
-def velocity_projection_identity_defect(
-    spectral: SpectralData, e_f: float, axis: int, profile=None
-) -> float:
-    """Defect of the commutator exchange between the projected velocity and
-    the driven position commutator:
-
-        [P, 2 D_j f(H)] + [H, i[x_j, P]]_dd (.)_R f(H) = 0.
-
-    Exact (to rounding) on the open box; wrap-bounded on the torus."""
-    model = spectral.model
-    h = apply_spectral(spectral, lambda e: e)
-    p = fermi_projection(spectral, e_f)
-    f_h = (
-        np.eye(model.n_sites, dtype=complex)
-        if profile is None
-        else apply_spectral(spectral, profile).matrix
-    )
-    d_j = velocity_operator(model, axis).matrix / 2.0
-    m_j = CovariantOperator(1j * position_commutator(p, axis).matrix, model)
-    lhs = p.matrix @ (2.0 * d_j @ f_h) - (2.0 * d_j @ f_h) @ p.matrix
-    rhs = prod_right(comm_ddagger(h, m_j), CovariantOperator(f_h, model)).matrix
-    return float(np.linalg.norm(lhs + rhs, 2))
-
-
-def sigma_liouvillian_pathway(spectral: SpectralData, e_f: float, eta: float) -> np.ndarray:
-    """sigma_jk(eta) = << i (L + i eta)^{-1} L([P, i[x_j, P]]), i[x_k, P] >>,
-    the kernel-projection route; agrees with sigma_resolvent for zeta = P."""
-    liou = LiouvillianRep(spectral)
-    p = fermi_projection(spectral, e_f)
-    d = spectral.model.config.dimension
-    n = spectral.model.n_sites
-    m_ops = [1j * position_commutator(p, axis).matrix for axis in range(d)]
-    gaps = liou._gaps
-    sigma = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        c_j = p.matrix @ m_ops[j] - m_ops[j] @ p.matrix
-        ct = liou.to_eigenbasis(c_j)
-        at = 1j * gaps * ct / (gaps + 1j * eta)
-        for k in range(d):
-            mt = liou.to_eigenbasis(m_ops[k])
-            sigma[j, k] = np.sum(at.conj() * mt) / n
-    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +340,10 @@ def eta_sweep(
     gauge-derivative resolvent, the response formula on the same
     finite-volume kernel; without it both are None."""
     etas = list(etas)
-    if any(e <= 0 for e in etas) or any(b >= a for a, b in zip(etas, etas[1:])):
-        raise ValueError("etas must be positive and strictly descending")
+    for eta in etas:
+        _require_rate(eta)
+    if any(b >= a for a, b in zip(etas, etas[1:])):
+        raise ValueError("etas must be strictly descending")
     streda = sigma_streda(fermi_projection(spectral, state.e_f))
     basis = ResponseBasis.of(spectral, state)
     resolvent = np.array([sigma_resolvent(basis, eta) for eta in etas])

@@ -25,11 +25,11 @@ from kubolab.funcalc import (
     localization_diagnostic,
     position_commutator,
     spectral_position_commutator,
-    verify_derivatives,
 )
 from kubolab.opspace import norm2
 
 from conftest import gap_fermi_level, make_chain, make_torus, random_operator
+from reference import verify_derivatives
 
 
 @pytest.fixture

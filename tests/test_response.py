@@ -22,7 +22,6 @@ from kubolab.dynamics import (
 )
 from kubolab.opspace import hs_inner
 from kubolab.response import (
-    LiouvillianRep,
     ResponseBasis,
     chern_number_fhs,
     equilibrium_current,
@@ -31,15 +30,16 @@ from kubolab.response import (
     net_current,
     sigma_finite_difference,
     sigma_kubo_integral,
-    sigma_liouvillian_pathway,
     sigma_resolvent,
     sigma_streda,
     triple_commutator_check,
-    velocity_projection_identity_defect,
 )
 
 from conftest import (
     gap_fermi_level, make_chain, make_torus, random_operator, random_projector, spectral_of,
+)
+from reference import (
+    LiouvillianRep, sigma_liouvillian_pathway, velocity_projection_identity_defect,
 )
 
 
@@ -264,22 +264,27 @@ def _kubo_per_node(basis, eta, s_min=None, panel_width=0.5, panel_order=10):
 
 @pytest.mark.parametrize("kernel", ["minimal_image", "gauge_derivative"])
 @pytest.mark.parametrize(
-    "quadrature",
+    "quadrature, etas, disorder_w",
     [
-        {},
-        {"s_min": -20.0, "panel_width": 1.5, "panel_order": 6},
-        {"s_min": -0.3, "panel_width": 0.5},
-        # 20 panels on N = 16 sites: the last block of panel centres is partial
-        {"s_min": -10.0, "panel_width": 0.5, "panel_order": 3},
+        ({}, (1.0, 0.25), 1.0),
+        ({"s_min": -20.0, "panel_width": 1.5, "panel_order": 6}, (1.0, 0.25), 1.0),
+        ({"s_min": -0.3, "panel_width": 0.5}, (1.0, 0.25), 1.0),
+        # 20 panels on N = 16 sites, a count that is no multiple of N
+        ({"s_min": -10.0, "panel_width": 0.5, "panel_order": 3}, (1.0, 0.25), 1.0),
+        # eta = 0.05 spans P = 1,106 panels on N = 16 sites, so P >> N
+        ({}, (0.05,), 1.0),
+        # the clean flux-1/4 torus: its degenerate levels give exact w = 0
+        # pairs off the diagonal
+        ({}, (1.0, 0.25), 0.0),
     ],
-    ids=["default", "coarse", "one_panel", "partial_block"],
+    ids=["default", "coarse", "one_panel", "partial_block", "small_eta", "clean_degenerate"],
 )
-def test_kubo_integral_matches_per_node_sum(kernel, quadrature):
-    pot = sample_disorder(DisorderSpec(1.0, 8), 0, 16)
+def test_kubo_integral_matches_per_node_sum(kernel, quadrature, etas, disorder_w):
+    pot = sample_disorder(DisorderSpec(1.0, 8), 0, 16) if disorder_w else None
     model = make_torus((4, 4), 1, 4, pot)
     state = EquilibriumState("projection", gap_fermi_level(model, 0.25))
     basis = ResponseBasis.of(spectral_of(model), state, kernel)
-    for eta in (1.0, 0.25):
+    for eta in etas:
         kubo = sigma_kubo_integral(basis, eta, **quadrature)
         ref = _kubo_per_node(basis, eta, **quadrature)
         assert np.max(np.abs(kubo - ref)) <= 1e-12
@@ -287,7 +292,8 @@ def test_kubo_integral_matches_per_node_sum(kernel, quadrature):
 
 def test_kubo_integral_memory_is_independent_of_panel_count():
     # eta = 0.01 spans P = 5,527 panels on N = 64 sites; the panel factor is
-    # summed in blocks of at most N centres, so no N x P temporary is made
+    # a closed-form sum over them, made of N x N arrays only, so no N x P
+    # temporary is made
     model, state, _ = _disordered_flux_quarter()
     basis = ResponseBasis.of(spectral_of(model), state)
     n = len(basis.energies)
@@ -298,6 +304,28 @@ def test_kubo_integral_memory_is_independent_of_panel_count():
     finally:
         tracemalloc.stop()
     assert peak < 16 * n * n * 16
+
+
+def test_kubo_integral_exponentials_are_independent_of_panel_count(monkeypatch):
+    # eta = 1 spans 56 panels and eta = 0.001 spans 55,263: the same number
+    # of elements goes through np.exp for both
+    model, state, _ = _disordered_flux_quarter()
+    basis = ResponseBasis.of(spectral_of(model), state)
+    sigma_kubo_integral(basis, 1.0)  # the quadrature rule is built on first use
+    counted = []
+    exp = np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        counted.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    elements = []
+    for eta in (1.0, 0.001):
+        counted.clear()
+        sigma_kubo_integral(basis, eta)
+        elements.append(sum(counted))
+    assert elements[0] == elements[1] > 0
 
 
 @pytest.mark.parametrize(
@@ -369,6 +397,21 @@ def test_sigma_requires_positive_eta():
         sigma_resolvent(basis, -0.1)
     with pytest.raises(ValueError):
         sigma_kubo_integral(basis, 0.0)
+
+
+@pytest.mark.parametrize("route", ["resolvent", "kubo_integral", "eta_sweep"])
+def test_non_finite_eta_rejected(route):
+    model, state, _ = _disordered_flux_quarter()
+    spectral = spectral_of(model)
+    basis = ResponseBasis.of(spectral, state)
+    call = {
+        "resolvent": lambda eta: sigma_resolvent(basis, eta),
+        "kubo_integral": lambda eta: sigma_kubo_integral(basis, eta),
+        "eta_sweep": lambda eta: eta_sweep(spectral, state, [eta]),
+    }[route]
+    for eta in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="eta"):
+            call(eta)
 
 
 # -- Streda form and structure --------------------------------------------------------
