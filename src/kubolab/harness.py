@@ -170,7 +170,7 @@ _SCHEMA = {
     ("run", "experiment"): (str, str, "algebra-check"),
     ("run", "name"): (str, str, "run"),
     ("run", "output_dir"): (str, str, "out"),
-    ("run", "threads"): (int, str, 1),
+    ("run", "threads"): (_between(0, math.inf, int), str, 1),
     ("run", "tolerance_overrides"): (str, str, ""),
 }
 
@@ -519,6 +519,8 @@ def _suite_equilibrium(cfg: ExperimentConfig, writer: _OutputWriter, tol):
 def _suite_hall(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     if cfg[("state", "kind")] != "projection":
         raise ConfigError("hall needs state.kind = projection, the Fermi projection it traces")
+    if cfg[("model", "dimension")] != 2:
+        raise ConfigError("hall needs model.dimension = 2, the two axes of sigma_12")
     p, q = cfg[("model", "flux_p")], cfg[("model", "flux_q")]
     clean_model = LatticeModel(cfg.lattice_config(), cfg.flux())
     clean_evals = np.linalg.eigvalsh(build_hamiltonian(clean_model).matrix)
@@ -548,7 +550,7 @@ def _suite_hall(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     summary, summary_rows, checks = {"cell_errors": cell_errors}, [], []
     if rows:
         mean, stderr = ensemble_average([r[3] for r in rows])
-        gap = abs(abs(mean) - abs(chern)) if p != 0 else abs(mean)
+        gap = abs(abs(mean) - abs(chern))
         bound = tol["hall_quantization_clean"] if cfg[("model", "disorder_w")] == 0 else tol["hall_quantization_disordered"]
         checks.append(Check.below("hall", gap, bound))
         summary_rows.append([mean, stderr if stderr is not None else "", chern, gap, bound, checks[0].passed])

@@ -48,6 +48,16 @@ def realization_seed(base_seed: int, index: int) -> int:
     return splitmix64(splitmix64(base_seed & _MASK64) ^ (index + 0x9E3779B97F4A7C15))
 
 
+def _coords(sides) -> np.ndarray:
+    """(N, d) site coordinates, row-major in the index; C-ordered, as coords @ f rounds by layout."""
+    return np.indices(sides).reshape(len(sides), -1).T.copy()
+
+
+def _site_indices(sides, coords) -> np.ndarray:
+    """Site index of each coordinate row of `coords`, wrapped into the box."""
+    return np.ravel_multi_index(np.asarray(coords).T, sides, mode="wrap")
+
+
 @dataclass(frozen=True)
 class LatticeConfig:
     """Finite box geometry: dimension, per-axis site counts, boundary."""
@@ -169,54 +179,40 @@ class LatticeModel:
     @cached_property
     def coords(self) -> np.ndarray:
         """(N, d) integer coordinates; site index is row-major in coords."""
-        grids = np.meshgrid(
-            *[np.arange(s) for s in self.config.sides], indexing="ij"
-        )
-        return np.stack([g.ravel() for g in grids], axis=1)
+        return _coords(self.config.sides)
 
     def site_index(self, coord) -> int:
-        idx = 0
-        for c, s in zip(coord, self.config.sides):
-            idx = idx * s + int(c) % s
-        return idx
+        return int(_site_indices(self.config.sides, coord))
 
     # -- bonds -------------------------------------------------------------
 
     @cached_property
     def bonds(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per axis: (head sites m, tail sites n, Peierls phase theta).
+        """Per axis: (head sites m, tail sites n, hop amplitude -e^{i theta}).
 
         Each entry describes the forward hop n -> m = n + e_axis (with wrap
-        on the torus), carrying matrix element -e^{i theta} in
-        H[m, n].
+        on the torus), carrying the amplitude as matrix element H[m, n];
+        theta is the Landau-gauge Peierls phase 2 pi phi x0 on axis 1 and 0
+        elsewhere.
         """
-        d = self.config.dimension
         sides = self.config.sides
-        coords = self.coords
-        n_idx = np.arange(self.n_sites)
         out = []
-        for axis in range(d):
-            if self.config.boundary == "torus":
-                keep = np.ones(self.n_sites, dtype=bool)
-            else:
-                keep = coords[:, axis] < sides[axis] - 1
-            tail = n_idx[keep]
-            head_coords = coords[keep].copy()
-            head_coords[:, axis] = (head_coords[:, axis] + 1) % sides[axis]
-            head = np.array([self.site_index(c) for c in head_coords])
-            if axis == 1 and self.flux.numerator != 0:
-                theta = 2.0 * np.pi * self.flux.phi * coords[keep, 0]
-            else:
-                theta = np.zeros(tail.size)
-            out.append((head, tail, theta))
+        for axis, step in enumerate(np.eye(self.config.dimension, dtype=int)):
+            tail = np.arange(self.n_sites)
+            if self.config.boundary == "open":
+                tail = tail[self.coords[:, axis] < sides[axis] - 1]
+            head = _site_indices(sides, self.coords[tail] + step)
+            phi = self.flux.phi if axis == 1 else 0.0
+            theta = 2.0 * np.pi * phi * self.coords[tail, 0]
+            # a complex product, not a negation: it keeps H's signed zeros
+            out.append((head, tail, -1.0 * np.exp(1j * theta)))
         return out
 
     def forward_hop_matrix(self, axis: int) -> np.ndarray:
         """Matrix of forward hops along `axis` (one triangle of the bonds)."""
-        head, tail, theta = self.bonds[axis]
+        head, tail, amplitude = self.bonds[axis]
         m = np.zeros((self.n_sites, self.n_sites), dtype=complex)
-        # a complex product, not a negation: it keeps H's signed zeros
-        np.add.at(m, (head, tail), -1.0 * np.exp(1j * theta))
+        np.add.at(m, (head, tail), amplitude)
         return m
 
     @cached_property
@@ -279,12 +275,12 @@ class CovariantOperator:
 
 def build_hamiltonian(model: LatticeModel) -> CovariantOperator:
     """Assemble the Hermitian lattice Hamiltonian for one realization."""
-    h = np.zeros((model.n_sites, model.n_sites), dtype=complex)
-    for axis in range(model.config.dimension):
-        part = model.forward_hop_matrix(axis)
-        h += part
-        h += part.conj().T
-    h += np.diag(model.potential.astype(complex))
+    n = model.n_sites
+    h = np.zeros((n, n), dtype=complex)
+    for head, tail, amplitude in model.bonds:
+        np.add.at(h, (head, tail), amplitude)
+        np.add.at(h, (tail, head), amplitude.conj())
+    h.flat[:: n + 1] += model.potential
     return CovariantOperator(h, model)
 
 
@@ -312,8 +308,7 @@ def magnetic_translation(model: LatticeModel, a) -> CovariantOperator:
         chi = 2.0 * np.pi * model.flux.phi * int(a[0]) * coords[:, 1]
     else:
         chi = np.zeros(n)
-    shifted = (coords + a) % np.array(sides)
-    target = np.array([model.site_index(c) for c in shifted])
+    target = _site_indices(sides, coords + a)
     u = np.zeros((n, n), dtype=complex)
     u[target, np.arange(n)] = np.exp(1j * chi[target])
     return CovariantOperator(u, model)
@@ -323,15 +318,11 @@ def shift_disorder(model: LatticeModel, a) -> LatticeModel:
     """New model with the potential cyclically shifted: v'(x) = v(x - a)."""
     if model.config.boundary != "torus":
         raise UnsupportedOperationError("disorder shifts need the torus")
-    a = np.asarray(a, dtype=int)
-    coords = model.coords
-    sides = np.array(model.config.sides)
-    source = (coords - a) % sides
-    src_idx = np.array([model.site_index(c) for c in source])
+    source = _site_indices(model.config.sides, model.coords - np.asarray(a, dtype=int))
     return LatticeModel(
         config=model.config,
         flux=model.flux,
-        potential=model.potential[src_idx],
+        potential=model.potential[source],
     )
 
 
@@ -341,11 +332,7 @@ def displacement(model: LatticeModel, m: int, n: int, axis: int) -> float:
     Torus: minimal image ((m_j - n_j + L_j/2) mod L_j) - L_j/2; open box:
     plain difference.
     """
-    diff = int(model.coords[m, axis]) - int(model.coords[n, axis])
-    if model.config.boundary == "open":
-        return float(diff)
-    L = model.config.sides[axis]
-    return float((diff + L // 2) % L - L // 2)
+    return float(displacement_table(model, axis)[m, n])
 
 
 def displacement_table(model: LatticeModel, axis: int) -> np.ndarray:
@@ -360,7 +347,7 @@ def displacement_table(model: LatticeModel, axis: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _displacement_table(config: LatticeConfig, axis: int) -> np.ndarray:
-    x = LatticeModel(config).coords[:, axis].astype(float)
+    x = _coords(config.sides)[:, axis].astype(float)
     diff = x[:, None] - x[None, :]
     if config.boundary == "torus":
         L = config.sides[axis]

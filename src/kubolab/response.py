@@ -273,15 +273,16 @@ def triple_commutator_check(p: CovariantOperator, axis: int | None = None) -> fl
 # ---------------------------------------------------------------------------
 
 
-def hofstadter_bloch(p: int, q: int, k1: float, k2: float) -> np.ndarray:
-    """q x q Bloch Hamiltonian of the clean flux-p/q lattice in Landau
-    gauge, magnetic unit cell of q sites along axis 0."""
+def hofstadter_bloch(p: int, q: int, k1, k2) -> np.ndarray:
+    """q x q Bloch Hamiltonians of the clean flux-p/q lattice in Landau gauge
+    (magnetic unit cell of q sites along axis 0), stacked over k1, k2 broadcast."""
     phi = p / q
-    h = np.zeros((q, q), dtype=complex)
-    for j in range(q):
-        h[j, j] += -2.0 * np.cos(k2 - 2.0 * np.pi * phi * j)
-        h[j, (j + 1) % q] += -np.exp(1j * k1)
-        h[j, (j - 1) % q] += -np.exp(-1j * k1)
+    k1, k2 = np.broadcast_arrays(k1, k2)
+    h = np.zeros(k1.shape + (q, q), dtype=complex)
+    j = np.arange(q)
+    h[..., j, j] += -2.0 * np.cos(k2[..., None] - 2.0 * np.pi * phi * j)
+    h[..., j, (j + 1) % q] += -np.exp(1j * k1)[..., None]
+    h[..., j, (j - 1) % q] += -np.exp(-1j * k1)[..., None]
     return h
 
 
@@ -295,11 +296,9 @@ def chern_number_fhs(p: int, q: int, n_occ: int, nk1: int = 18, nk2: int = 18) -
     """
     k1s = np.linspace(0.0, 2.0 * np.pi / q, nk1, endpoint=False)
     k2s = np.linspace(0.0, 2.0 * np.pi, nk2, endpoint=False)
+    _, vec = np.linalg.eigh(hofstadter_bloch(p, q, k1s[:, None], k2s[None, :]))
     frames = np.zeros((nk1 + 1, nk2, q, n_occ), dtype=complex)
-    for i1, k1 in enumerate(k1s):
-        for i2, k2 in enumerate(k2s):
-            _, vec = np.linalg.eigh(hofstadter_bloch(p, q, k1, k2))
-            frames[i1, i2] = vec[:, :n_occ]
+    frames[:nk1] = vec[..., :n_occ]
     w = np.exp(-2j * np.pi * np.arange(q) / q)
     frames[nk1] = w[None, :, None] * frames[0]
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kubolab.acceptance import THRESHOLDS
 from kubolab.cli import main as cli_main
 from kubolab.dynamics import evolve_density_ode
 from kubolab.harness import (
@@ -473,6 +474,8 @@ CONFIG_ERROR_BASES = {
         ("dynamics-check", "drive", "field_magnitude", "nan"),
         ("kubo-sweep", "drive", "delta_e", "0"),
         ("hall", "model", "disorder_w", "nan"),
+        ("algebra-check", "run", "threads", "0"),
+        ("algebra-check", "run", "threads", "-4"),
         # files that configparser itself rejects (section None: raw is the whole file)
         ("hall", None, "no section header", "x = 1\n"),
         ("hall", None, "duplicate key", "[model]\ndimension = 2\ndimension = 2\n"),
@@ -495,6 +498,40 @@ def test_cli_rejects_malformed_value_as_config_error(tmp_path, capsys, suite, se
     assert err.startswith("config error:")
     assert section is None or f"{section}.{key}" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_cli_threads_override_must_be_positive(tmp_path, capsys, threads):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(MINIMAL_CONFIG)
+    rc = cli_main(["algebra-check", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--threads", threads])
+    assert rc == 1
+    assert "run.threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_hall_on_a_chain_is_a_config_error(tmp_path, capsys):
+    # sigma_12 needs a second axis; a chain is refused before any decomposition
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text("[model]\ndimension = 1\nsides = 12\n[run]\nname = t\n")
+    rc = cli_main(["hall", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error:") and "model.dimension" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_shipped_configs_carry_the_threshold_parameters():
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    hall = ExperimentConfig.load(configs / "hall.ini")
+    assert hall[("model", "n_realizations")] == THRESHOLDS["hall_n_realizations"]
+    assert hall[("model", "disorder_w")] == THRESHOLDS["hall_disorder_strength"]
+    kubo_fd = ExperimentConfig.load(configs / "kubo_fd.ini")
+    assert kubo_fd[("drive", "delta_e")] == THRESHOLDS["fd_delta_e"]
+    kubo_sweep = ExperimentConfig.load(configs / "kubo_sweep.ini")
+    assert kubo_sweep[("drive", "eta_list")] == THRESHOLDS["eta_sweep_values"]
+    equilibrium = ExperimentConfig.load(configs / "equilibrium.ini")
+    assert equilibrium[("model", "n_realizations")] == THRESHOLDS["equilibrium_n_realizations"]
 
 
 def test_shipped_configs_parse_round_trip_and_build():
@@ -581,8 +618,10 @@ def test_cli_config_error_exit_code(tmp_path):
 def test_cell_failures_recorded_not_fatal(tmp_path, experiment):
     # a degenerate Fermi level in every realization: cells fail, the run
     # completes, and the failures are summarized
+    # hall needs two axes; the others run on the chain
+    lattice = "dimension = 2\nsides = 4,4\n" if experiment == "hall" else "dimension = 1\nsides = 4\n"
     cfg = ExperimentConfig.parse(
-        "[model]\ndimension = 1\nsides = 4\nboundary = torus\n"
+        f"[model]\n{lattice}boundary = torus\n"
         "disorder_w = 0.0\nn_realizations = 2\n"
         "[state]\nkind = projection\ne_f = 0.0\n"
         f"[run]\nexperiment = {experiment}\nname = t\n"

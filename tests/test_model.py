@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -118,6 +119,108 @@ def test_hamiltonian_retains_one_matrix():
         tracemalloc.stop()
     assert h.matrix.nbytes == matrix_bytes
     assert retained <= 1.1 * matrix_bytes
+
+
+def _case_id(x):
+    if isinstance(x, LatticeConfig):
+        return f"{x.boundary}-{'x'.join(map(str, x.sides))}"
+    return f"flux{x.numerator}/{x.denominator}"
+
+
+def _h_per_axis(model):
+    """H the per-axis way: each axis's forward-hop matrix plus its conjugate
+    transpose, plus the potential as a diagonal matrix."""
+    h = np.zeros((model.n_sites, model.n_sites), dtype=complex)
+    for axis in range(model.config.dimension):
+        part = model.forward_hop_matrix(axis)
+        h += part
+        h += part.conj().T
+    h += np.diag(model.potential.astype(complex))
+    return h
+
+
+@pytest.mark.parametrize(
+    "config,flux",
+    [
+        (LatticeConfig(1, (8,), "open"), FluxSpec()),
+        (LatticeConfig(1, (2,), "torus"), FluxSpec()),
+        (LatticeConfig(1, (3,), "torus"), FluxSpec()),
+        (LatticeConfig(2, (6, 6), "torus"), FluxSpec(1, 3)),
+        (LatticeConfig(2, (2, 2), "torus"), FluxSpec(1, 2)),
+        (LatticeConfig(2, (1, 5), "torus"), FluxSpec()),
+        (LatticeConfig(2, (2, 4), "torus"), FluxSpec()),
+        (LatticeConfig(2, (4, 5), "open"), FluxSpec(1, 3)),
+        (LatticeConfig(2, (24, 24), "torus"), FluxSpec(1, 3)),
+    ],
+    ids=_case_id,
+)
+@pytest.mark.parametrize("disorder", [0.0, 1.0])
+def test_hamiltonian_is_bitwise_the_per_axis_sum(config, flux, disorder):
+    # sides 1 and 2 put two bonds, or a bond and its conjugate, on one entry
+    model = LatticeModel(config, flux, sample_disorder(DisorderSpec(disorder, 5), 0, config.n_sites))
+    assert build_hamiltonian(model).matrix.tobytes() == _h_per_axis(model).tobytes()
+
+
+def test_hamiltonian_peak_is_one_matrix():
+    # H is scattered from the bond list: no hop matrix, transpose or diagonal temporary
+    model = make_torus((12, 12), 1, 3, sample_disorder(DisorderSpec(0.5, 7), 0, 144))
+    tracemalloc.start()
+    try:
+        h = build_hamiltonian(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * h.matrix.nbytes
+
+
+def _site_index_per_site(sides, coord):
+    idx = 0
+    for c, s in zip(coord, sides):
+        idx = idx * s + int(c) % s
+    return idx
+
+
+def _bonds_per_site(model):
+    """(head, tail, amplitude) per axis from a loop over the sites."""
+    sides = model.config.sides
+    out = []
+    for axis in range(model.config.dimension):
+        head, tail, theta = [], [], []
+        for n, coord in enumerate(itertools.product(*map(range, sides))):
+            if model.config.boundary == "open" and coord[axis] == sides[axis] - 1:
+                continue
+            step = [int(a == axis) for a in range(len(sides))]
+            head.append(_site_index_per_site(sides, np.add(coord, step) % sides))
+            tail.append(n)
+            theta.append(2.0 * np.pi * model.flux.phi * coord[0] if axis == 1 else 0.0)
+        out.append((np.array(head, dtype=int), np.array(tail, dtype=int), -1.0 * np.exp(1j * np.array(theta))))
+    return out
+
+
+@pytest.mark.parametrize(
+    "config,flux",
+    [
+        (LatticeConfig(1, (2,), "torus"), FluxSpec()),
+        (LatticeConfig(1, (5,), "open"), FluxSpec()),
+        (LatticeConfig(2, (1, 5), "torus"), FluxSpec()),
+        (LatticeConfig(2, (2, 4), "torus"), FluxSpec()),
+        (LatticeConfig(2, (6, 6), "torus"), FluxSpec(1, 3)),
+        (LatticeConfig(2, (3, 1), "open"), FluxSpec()),
+        (LatticeConfig(2, (4, 5), "open"), FluxSpec(1, 3)),
+    ],
+    ids=_case_id,
+)
+def test_sites_and_bonds_match_a_per_site_loop(config, flux):
+    model = LatticeModel(config, flux)
+    sides = config.sides
+    assert model.coords.tolist() == [list(c) for c in itertools.product(*map(range, sides))]
+    # coordinates wrap onto the box, negative and overflowing ones alike
+    for coord in itertools.product(*[range(-2 * s - 1, 2 * s + 2) for s in sides]):
+        index = model.site_index(coord)
+        assert type(index) is int and index == _site_index_per_site(sides, coord), coord
+    for (head, tail, amplitude), (head0, tail0, amplitude0) in zip(model.bonds, _bonds_per_site(model), strict=True):
+        assert np.array_equal(head, head0) and np.array_equal(tail, tail0)
+        assert amplitude.dtype == amplitude0.dtype and amplitude.tobytes() == amplitude0.tobytes()
 
 
 def test_flux_commensurability_rejected():

@@ -20,6 +20,7 @@ from kubolab.funcalc import (
 from kubolab.dynamics import (
     DriveProtocol, TimeGrid, evolve_density_duhamel, evolve_density_ode,
 )
+from kubolab import response
 from kubolab.opspace import hs_inner
 from kubolab.response import (
     ResponseBasis,
@@ -524,6 +525,34 @@ def test_chern_oracle_grid_independent():
     a = chern_number_fhs(1, 3, 1, nk1=12, nk2=12)
     b = chern_number_fhs(1, 3, 1, nk1=24, nk2=24)
     assert a == pytest.approx(b, abs=1e-10)
+
+
+def _bloch_row_by_row(p, q, k1, k2):
+    phi = p / q
+    h = np.zeros((q, q), dtype=complex)
+    for j in range(q):
+        h[j, j] += -2.0 * np.cos(k2 - 2.0 * np.pi * phi * j)
+        h[j, (j + 1) % q] += -np.exp(1j * k1)
+        h[j, (j - 1) % q] += -np.exp(-1j * k1)
+    return h
+
+
+@pytest.mark.parametrize("p,q", [(0, 1), (1, 2), (1, 3), (2, 5)])
+def test_chern_oracle_builds_its_k_grid_in_one_call(monkeypatch, p, q):
+    # q = 1 and 2 put several hops on one entry of the Bloch matrix
+    k1s = np.linspace(0.0, 2.0 * np.pi / q, 5, endpoint=False)
+    k2s = np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False)
+    stack = response.hofstadter_bloch(p, q, k1s[:, None], k2s[None, :])
+    assert stack.shape == (5, 7, q, q)
+    for i1, k1 in enumerate(k1s):
+        for i2, k2 in enumerate(k2s):
+            assert stack[i1, i2].tobytes() == _bloch_row_by_row(p, q, k1, k2).tobytes()
+            assert response.hofstadter_bloch(p, q, k1, k2).tobytes() == stack[i1, i2].tobytes()
+    calls = []
+    bloch = response.hofstadter_bloch
+    monkeypatch.setattr(response, "hofstadter_bloch", lambda *args: calls.append(args) or bloch(*args))
+    chern_number_fhs(1, 3, 1, nk1=6, nk2=6)
+    assert len(calls) == 1
 
 
 # -- sweep and report ------------------------------------------------------------------

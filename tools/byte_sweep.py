@@ -1,0 +1,101 @@
+"""Compare the outputs of two kubolab source trees, byte for byte.
+
+usage: python3 tools/byte_sweep.py SRC_A SRC_B [--only NAME ...]
+
+SRC_A and SRC_B are `src/` directories.  Each shipped config
+(configs/*.ini) and each benchmark workload (bench/run.py's config_text at
+the base seed of `--seed 5`) runs once per tree, in a fresh process with
+PYTHONPATH=<src> and OPENBLAS_NUM_THREADS=1.  Per config it prints whether
+every manifest output hash and the config_sha256 agree, and the violation
+counts on both sides.  Exit status 1 on any difference or failed run.
+`--only` runs the named configs (file names such as hall.ini, or workload
+names such as hall-L24).
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_SEED = 5
+
+CHILD = """
+import json, sys
+import kubolab
+from kubolab.harness import ExperimentConfig, run_experiment
+manifest = run_experiment(ExperimentConfig.load(sys.argv[1]), out_dir=sys.argv[2])
+print(json.dumps({"package": kubolab.__file__, "outputs": manifest.outputs,
+                  "config_sha256": manifest.config_sha256,
+                  "violations": len(manifest.violations)}))
+"""
+
+
+def configs() -> dict[str, str]:
+    """name -> config text: the shipped configs, then the bench workloads."""
+    out = {path.name: path.read_text() for path in sorted((ROOT / "configs").glob("*.ini"))}
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    for workload in bench.WORKLOADS:
+        out[workload] = bench.config_text(workload, bench.base_seed_for(BENCH_SEED), tiny=False)
+    return out
+
+
+def run(src: Path, name: str, text: str) -> dict:
+    """One suite run of the config `text` on the tree `src`, in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory(prefix="byte-sweep-") as work:
+        config = Path(work) / name
+        config.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD, str(config), str(Path(work) / "out")],
+            cwd=work, env=env, capture_output=True, text=True,
+        )
+    if proc.returncode != 0:
+        raise RuntimeError(f"{name} on {src} failed:\n{proc.stderr}")
+    result = json.loads(proc.stdout.splitlines()[-1])
+    if not Path(result["package"]).resolve().is_relative_to(src):
+        raise RuntimeError(f"kubolab was imported from {result['package']}, not {src}")
+    return result
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src_a", type=Path)
+    parser.add_argument("src_b", type=Path)
+    parser.add_argument("--only", nargs="+", metavar="NAME", help="configs to run (default: all)")
+    args = parser.parse_args(argv)
+    texts = configs()
+    unknown = set(args.only or ()) - set(texts)
+    if unknown:
+        parser.error(f"unknown config(s) {sorted(unknown)}; choose from {sorted(texts)}")
+    names = [name for name in texts if args.only is None or name in args.only]
+    srcs = [args.src_a.resolve(), args.src_b.resolve()]
+    differ = False
+    for name in names:
+        try:
+            a, b = (run(src, name, texts[name]) for src in srcs)
+        except RuntimeError as exc:
+            print(f"{name}: ERROR {exc}")
+            differ = True
+            continue
+        files = sorted(set(a["outputs"]) | set(b["outputs"]))
+        moved = [f for f in files if a["outputs"].get(f) != b["outputs"].get(f)]
+        if a["config_sha256"] != b["config_sha256"]:
+            moved.insert(0, "config_sha256")
+        differ |= bool(moved)
+        verdict = "same" if not moved else "DIFFERS: " + ", ".join(moved)
+        print(f"{name}: {len(files)} outputs, {verdict}; "
+              f"violations {a['violations']} / {b['violations']}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
