@@ -8,8 +8,8 @@ construction and by direct integration of the Liouville equation, which
 cross-validate each other.
 
 H(t) differs from H only by the phase e^{i F_a(t)} on the hops of each
-driven axis a (E_a != 0), so `_h_at` adds those phased hops to a static part
-cached on the model (`LatticeModel._static_part`).
+driven axis a (E_a != 0), so `_h_at` scatters the model's bond list with
+those phases, as `build_hamiltonian` scatters it without them.
 
 Every propagator, Duhamel sum and density route is one march of H(t)
 (`_march`), and so are both gauges of the gauge check, the scalar one a
@@ -21,7 +21,7 @@ holds of H(r_k): an RK4 step's k1 matrix, a riemann_product step's eigh.
 
 A single evolution is sequential in time; independent (realization, field,
 eta) evolutions may run concurrently.  The only state they may share is the
-model's cache of static parts, whose entries are deterministic.
+model's cached bond list, whose entries are deterministic.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .model import (
     CovariantOperator,
     LatticeModel,
     UnsupportedOperationError,
+    _scatter,
     build_hamiltonian,
     displacement_table,
     position_matrix,
@@ -120,23 +121,19 @@ def _h_at(model: LatticeModel, drive: DriveProtocol, t: float) -> np.ndarray:
     """Raw driven Hamiltonian matrix (fast path for the integrators), a
     fresh array on every call.
 
-    H(t) = static + sum_a (c_a T_a + conj(c_a) T_a*) + diag(V) over the
-    driven axes a, with c_a = e^{i F_a(t)} and T_a the forward hops of axis
-    a; static and each T_a* are cached on the model.  Hop supports of
-    different axes are disjoint and conj(c t) = conj(c) conj(t), so summed in
-    this order every entry, signed zeros included, equals phasing every
-    forward hop and adding the conjugate transpose.
+    The bond list of H with each amplitude of a driven axis a (E_a != 0)
+    times c_a = e^{i F_a(t)}, scattered with the potential on the diagonal:
+    on every bond and diagonal entry, the bits of phasing every forward hop
+    and adding the conjugate transpose.
     """
     # the phases as Python scalars: same values, less overhead per call
     scale = float(np.exp(drive.eta * min(t, 0.0))) / drive.eta + max(t, 0.0)
-    static, hops = model._static_part(drive.driven_axes)
-    h = static.copy()
-    for axis, fwd, bwd in hops:
-        c = complex(np.exp(1j * scale * drive.field[axis]))
-        h += c * fwd
-        h += c.conjugate() * bwd
-    h.reshape(-1)[:: h.shape[0] + 1] += model.potential
-    return h
+    hops = []
+    for axis, (_, _, amplitude) in enumerate(model.bonds):
+        if axis in drive.driven_axes:
+            amplitude = complex(np.exp(1j * scale * drive.field[axis])) * amplitude
+        hops.append((axis, amplitude))
+    return _scatter(model, hops, model.potential)
 
 
 def hamiltonian_at(model: LatticeModel, drive: DriveProtocol, t: float) -> CovariantOperator:
@@ -148,8 +145,8 @@ def hamiltonian_at(model: LatticeModel, drive: DriveProtocol, t: float) -> Covar
 
 def _v_at(model: LatticeModel, drive: DriveProtocol, t: float, axis: int) -> np.ndarray:
     scale = np.exp(drive.eta * min(t, 0.0)) / drive.eta + max(t, 0.0)
-    part = np.exp(1j * scale * drive.field[axis]) * model._forward_parts[axis]
-    return -1j * (part - part.conj().T)
+    _, _, amplitude = model.bonds[axis]
+    return _scatter(model, [(axis, -1j * (np.exp(1j * scale * drive.field[axis]) * amplitude))])
 
 
 def velocity_at(model: LatticeModel, drive: DriveProtocol, t: float, axis: int) -> CovariantOperator:

@@ -137,6 +137,26 @@ def _one_of(*choices):
     return parse
 
 
+def _override_values(s) -> dict:
+    """{name: value} from `name=value, ...`: each name a THRESHOLDS key, each value finite."""
+    out = {}
+    for item in s.split(","):
+        if item.strip():
+            key, _, val = item.partition("=")
+            if key.strip() not in THRESHOLDS:
+                raise ValueError(f"unknown tolerance {key.strip()!r}")
+            if not math.isfinite(float(val)):
+                raise ValueError(f"tolerance {key.strip()} must be finite")
+            out[key.strip()] = float(val)
+    return out
+
+
+def _tolerance_overrides(s):
+    """`name=value, ...` that _override_values accepts, kept as written."""
+    _override_values(s)
+    return s
+
+
 def _eta_list(s):
     etas = _parse_float_list(s)
     if not etas or not all(0 < eta < math.inf for eta in etas) or len(set(etas)) != len(etas):
@@ -171,7 +191,7 @@ _SCHEMA = {
     ("run", "name"): (str, str, "run"),
     ("run", "output_dir"): (str, str, "out"),
     ("run", "threads"): (_between(0, math.inf, int), str, 1),
-    ("run", "tolerance_overrides"): (str, str, ""),
+    ("run", "tolerance_overrides"): (_tolerance_overrides, str, ""),
 }
 
 # where and how a run executes, never what it computes; left out of the digest
@@ -265,9 +285,10 @@ class ExperimentConfig:
         with _building_from("model.disorder_w"):
             return DisorderSpec(self[("model", "disorder_w")], self[("model", "base_seed")])
 
-    def model_for(self, index: int) -> LatticeModel:
+    def model_for(self, index: int | None) -> LatticeModel:
+        """Realization `index`, or the clean lattice for index None."""
         cfg, flux = self.lattice_config(), self.flux()
-        pot = sample_disorder(self.disorder(), index, cfg.n_sites)
+        pot = None if index is None else sample_disorder(self.disorder(), index, cfg.n_sites)
         with _building_from("model.dimension", "model.sides", "model.flux_q"):
             return LatticeModel(cfg, flux, pot)
 
@@ -309,15 +330,7 @@ class ExperimentConfig:
         return grid
 
     def tolerances(self) -> dict:
-        tol = dict(THRESHOLDS)
-        for item in self[("run", "tolerance_overrides")].split(","):
-            if item.strip():
-                key, _, val = item.partition("=")
-                if key.strip() not in tol:
-                    raise ConfigError(f"unknown tolerance {key.strip()!r}")
-                with _building_from("run.tolerance_overrides"):
-                    tol[key.strip()] = float(val)
-        return tol
+        return {**THRESHOLDS, **_override_values(self[("run", "tolerance_overrides")])}
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +535,7 @@ def _suite_hall(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     if cfg[("model", "dimension")] != 2:
         raise ConfigError("hall needs model.dimension = 2, the two axes of sigma_12")
     p, q = cfg[("model", "flux_p")], cfg[("model", "flux_q")]
-    clean_model = LatticeModel(cfg.lattice_config(), cfg.flux())
+    clean_model = cfg.model_for(None)
     clean_evals = np.linalg.eigvalsh(build_hamiltonian(clean_model).matrix)
     e_f = cfg.fermi_energy(clean_evals)
     n_occ = int(np.sum(clean_evals <= e_f))

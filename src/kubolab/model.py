@@ -193,7 +193,8 @@ class LatticeModel:
         Each entry describes the forward hop n -> m = n + e_axis (with wrap
         on the torus), carrying the amplitude as matrix element H[m, n];
         theta is the Landau-gauge Peierls phase 2 pi phi x0 on axis 1 and 0
-        elsewhere.
+        elsewhere.  H, H(t) and the velocities are all scattered from this
+        list (`_scatter`); the model keeps no N x N matrix.
         """
         sides = self.config.sides
         out = []
@@ -208,45 +209,13 @@ class LatticeModel:
             out.append((head, tail, -1.0 * np.exp(1j * theta)))
         return out
 
-    def forward_hop_matrix(self, axis: int) -> np.ndarray:
-        """Matrix of forward hops along `axis` (one triangle of the bonds)."""
-        head, tail, amplitude = self.bonds[axis]
-        m = np.zeros((self.n_sites, self.n_sites), dtype=complex)
-        np.add.at(m, (head, tail), amplitude)
-        return m
-
     @cached_property
-    def _forward_parts(self) -> list[np.ndarray]:
-        # dense, d N x N: for the driven-H path, which reads them every step
-        return [self.forward_hop_matrix(axis) for axis in range(self.config.dimension)]
-
-    @cached_property
-    def _static_cache(self) -> dict:
-        return {}
-
-    def _static_part(self, driven: tuple[int, ...]):
-        """The time-independent pieces of H(t) when the axes `driven` carry
-        the drive phase, cached per set of driven axes.
-
-        Returns (static, [(axis, T, T*)]): static is the sum of every other
-        axis's forward hops plus their conjugate transposes, and T, T* are
-        the forward hops of each driven axis and their conjugate transpose.
-        With every axis driven, static holds -0 in every entry: the additive
-        identity of IEEE arithmetic, so that the signed zeros of the phased
-        hops survive the sum.
-        """
-        split = self._static_cache.get(driven)
-        if split is None:
-            parts = self._forward_parts
-            undriven = [p for axis, p in enumerate(parts) if axis not in driven]
-            fill = complex(0.0, 0.0) if undriven else complex(-0.0, -0.0)
-            static = np.full((self.n_sites, self.n_sites), fill)
-            for part in undriven:
-                static += part
-                static += part.conj().T
-            hops = [(axis, parts[axis], parts[axis].conj().T.copy()) for axis in driven]
-            split = self._static_cache[driven] = (static, hops)
-        return split
+    def _bond_positions(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per axis: flat positions of (head, tail) and (tail, head) in an
+        N x N matrix.  A translation is injective, so neither array repeats a
+        position."""
+        n = self.n_sites
+        return [(head * n + tail, tail * n + head) for head, tail, _ in self.bonds]
 
 
 @dataclass(eq=False)
@@ -273,15 +242,26 @@ class CovariantOperator:
             raise ModelMismatchError("operands live on different lattices")
 
 
+def _scatter(model: LatticeModel, amplitudes, diagonal=None) -> np.ndarray:
+    """Fresh N x N matrix with amplitudes a on the bonds (head, tail) of each
+    (axis, a) in `amplitudes` and conj(a) on (tail, head), in that order, then
+    `diagonal` added on the diagonal; zero elsewhere."""
+    n = model.n_sites
+    flat = np.zeros(n * n, dtype=complex)
+    for axis, amplitude in amplitudes:
+        forward, backward = model._bond_positions[axis]
+        # buffered, as np.add.at would be: the positions of one array are distinct
+        flat[forward] += amplitude
+        flat[backward] += amplitude.conj()
+    if diagonal is not None:
+        flat[:: n + 1] += diagonal
+    return flat.reshape(n, n)
+
+
 def build_hamiltonian(model: LatticeModel) -> CovariantOperator:
     """Assemble the Hermitian lattice Hamiltonian for one realization."""
-    n = model.n_sites
-    h = np.zeros((n, n), dtype=complex)
-    for head, tail, amplitude in model.bonds:
-        np.add.at(h, (head, tail), amplitude)
-        np.add.at(h, (tail, head), amplitude.conj())
-    h.flat[:: n + 1] += model.potential
-    return CovariantOperator(h, model)
+    hops = enumerate(amplitude for _, _, amplitude in model.bonds)
+    return CovariantOperator(_scatter(model, hops, model.potential), model)
 
 
 def magnetic_translation(model: LatticeModel, a) -> CovariantOperator:
@@ -363,9 +343,8 @@ def velocity_operator(model: LatticeModel, axis: int) -> CovariantOperator:
     (+-1) on every bond, wrap bonds included; supported only on hopping
     bonds, zero diagonal.
     """
-    part = model.forward_hop_matrix(axis)
-    v = -1j * (part - part.conj().T)
-    return CovariantOperator(v, model)
+    _, _, amplitude = model.bonds[axis]
+    return CovariantOperator(_scatter(model, [(axis, -1j * amplitude)]), model)
 
 
 def position_matrix(model: LatticeModel, axis: int) -> CovariantOperator:

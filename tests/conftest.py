@@ -19,6 +19,14 @@ def make_torus(sides, p=0, q=1, potential=None):
     return LatticeModel(LatticeConfig(2, sides, "torus"), FluxSpec(p, q), potential)
 
 
+def forward_hops(model, axis):
+    """Axis `axis`'s forward hops as a dense matrix, scattered from model.bonds."""
+    head, tail, amplitude = model.bonds[axis]
+    m = np.zeros((model.n_sites, model.n_sites), dtype=complex)
+    np.add.at(m, (head, tail), amplitude)
+    return m
+
+
 def random_operator(model, rng, scale=1.0, hermitian=False):
     n = model.n_sites
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))

@@ -37,7 +37,7 @@ from kubolab.dynamics import (
 from kubolab.opspace import norm2, norms, trace_per_unit_volume
 from kubolab.model import CovariantOperator
 
-from conftest import gap_fermi_level, make_chain, make_torus, spectral_of
+from conftest import forward_hops, gap_fermi_level, make_chain, make_torus, spectral_of
 
 
 S_MIN = float(np.log(1e-12))
@@ -86,10 +86,11 @@ def test_grid_truncation_validated():
 
 def test_hamiltonian_at_zero_field_is_undriven():
     model = make_torus((4, 4))
-    drive = DriveProtocol(1.0, (0.0, 0.0))
-    assert np.allclose(
-        hamiltonian_at(model, drive, 0.0).matrix, build_hamiltonian(model).matrix
-    )
+    # (-0.0, -0.0) is the field of the FD route's minus run at zero field
+    for field in ((0.0, 0.0), (-0.0, -0.0)):
+        drive = DriveProtocol(1.0, field)
+        h = hamiltonian_at(model, drive, 0.0).matrix
+        assert h.tobytes() == build_hamiltonian(model).matrix.tobytes(), field
 
 
 def test_hamiltonian_at_early_time_limit():
@@ -129,13 +130,28 @@ def _h_phasing_every_hop(model, drive, t):
     """H(t) assembled the direct way: every axis's forward hops times their
     phase, plus the conjugate transpose of the sum, plus the potential."""
     scale = np.exp(drive.eta * min(t, 0.0)) / drive.eta + max(t, 0.0)
-    fwd = model._forward_parts
-    h = np.exp(1j * scale * drive.field[0]) * fwd[0]
-    for axis in range(1, len(fwd)):
-        h = h + np.exp(1j * scale * drive.field[axis]) * fwd[axis]
+    d = model.config.dimension
+    h = np.exp(1j * scale * drive.field[0]) * forward_hops(model, 0)
+    for axis in range(1, d):
+        h = h + np.exp(1j * scale * drive.field[axis]) * forward_hops(model, axis)
     h = h + h.conj().T
     h[np.diag_indices_from(h)] += model.potential
     return h
+
+
+def _v_phasing_every_hop(model, drive, t, axis):
+    """v_axis(t) the direct way: -i (P - P*) for P the phased forward hops."""
+    scale = np.exp(drive.eta * min(t, 0.0)) / drive.eta + max(t, 0.0)
+    part = np.exp(1j * scale * drive.field[axis]) * forward_hops(model, axis)
+    return -1j * (part - part.conj().T)
+
+
+def _bonds_and_diagonal(model):
+    """Mask of the entries H can hold: the diagonal and both ends of every bond."""
+    mask = np.eye(model.n_sites, dtype=bool)
+    for head, tail, _ in model.bonds:
+        mask[head, tail] = mask[tail, head] = True
+    return mask
 
 
 @pytest.mark.parametrize(
@@ -154,6 +170,7 @@ def test_h_at_is_bitwise_the_phase_every_hop_formula(config, flux, disorder):
     pot = sample_disorder(DisorderSpec(disorder, 5), 0, config.n_sites)
     model = LatticeModel(config, flux, pot)
     d = config.dimension
+    support = _bonds_and_diagonal(model)
     for driven in [(0,)] if d == 1 else [(0,), (1,), (0, 1)]:
         field = tuple(0.7 if axis in driven else 0.0 for axis in range(d))
         # the negated field has -0.0 on the undriven axes, as the FD route's minus run
@@ -163,7 +180,13 @@ def test_h_at_is_bitwise_the_phase_every_hop_formula(config, flux, disorder):
             # the phased zeros carry a negative sign
             for t in (-3.0, 0.0, 2.5):
                 ref = _h_phasing_every_hop(model, drive, t)
-                assert dynamics._h_at(model, drive, t).tobytes() == ref.tobytes(), (driven, e, t)
+                h = dynamics._h_at(model, drive, t)
+                # off the bonds H(t) holds +0, where the dense c * 0 products may give -0
+                assert h[support].tobytes() == ref[support].tobytes(), (driven, e, t)
+                assert h[~support].tobytes() == bytes(h[~support].nbytes), (driven, e, t)
+                for axis in range(d):
+                    v = dynamics._v_at(model, drive, t, axis)
+                    assert np.array_equal(v, _v_phasing_every_hop(model, drive, t, axis)), (driven, e, t, axis)
 
 
 def test_h_at_returns_a_fresh_array():
@@ -176,6 +199,21 @@ def test_h_at_returns_a_fresh_array():
         hamiltonian_at(model, drive, -1.0).matrix[:] = 7.0
         assert np.array_equal(dynamics._h_at(model, drive, -1.0), expect)
         assert np.array_equal(hamiltonian_at(model, drive, -1.0).matrix, expect)
+
+
+def test_driven_path_retains_less_than_one_matrix():
+    # H(t) and v(t) are scattered from the bond list; no dense hop or static part stays on the model
+    model = make_torus((12, 12), 1, 3, sample_disorder(DisorderSpec(0.5, 7), 0, 144))
+    drive = DriveProtocol(1.0, (0.1, 0.2))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dynamics._h_at(model, drive, 0.0)
+        dynamics._v_at(model, drive, 0.0, 0)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < model.n_sites**2 * 16
 
 
 def test_velocity_at_matches_undriven_limit():

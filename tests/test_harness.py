@@ -21,7 +21,6 @@ from kubolab.harness import (
     ensemble_average,
     run_experiment,
 )
-from kubolab.model import LatticeModel
 from kubolab.opspace import norms
 from kubolab.response import ResponseBasis
 
@@ -81,14 +80,24 @@ def test_bad_value_reports_key():
 
 
 def test_unknown_tolerance_override_rejected():
-    cfg = small_config({("run", "tolerance_overrides"): "no_such_tol=1"})
     with pytest.raises(ConfigError):
-        cfg.tolerances()
+        small_config({("run", "tolerance_overrides"): "no_such_tol=1"})
 
 
 def test_tolerance_override_applied():
-    cfg = small_config({("run", "tolerance_overrides"): "algebra_identity=1e-6"})
-    assert cfg.tolerances()["algebra_identity"] == 1e-6
+    # kept as written, so that the config digest does not move
+    raw = "algebra_identity=1e-6, weight_margin = -0.5"
+    cfg = small_config({("run", "tolerance_overrides"): raw})
+    assert cfg[("run", "tolerance_overrides")] == raw
+    tol = cfg.tolerances()
+    assert (tol["algebra_identity"], tol["weight_margin"]) == (1e-6, -0.5)
+
+
+@pytest.mark.parametrize("override", ["algebra_identity=abc", "algebra_identity=nan"])
+def test_tolerance_overrides_checked_on_parse(override):
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.parse(f"[run]\ntolerance_overrides = {override}\n")
+    assert "run.tolerance_overrides" in str(err.value)
 
 
 def test_auto_fermi_level_sits_in_gap():
@@ -354,27 +363,6 @@ def test_one_response_basis_per_realization(tmp_path, monkeypatch, include_fd, b
     assert counts["eigh"] == 2 * (1 + 2 * d * n_eta * include_fd)
 
 
-@pytest.mark.parametrize(
-    "experiment,extra,filled",
-    [
-        ("hall", "", False),
-        ("kubo-sweep", "", False),
-        ("kubo-sweep", "include_fd = true\nstep = 0.05\ntruncation_tol = 1e-6\n", True),
-    ],
-    ids=["hall", "kubo-sweep", "kubo-sweep-fd"],
-)
-def test_dense_hop_cache_only_on_the_driven_path(tmp_path, monkeypatch, experiment, extra, filled):
-    # H and the velocities form their hop matrices on demand; only H(t) keeps them
-    models = []
-    parts = LatticeModel._forward_parts.func
-    monkeypatch.setattr(LatticeModel, "_forward_parts", property(lambda m: models.append(m) or parts(m)))
-    text, _, _ = DECOMPOSITION_CASES[experiment]
-    cfg = ExperimentConfig.parse(text + extra + f"[run]\nexperiment = {experiment}\nname = t\n")
-    manifest = run_experiment(cfg, out_dir=tmp_path)
-    assert not [v for v in manifest.violations if v[0] == "cell_error"]
-    assert bool(models) == filled
-
-
 def test_manifest_records_seeds_and_hashes(tmp_path):
     cfg = small_config({("model", "n_realizations"): 3})
     manifest = run_experiment(cfg, out_dir=tmp_path)
@@ -434,8 +422,10 @@ def test_cli_runs_and_exits_zero(tmp_path):
 
 
 # the base each kubo-sweep case starts from: its finite-difference route runs
-# in well under a second when the config is sound
+# in well under a second when the config is sound; hall's is an 8x8 torus
+# with flux p = 1, so a flux_q that does not divide 8 is a lattice mismatch
 CONFIG_ERROR_BASES = {
+    "hall": "[model]\nsides = 8,8\nflux_p = 1\n",
     "kubo-sweep": (
         "[model]\ndimension = 2\nsides = 4,4\nflux_p = 1\nflux_q = 4\n"
         "disorder_w = 0.5\nbase_seed = 11\n"
@@ -455,9 +445,12 @@ CONFIG_ERROR_BASES = {
         # values that each parse, but that the lattice or the time grid rejects
         ("kubo-sweep", "model", "sides", "6"),
         ("hall", "model", "sides", "6"),
+        ("hall", "model", "flux_q", "3"),
         ("kubo-sweep", "drive", "step", "-0.01"),
         ("kubo-sweep", "drive", "s_min", "-3"),
         ("algebra-check", "run", "tolerance_overrides", "algebra_identity=abc"),
+        ("algebra-check", "run", "tolerance_overrides", "algebra_identity=nan"),
+        ("algebra-check", "run", "tolerance_overrides", "algebra_identity=inf"),
         # an unknown state, and a state the Streda trace of hall does not take
         ("hall", "state", "kind", "bogus"),
         ("hall", "state", "kind", "fermi_dirac"),

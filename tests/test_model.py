@@ -24,7 +24,7 @@ from kubolab.model import (
     velocity_operator,
 )
 
-from conftest import make_chain, make_torus
+from conftest import forward_hops, make_chain, make_torus
 
 
 # -- disorder ---------------------------------------------------------------
@@ -107,7 +107,7 @@ def test_hamiltonian_exactly_hermitian(rng):
 
 
 def test_hamiltonian_retains_one_matrix():
-    # the hop matrices are formed per axis and dropped; no dense cache stays on the model
+    # H is scattered from the bond list; no dense hop cache stays on the model
     model = make_torus((12, 12), 1, 3, sample_disorder(DisorderSpec(0.5, 7), 0, 144))
     matrix_bytes = model.n_sites**2 * 16
     tracemalloc.start()
@@ -132,7 +132,7 @@ def _h_per_axis(model):
     transpose, plus the potential as a diagonal matrix."""
     h = np.zeros((model.n_sites, model.n_sites), dtype=complex)
     for axis in range(model.config.dimension):
-        part = model.forward_hop_matrix(axis)
+        part = forward_hops(model, axis)
         h += part
         h += part.conj().T
     h += np.diag(model.potential.astype(complex))
