@@ -13,6 +13,7 @@ import pytest
 
 from kubolab.acceptance import THRESHOLDS
 from kubolab.cli import main as cli_main
+from kubolab import dynamics
 from kubolab.dynamics import evolve_density_ode
 from kubolab.harness import (
     SUITES,
@@ -361,6 +362,31 @@ def test_one_response_basis_per_realization(tmp_path, monkeypatch, include_fd, b
     assert kernels.count("minimal_image") == 2
     d, n_eta = cfg[("model", "dimension")], len(cfg[("drive", "eta_list")])
     assert counts["eigh"] == 2 * (1 + 2 * d * n_eta * include_fd)
+
+
+@pytest.mark.parametrize(
+    "experiment,extra,filled",
+    [
+        ("hall", "", False),
+        ("kubo-sweep", "", False),
+        ("kubo-sweep", "include_fd = true\nstep = 0.05\ntruncation_tol = 1e-6\n", True),
+    ],
+    ids=["hall", "kubo-sweep", "kubo-sweep-fd"],
+)
+def test_dense_hop_cache_only_on_the_driven_path(tmp_path, monkeypatch, experiment, extra, filled):
+    # only the finite-difference route forms H(t); it scatters the bond list
+    # afresh, so no model keeps an N x N array once the run is done
+    models = []
+    h_at = dynamics._h_at
+    monkeypatch.setattr(dynamics, "_h_at", lambda m, *a: models.append(m) or h_at(m, *a))
+    text, _, _ = DECOMPOSITION_CASES[experiment]
+    cfg = ExperimentConfig.parse(text + extra + f"[run]\nexperiment = {experiment}\nname = t\n")
+    manifest = run_experiment(cfg, out_dir=tmp_path)
+    assert not [v for v in manifest.violations if v[0] == "cell_error"]
+    assert bool(models) == filled
+    for model in {id(m): m for m in models}.values():
+        kept = [v for v in vars(model).values() if isinstance(v, np.ndarray) and v.size >= model.n_sites**2]
+        assert not kept
 
 
 def test_manifest_records_seeds_and_hashes(tmp_path):
