@@ -40,10 +40,9 @@ from .model import (
     UnsupportedOperationError,
     _scatter,
     build_hamiltonian,
-    displacement_table,
     position_matrix,
 )
-from .funcalc import EquilibriumState, SpectralData, divided_difference_kernel
+from .funcalc import EquilibriumState, SpectralData, spectral_position_commutator
 
 
 class StepSizeError(ValueError):
@@ -59,9 +58,11 @@ class DriveProtocol:
     field: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.eta > 0:
-            raise ConfigurationError("adiabatic rate eta must be positive")
+        if not 0 < self.eta < np.inf:
+            raise ConfigurationError(f"adiabatic rate eta must be finite and positive, not {self.eta!r}")
         object.__setattr__(self, "field", tuple(float(e) for e in self.field))
+        if not all(np.isfinite(self.field)):
+            raise ConfigurationError(f"field must be finite, not {self.field!r}")
 
     @cached_property
     def driven_axes(self) -> tuple[int, ...]:
@@ -334,35 +335,17 @@ def duhamel_residual(
 # ---------------------------------------------------------------------------
 
 
-def _zeta(state, eig):
-    """zeta(r) = f(H(r)) from the eigendecomposition eig = (evals, evecs) of H(r)."""
-    evals, evecs = eig
-    return (evecs * state.profile()(evals)) @ evecs.conj().T
-
-
-def _drive_commutator(model, drive, state, tables, r, kernel, eig):
-    """[E . x, zeta(r)] in the chosen finite-volume realization, from the
-    eigendecomposition eig = (evals, evecs) of H(r).
-
-    "gauge_derivative" is the spectral divided difference, the exact
-    derivative of f(H(r)) under the drive and the form that makes the
-    integral identity hold on the torus; "minimal_image" is the entrywise
-    displacement commutator, equal to it up to wrap terms controlled by
-    the decay of zeta.
-    """
-    evals, evecs = eig
-    out = np.zeros(evecs.shape, dtype=complex)
-    if kernel == "minimal_image":
-        zeta = _zeta(state, eig)
-        for axis in drive.driven_axes:
-            out += drive.field[axis] * (tables[axis] * zeta)
-        return out
-    f_vals, fp_vals = state.profile()(evals), state.profile_derivative()(evals)
+def _drive_commutator(model, drive, state, r, eig):
+    """[E . x, zeta(r)] from the eigendecomposition eig = (evals, evecs) of
+    H(r): per driven axis, -i times the spectral divided difference
+    i[x, zeta(r)] of the driven velocity v(r), the exact derivative of
+    f(H(r)) under the drive and the form that makes the integral identity
+    hold on the torus."""
+    spectral = SpectralData(*eig, model)
+    out = np.zeros(eig[1].shape, dtype=complex)
     for axis in drive.driven_axes:
-        vt = evecs.conj().T @ _v_at(model, drive, r, axis) @ evecs
-        # the divided difference realizes i[x, zeta]; strip the i here
-        k = -1j * divided_difference_kernel(evals, f_vals, fp_vals, vt)
-        out += drive.field[axis] * (evecs @ k @ evecs.conj().T)
+        comm = spectral_position_commutator(spectral, state, _v_at(model, drive, r, axis))
+        out += drive.field[axis] * (-1j * comm.matrix)
     return out
 
 
@@ -372,38 +355,35 @@ def evolve_density_duhamel(
     state: EquilibriumState,
     t: float,
     grid: TimeGrid,
-    kernel: str = "gauge_derivative",
 ) -> CovariantOperator:
     """The driven state rho(t), symmetrized, from the integral formula
     rho(t) = zeta(t) - i * integral_{s_min}^{t} e^{eta r_-} U(t,r) [E.x, zeta(r)] U(r,t) dr.
 
-    The commutator with zeta(r) = f(H(r)) is taken spectrally at every node
-    (torus consistent) and realized per `kernel` (see _drive_commutator);
-    zeta(t) itself is built once, from the last node.  The default keeps
-    the integral identity exact at finite volume so this route
-    cross-validates the Liouville integration to integrator accuracy.  One
+    The commutator with zeta(r) = f(H(r)) is taken spectrally at every node,
+    as the divided difference of the driven velocity (see _drive_commutator),
+    so the integral identity is exact at finite volume, on the torus too, and
+    this route cross-validates the Liouville integration to integrator
+    accuracy.  zeta(t) itself is built once, from the last node.  One
     forward march of V(r) = U(r, s_min) carries the propagator sandwich, and
     each node's Simpson term is added as the march passes it, so memory is
     O(N^2) whatever the step count.  H(r) is assembled and decomposed once
     per node: the march hands over its step's k1 matrix or eigendecomposition.
     """
-    if kernel not in ("gauge_derivative", "minimal_image"):
-        raise ValueError(f"unknown commutator kernel {kernel!r}")
     grid.validate(drive)
     s = grid.s_min
     nsteps = grid.n_steps(s, t, even=True)
-    tables = [displacement_table(model, axis) for axis in range(model.config.dimension)]
     acc = np.zeros((model.n_sites, model.n_sites), dtype=complex)
     eye = np.eye(model.n_sites, dtype=complex)
     h_at = partial(_h_at, model, drive)
     for k, (r, v, eig) in enumerate(_march(h_at, grid, s, t, nsteps, eye)):
         if not isinstance(eig, tuple):  # H(r) itself, or None
             eig = np.linalg.eigh(h_at(r) if eig is None else eig)
-        m_r = _drive_commutator(model, drive, state, tables, r, kernel, eig)
+        m_r = _drive_commutator(model, drive, state, r, eig)
         weight = _simpson_weight(k, nsteps) * np.exp(drive.eta * min(r, 0.0))
         acc += weight * (v.conj().T @ m_r @ v)
     acc *= (t - s) / nsteps / 3.0
-    rho = _zeta(state, eig) - 1j * (v @ acc @ v.conj().T)
+    evals, evecs = eig
+    rho = (evecs * state.profile()(evals)) @ evecs.conj().T - 1j * (v @ acc @ v.conj().T)
     return CovariantOperator((rho + rho.conj().T) / 2.0, model)
 
 

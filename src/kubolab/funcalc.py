@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CovariantOperator, LatticeModel, displacement_table, velocity_operator
+from .model import CovariantOperator, LatticeModel, displacement_table
 
 
 class DegenerateFermiLevelError(ValueError):
@@ -130,18 +130,25 @@ def fermi_dirac(spectral: SpectralData, beta: float, e_f: float) -> CovariantOpe
 
 @dataclass(frozen=True)
 class EquilibriumState:
-    """Initial equilibrium profile: zero-T projection or finite-beta state."""
+    """Initial equilibrium profile: zero-T projection or finite-beta state,
+    checked at construction so that `build` and `profile` read one state."""
 
     kind: str  # "projection" | "fermi_dirac"
     e_f: float
     beta: float | None = None
 
+    def __post_init__(self):
+        if self.kind not in ("projection", "fermi_dirac"):
+            raise ValueError(f"unknown equilibrium kind {self.kind!r}")
+        if not np.isfinite(self.e_f):
+            raise ValueError(f"e_f must be finite, got {self.e_f!r}")
+        if self.kind == "fermi_dirac" and not (self.beta is not None and 0 < self.beta < np.inf):
+            raise ValueError(f"fermi_dirac needs a finite beta > 0, got {self.beta!r}")
+
     def build(self, spectral: SpectralData) -> CovariantOperator:
         if self.kind == "projection":
             return fermi_projection(spectral, self.e_f)
-        if self.kind == "fermi_dirac":
-            return fermi_dirac(spectral, self.beta, self.e_f)
-        raise ValueError(f"unknown equilibrium kind {self.kind!r}")
+        return fermi_dirac(spectral, self.beta, self.e_f)
 
     def profile(self):
         """f(E), the same function `build` applies to the spectrum."""
@@ -429,17 +436,17 @@ def divided_difference_kernel(evals, f_vals, f_prime_vals, v_tilde, tol=1e-9):
 
 
 def spectral_position_commutator(
-    spectral: SpectralData, state: EquilibriumState, axis: int
+    spectral: SpectralData, state: EquilibriumState, v: np.ndarray
 ) -> CovariantOperator:
-    """i[x_axis, zeta] realized through the spectral divided difference."""
-    model = spectral.model
-    v = velocity_operator(model, axis).matrix
-    vt = spectral.eigenvectors.conj().T @ v @ spectral.eigenvectors
-    f_vals = state.profile()(spectral.eigenvalues)
-    fp_vals = state.profile_derivative()(spectral.eigenvalues)
-    kernel = divided_difference_kernel(spectral.eigenvalues, f_vals, fp_vals, vt)
-    out = spectral.eigenvectors @ kernel @ spectral.eigenvectors.conj().T
-    return CovariantOperator(out, model)
+    """i[x, zeta] realized through the spectral divided difference,
+    V dd(E, f, f', V* v V) V*, for the velocity matrix v = i[H, x] of the
+    Hamiltonian that `spectral` decomposes: the static v_axis, or the
+    driven v_axis(r) of H(r)."""
+    evals, evecs = spectral.eigenvalues, spectral.eigenvectors
+    vt = evecs.conj().T @ v @ evecs
+    f_vals, fp_vals = state.profile()(evals), state.profile_derivative()(evals)
+    kernel = divided_difference_kernel(evals, f_vals, fp_vals, vt)
+    return CovariantOperator(evecs @ kernel @ evecs.conj().T, spectral.model)
 
 
 def _pair_distances(model: LatticeModel) -> np.ndarray:

@@ -252,7 +252,11 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        return cls.parse(Path(path).read_text())
+        try:
+            text = Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"unreadable config file {str(path)!r}: {exc}") from exc
+        return cls.parse(text)
 
     def serialize(self, skip=frozenset()) -> str:
         out = io.StringIO()

@@ -12,13 +12,16 @@ two kernels of E_m - E_n: 1 / (eta + i w) and the quadrature of
 int e^{eta r} e^{i w r} dr.  The basis is built once per realization from
 its `SpectralData` (the Streda form reads only the Fermi projection), so a
 realization is diagonalized once and its O(N^3) products are taken once,
-however many etas use it.  Each realization is an independent pure
-computation; callers may parallelize over realizations freely.
+however many etas use it.  It realizes i[x_k, zeta] as the minimal-image
+commutator; its gauge-derivative sibling, the divided difference that the
+FD route's dynamics differentiates into, is derived from the same V~_k.
+Each realization is an independent pure computation; callers may
+parallelize over realizations freely.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,38 +101,41 @@ def equilibrium_current(spectral: SpectralData, state: EquilibriumState) -> np.n
 
 @dataclass(eq=False)
 class ResponseBasis:
-    """The eta-independent half of the Kubo formula for one realization, in
-    the eigenbasis of its H: the energies E, D~_j^T (D_j = v_j / 2) and
-    M~_k = (i [x_k, zeta])~.
+    """The eta-independent half of the Kubo formula for one realization and
+    one state, in the eigenbasis of its H: the energies E, D~_j^T
+    (D_j = v_j / 2) and M~_k = (i [x_k, zeta])~.
 
     There L acts entrywise as multiplication by E_m - E_n, so every route is
     one contraction sigma_jk = -(2 / N) sum_mn (D~_j^T o K o M~_k)_mn and only
-    the kernel K(E_m - E_n) differs between routes.  `kernel` picks the
-    finite-volume realization of i[x_k, zeta]: the minimal-image commutator
-    (default), or the spectral divided difference that the driven dynamics
-    differentiates into; the two agree up to wrap terms set by the decay of
-    zeta."""
+    the kernel K(E_m - E_n) differs between routes.  `of` realizes
+    i[x_k, zeta] as the minimal-image commutator; `gauge_derivative` gives
+    the sibling basis with the spectral divided difference that the driven
+    dynamics differentiates into.  The two agree up to wrap terms set by the
+    decay of zeta."""
 
     energies: np.ndarray
     d_tilde_t: list
     m_tilde: list
+    state: EquilibriumState
 
     @classmethod
-    def of(cls, spectral: SpectralData, state: EquilibriumState, kernel: str = "minimal_image"):
+    def of(cls, spectral: SpectralData, state: EquilibriumState):
         model = spectral.model
         v, vh = spectral.eigenvectors, spectral.eigenvectors.conj().T
-        e = spectral.eigenvalues
         axes = range(model.config.dimension)
-        v_tilde = [vh @ velocity_operator(model, j).matrix @ v for j in axes]
-        if kernel == "minimal_image":
-            zeta = state.build(spectral)
-            m_tilde = [vh @ (1j * position_commutator(zeta, k).matrix) @ v for k in axes]
-        elif kernel == "gauge_derivative":
-            f, fp = state.profile()(e), state.profile_derivative()(e)
-            m_tilde = [divided_difference_kernel(e, f, fp, vt) for vt in v_tilde]
-        else:
-            raise ValueError(f"unknown commutator kernel {kernel!r}")
-        return cls(e, [(vt / 2.0).T for vt in v_tilde], m_tilde)
+        d_tilde_t = [(vh @ velocity_operator(model, j).matrix @ v / 2.0).T for j in axes]
+        zeta = state.build(spectral)
+        m_tilde = [vh @ (1j * position_commutator(zeta, k).matrix) @ v for k in axes]
+        return cls(spectral.eigenvalues, d_tilde_t, m_tilde, state)
+
+    def gauge_derivative(self) -> "ResponseBasis":
+        """The sibling basis for the same realization and state, M~_k the
+        divided difference dd(E, f, f', V~_k) of V~_k = 2 D~_k^T, read from
+        this basis: no O(N^3) product is taken again."""
+        e = self.energies
+        f, fp = self.state.profile()(e), self.state.profile_derivative()(e)
+        m_tilde = [divided_difference_kernel(e, f, fp, 2.0 * dt.T) for dt in self.d_tilde_t]
+        return replace(self, m_tilde=m_tilde)
 
     def contract(self, kern: np.ndarray) -> np.ndarray:
         """-(2 / N) sum_mn (D~_j^T o K o M~_k)_mn for every axis pair (j, k)."""
@@ -349,7 +355,7 @@ def eta_sweep(
     kubo = np.array([sigma_kubo_integral(basis, eta) for eta in etas])
     if grid_for is None:
         return streda, resolvent, kubo, None, None
-    fd_basis = ResponseBasis.of(spectral, state, "gauge_derivative")
+    gauge = basis.gauge_derivative()
     fd = np.array([sigma_finite_difference(spectral, state, e, grid_for(e), delta_e) for e in etas])
-    fd_gap = [float(np.max(np.abs(f - sigma_resolvent(fd_basis, eta)))) for f, eta in zip(fd, etas)]
+    fd_gap = [float(np.max(np.abs(f - sigma_resolvent(gauge, eta)))) for f, eta in zip(fd, etas)]
     return streda, resolvent, kubo, fd, fd_gap

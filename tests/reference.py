@@ -2,7 +2,8 @@
 
 The Liouvillian superoperator in the eigenbasis of H, two routes to the
 structure of the Kubo formula through it (the velocity-projection identity
-and the kernel-projection conductivity), and a Richardson check of a smooth
+and the kernel-projection conductivity), the Duhamel density with the
+minimal-image drive commutator, and a Richardson check of a smooth
 function's declared derivatives.  The library computes none of these; the
 tests hold its routes against them.
 """
@@ -10,10 +11,12 @@ tests hold its routes against them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from kubolab.model import CovariantOperator, velocity_operator
+from kubolab import dynamics
+from kubolab.model import CovariantOperator, displacement_table, velocity_operator
 from kubolab.funcalc import (
     SmoothFunction,
     SpectralData,
@@ -125,6 +128,40 @@ def sigma_liouvillian_pathway(spectral: SpectralData, e_f: float, eta: float) ->
             mt = liou.to_eigenbasis(m_ops[k])
             sigma[j, k] = np.sum(at.conj() * mt) / n
     return sigma
+
+
+# ---------------------------------------------------------------------------
+# Duhamel density, minimal-image commutator
+# ---------------------------------------------------------------------------
+
+
+def evolve_density_duhamel_minimal_image(model, drive, state, t, grid) -> CovariantOperator:
+    """dynamics.evolve_density_duhamel, streamed the same way, with
+    [E . x, zeta(r)] realized as the minimal-image displacement commutator
+    sum_a E_a (x_a(m) - x_a(n)) zeta(r)_mn instead of the divided difference.
+    The integral identity then holds only up to wrap terms set by the decay
+    of zeta, which is what the linear-response comparison with the Streda
+    form on the torus measures."""
+    grid.validate(drive)
+    s = grid.s_min
+    nsteps = grid.n_steps(s, t, even=True)
+    tables = [displacement_table(model, axis) for axis in range(model.config.dimension)]
+    acc = np.zeros((model.n_sites, model.n_sites), dtype=complex)
+    eye = np.eye(model.n_sites, dtype=complex)
+    h_at = partial(dynamics._h_at, model, drive)
+    for k, (r, v, eig) in enumerate(dynamics._march(h_at, grid, s, t, nsteps, eye)):
+        if not isinstance(eig, tuple):  # H(r) itself, or None
+            eig = np.linalg.eigh(h_at(r) if eig is None else eig)
+        evals, evecs = eig
+        zeta = (evecs * state.profile()(evals)) @ evecs.conj().T
+        m_r = np.zeros(evecs.shape, dtype=complex)
+        for axis in drive.driven_axes:
+            m_r += drive.field[axis] * (tables[axis] * zeta)
+        weight = dynamics._simpson_weight(k, nsteps) * np.exp(drive.eta * min(r, 0.0))
+        acc += weight * (v.conj().T @ m_r @ v)
+    acc *= (t - s) / nsteps / 3.0
+    rho = zeta - 1j * (v @ acc @ v.conj().T)
+    return CovariantOperator((rho + rho.conj().T) / 2.0, model)
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ def test_criterion_2_three_method_agreement():
     kubo_gap = float(np.max(np.abs(kubo - res)))
     assert kubo_gap < TOL["kubo_vs_resolvent"]
 
-    res_gauge = sigma_resolvent(ResponseBasis.of(spectral, state, "gauge_derivative"), eta)
+    res_gauge = sigma_resolvent(basis.gauge_derivative(), eta)
     grid = TimeGrid(np.log(1e-10) / eta, 0.01, truncation_tol=1e-10)
     fd = sigma_finite_difference(spectral, state, eta, grid, delta_e=TOL["fd_delta_e"])
     fd_gap = float(np.max(np.abs(fd - res_gauge)))

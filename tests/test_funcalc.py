@@ -7,6 +7,7 @@ from kubolab.model import (
     build_hamiltonian,
     position_matrix,
     sample_disorder,
+    velocity_operator,
 )
 from kubolab.funcalc import (
     CoverageError,
@@ -187,6 +188,23 @@ def test_profile_is_the_built_occupation_bit_for_bit(kind):
     assert np.array_equal(built.matrix, np.diag(state.profile()(energies)))
 
 
+@pytest.mark.parametrize(
+    "kind, e_f, beta",
+    [
+        ("fermi_dirac", 0.0, None),
+        ("fermi-dirac", 0.0, 3.0),
+        ("fermi_dirac", 0.0, -4.0),
+        ("projection", float("nan"), None),
+    ],
+    ids=["fermi_dirac_without_beta", "misspelt_kind", "negative_beta", "nan_e_f"],
+)
+def test_equilibrium_state_checked_at_construction(kind, e_f, beta):
+    # build and profile would disagree on each of these: a T = 0 step or an
+    # inverted occupation from profile, an error or P = 0 from build
+    with pytest.raises(ValueError):
+        EquilibriumState(kind, e_f, beta)
+
+
 def test_fermi_projection_is_the_spectral_step():
     # W W* over the occupied columns against (V diag f) V*
     model = make_torus((8, 8), 1, 4, sample_disorder(DisorderSpec(0.5, 42), 0, 64))
@@ -340,7 +358,7 @@ def test_spectral_commutator_matches_minimal_image_open():
     state = EquilibriumState("projection", gap_fermi_level(model, 0.5))
     zeta = state.build(sp)
     mi = 1j * position_commutator(zeta, 0).matrix
-    gauge = spectral_position_commutator(sp, state, 0).matrix
+    gauge = spectral_position_commutator(sp, state, velocity_operator(model, 0).matrix).matrix
     assert np.max(np.abs(mi - gauge)) < 1e-10
     assert np.linalg.norm(gauge - gauge.conj().T) < 1e-12
 

@@ -13,7 +13,7 @@ import pytest
 
 from kubolab.acceptance import THRESHOLDS
 from kubolab.cli import main as cli_main
-from kubolab import dynamics
+from kubolab import dynamics, response
 from kubolab.dynamics import evolve_density_ode
 from kubolab.harness import (
     SUITES,
@@ -23,7 +23,6 @@ from kubolab.harness import (
     run_experiment,
 )
 from kubolab.opspace import norms
-from kubolab.response import ResponseBasis
 
 MINIMAL_CONFIG = """\
 [model]
@@ -339,28 +338,28 @@ def test_dynamics_check_decomposition_budget(tmp_path, monkeypatch):
     assert counts["eigh"] == expected
 
 
-@pytest.mark.parametrize("include_fd,bases_per_realization", [(False, 1), (True, 2)])
-def test_one_response_basis_per_realization(tmp_path, monkeypatch, include_fd, bases_per_realization):
-    # the eta loop builds only kernels; the FD cross-check adds one
-    # gauge-derivative basis per realization, and per eta one eigh of H(0)
-    # for each of its 2d net currents, which start from the realization's zeta
+@pytest.mark.parametrize("include_fd", [False, True])
+def test_one_response_basis_per_realization(tmp_path, monkeypatch, include_fd):
+    # V~_j = V* v_j V is built once per realization and axis: the FD
+    # cross-check reads its gauge-derivative basis from the eta loop's, and
+    # takes per eta one eigh of H(0) for each of its 2d net currents, which
+    # start from the realization's zeta
     text, _, _ = DECOMPOSITION_CASES["kubo-sweep"]
     fd = "include_fd = true\nstep = 0.05\ntruncation_tol = 1e-6\n" if include_fd else ""
     cfg = ExperimentConfig.parse(text + fd + "[run]\nexperiment = kubo-sweep\nname = t\n")
-    kernels = []
-    raw = ResponseBasis.of.__func__
+    axes = []
+    raw = response.velocity_operator
 
-    def counted(cls, spectral, state, kernel="minimal_image"):
-        kernels.append(kernel)
-        return raw(cls, spectral, state, kernel)
+    def counted(model, axis):
+        axes.append(axis)
+        return raw(model, axis)
 
-    monkeypatch.setattr(ResponseBasis, "of", classmethod(counted))
+    monkeypatch.setattr(response, "velocity_operator", counted)
     counts = _count_decompositions(monkeypatch, cfg.lattice_config().n_sites)
     manifest = run_experiment(cfg, out_dir=tmp_path)
     assert not [v for v in manifest.violations if v[0] == "cell_error"]
-    assert len(kernels) == 2 * bases_per_realization
-    assert kernels.count("minimal_image") == 2
     d, n_eta = cfg[("model", "dimension")], len(cfg[("drive", "eta_list")])
+    assert axes == list(range(d)) * cfg[("model", "n_realizations")]
     assert counts["eigh"] == 2 * (1 + 2 * d * n_eta * include_fd)
 
 
@@ -626,11 +625,18 @@ def test_cli_seed_override_changes_outputs(tmp_path):
     ).read_text()
 
 
-def test_cli_config_error_exit_code(tmp_path):
+def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text("[model]\nbogus = 1\n")
     rc = cli_main(["algebra-check", "--config", str(cfg_path)])
     assert rc == 1
+    # a missing file too: one `config error:` line naming it, not a traceback
+    missing = tmp_path / "missing.ini"
+    capsys.readouterr()
+    assert cli_main(["hall", "--config", str(missing)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unreadable config file") and str(missing) in err
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("experiment", ["equilibrium", "hall", "kubo-sweep"])

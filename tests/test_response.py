@@ -13,13 +13,12 @@ from kubolab.model import (
 from kubolab.funcalc import (
     EquilibriumState,
     SpectralData,
+    divided_difference_kernel,
     fermi_projection,
     position_commutator,
     spectral_position_commutator,
 )
-from kubolab.dynamics import (
-    DriveProtocol, TimeGrid, evolve_density_duhamel, evolve_density_ode,
-)
+from kubolab.dynamics import DriveProtocol, TimeGrid, evolve_density_ode
 from kubolab import response
 from kubolab.opspace import hs_inner
 from kubolab.response import (
@@ -40,7 +39,10 @@ from conftest import (
     gap_fermi_level, make_chain, make_torus, random_operator, random_projector, spectral_of,
 )
 from reference import (
-    LiouvillianRep, sigma_liouvillian_pathway, velocity_projection_identity_defect,
+    LiouvillianRep,
+    evolve_density_duhamel_minimal_image,
+    sigma_liouvillian_pathway,
+    velocity_projection_identity_defect,
 )
 
 
@@ -176,7 +178,7 @@ def test_net_current_matches_streda_linear_response():
     grid = TimeGrid(np.log(1e-8) / eta, 0.02, truncation_tol=1e-8)
     spectral = spectral_of(model)
     drive = DriveProtocol(eta, (0.0, emag))
-    rho = evolve_density_duhamel(model, drive, state, 0.0, grid, kernel="minimal_image")
+    rho = evolve_density_duhamel_minimal_image(model, drive, state, 0.0, grid)
     j = net_current(rho, drive, state)
     target = sigma_streda(fermi_projection(spectral, e_f))[0, 1].real * emag
     assert abs(j[0] - target) < 0.05 * abs(target)
@@ -206,6 +208,12 @@ def test_equilibrium_current_vanishes_identically_without_field():
 # -- conductivity routes -----------------------------------------------------------
 
 
+def _basis(spectral, state, kernel):
+    """The minimal-image basis, or its gauge-derivative sibling."""
+    basis = ResponseBasis.of(spectral, state)
+    return basis.gauge_derivative() if kernel == "gauge_derivative" else basis
+
+
 def _disordered_flux_quarter():
     pot = sample_disorder(DisorderSpec(0.5, 42), 0, 64)
     model = make_torus((8, 8), 1, 4, pot)
@@ -225,7 +233,7 @@ def test_kubo_integral_matches_resolvent():
     model, state, _ = _disordered_flux_quarter()
     spectral = spectral_of(model)
     for kernel in ("minimal_image", "gauge_derivative"):
-        basis = ResponseBasis.of(spectral, state, kernel)
+        basis = _basis(spectral, state, kernel)
         res = sigma_resolvent(basis, 0.5)
         kubo = sigma_kubo_integral(basis, 0.5)
         assert np.max(np.abs(kubo - res)) < 1e-6
@@ -284,7 +292,7 @@ def test_kubo_integral_matches_per_node_sum(kernel, quadrature, etas, disorder_w
     pot = sample_disorder(DisorderSpec(1.0, 8), 0, 16) if disorder_w else None
     model = make_torus((4, 4), 1, 4, pot)
     state = EquilibriumState("projection", gap_fermi_level(model, 0.25))
-    basis = ResponseBasis.of(spectral_of(model), state, kernel)
+    basis = _basis(spectral_of(model), state, kernel)
     for eta in etas:
         kubo = sigma_kubo_integral(basis, eta, **quadrature)
         ref = _kubo_per_node(basis, eta, **quadrature)
@@ -357,7 +365,10 @@ def _sigma_site_basis(spectral, state, eta, kernel):
         zeta = state.build(spectral)
         m_ops = [CovariantOperator(1j * position_commutator(zeta, k).matrix, model) for k in range(d)]
     else:
-        m_ops = [spectral_position_commutator(spectral, state, k) for k in range(d)]
+        m_ops = [
+            spectral_position_commutator(spectral, state, velocity_operator(model, k).matrix)
+            for k in range(d)
+        ]
     sigma = np.zeros((d, d), dtype=complex)
     for k in range(d):
         r = liou.resolvent(eta, m_ops[k]).matrix
@@ -372,10 +383,29 @@ def test_resolvent_matches_site_basis_trace(kernel):
     model = make_torus((4, 4), 1, 4, pot)
     state = EquilibriumState("projection", gap_fermi_level(model, 0.25))
     spectral = spectral_of(model)
-    basis = ResponseBasis.of(spectral, state, kernel)
+    basis = _basis(spectral, state, kernel)
     for eta in (1.0, 0.25):
         ref = _sigma_site_basis(spectral, state, eta, kernel)
         assert np.max(np.abs(sigma_resolvent(basis, eta) - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind, beta", [("projection", None), ("fermi_dirac", 4.0)])
+def test_gauge_derivative_basis_is_the_divided_difference_of_v_tilde(kind, beta):
+    # the sibling reads V~_k = 2 D~_k^T from its basis; V* v_k V built from
+    # scratch gives the same divided difference, bit for bit
+    pot = sample_disorder(DisorderSpec(1.0, 8), 0, 16)
+    model = make_torus((4, 4), 1, 4, pot)
+    state = EquilibriumState(kind, gap_fermi_level(model, 0.25), beta)
+    spectral = spectral_of(model)
+    basis = ResponseBasis.of(spectral, state)
+    gauge = basis.gauge_derivative()
+    assert gauge.energies is basis.energies and gauge.d_tilde_t is basis.d_tilde_t
+    assert gauge.state is state
+    e, v = spectral.eigenvalues, spectral.eigenvectors
+    f, fp = state.profile()(e), state.profile_derivative()(e)
+    for k, mt in enumerate(gauge.m_tilde):
+        v_tilde = v.conj().T @ velocity_operator(model, k).matrix @ v
+        assert np.array_equal(mt, divided_difference_kernel(e, f, fp, v_tilde))
 
 
 def test_fd_matches_resolvent_small_1d():
@@ -387,7 +417,7 @@ def test_fd_matches_resolvent_small_1d():
     grid = TimeGrid(np.log(1e-10), 0.005, truncation_tol=1e-10)
     spectral = spectral_of(model)
     fd = sigma_finite_difference(spectral, state, eta, grid, delta_e=1e-3)
-    res = sigma_resolvent(ResponseBasis.of(spectral, state, "gauge_derivative"), eta)
+    res = sigma_resolvent(ResponseBasis.of(spectral, state).gauge_derivative(), eta)
     assert np.max(np.abs(fd - res)) < 1e-3
 
 
@@ -587,7 +617,7 @@ def test_eta_sweep_finite_difference_arrays():
         return TimeGrid(np.log(1e-12) / eta, 0.02)
 
     _, _, _, fd, fd_gap = eta_sweep(spectral, state, etas, grid_for, delta_e=1e-3)
-    basis = ResponseBasis.of(spectral, state, "gauge_derivative")
+    basis = ResponseBasis.of(spectral, state).gauge_derivative()
     assert len(fd) == len(fd_gap) == len(etas)
     for eta, f, gap in zip(etas, fd, fd_gap):
         assert np.array_equal(f, sigma_finite_difference(spectral, state, eta, grid_for(eta), 1e-3))
