@@ -19,8 +19,6 @@ from .model import (
     ModelMismatchError,
     UnsupportedOperationError,
     build_hamiltonian,
-    displacement,
-    magnetic_translation,
     sample_disorder,
     shift_disorder,
     velocity_operator,

@@ -64,22 +64,6 @@ class SpectralData:
         evals, evecs = np.linalg.eigh(op.matrix)
         return cls(evals, evecs, op.model)
 
-    def validate(self, op: CovariantOperator) -> None:
-        h = op.matrix
-        scale = max(np.linalg.norm(h), 1e-300)
-        resid = np.linalg.norm(h @ self.eigenvectors - self.eigenvectors * self.eigenvalues)
-        if resid > 1e-10 * scale:
-            raise ValueError(f"eigenpair residual {resid:.3e} too large")
-        ortho = np.linalg.norm(
-            self.eigenvectors.conj().T @ self.eigenvectors - np.eye(len(self.eigenvalues))
-        )
-        if ortho > 1e-12:
-            raise ValueError(f"eigenvector orthonormality defect {ortho:.3e}")
-
-    @property
-    def width(self) -> float:
-        return float(self.eigenvalues[-1] - self.eigenvalues[0])
-
 
 def apply_spectral(spectral: SpectralData, f) -> CovariantOperator:
     """V diag(f(E)) V* for a callable or SmoothFunction f."""
@@ -96,6 +80,7 @@ def fermi_projection(spectral: SpectralData, e_f: float) -> CovariantOperator:
     gap edges) rather than a convention: silently half-filling a degenerate
     level would corrupt every quantization check downstream.
     """
+    occupation = _occupation(e_f)
     evals = spectral.eigenvalues
     gap_to_level = np.min(np.abs(evals - e_f))
     if gap_to_level < 1e-9:
@@ -107,13 +92,16 @@ def fermi_projection(spectral: SpectralData, e_f: float) -> CovariantOperator:
             f"E_F={e_f} is within 1e-9 of an eigenvalue; nearest clean gap "
             f"edges are ({lo}, {hi})"
         )
-    w = spectral.eigenvectors[:, _occupation(e_f)(evals) == 1.0]
+    w = spectral.eigenvectors[:, occupation(evals) == 1.0]
     return CovariantOperator(w @ w.conj().T, spectral.model)
 
 
 def _occupation(e_f: float, beta: float | None = None):
     """The occupation profile E -> f(E) that every Fermi state is built
-    from: the step E <= E_F for beta None, else 1 / (1 + e^{beta (E - E_F)})."""
+    from: the step E <= E_F for beta None, else 1 / (1 + e^{beta (E - E_F)}).
+    A non-finite E_F is refused: it would fill every level or none."""
+    if not np.isfinite(e_f):
+        raise ValueError(f"e_f must be finite, got {e_f!r}")
     if beta is None:
         return lambda e: (np.asarray(e) <= e_f).astype(float)
     from scipy.special import expit  # local, so that `import kubolab` needs numpy only
@@ -140,8 +128,7 @@ class EquilibriumState:
     def __post_init__(self):
         if self.kind not in ("projection", "fermi_dirac"):
             raise ValueError(f"unknown equilibrium kind {self.kind!r}")
-        if not np.isfinite(self.e_f):
-            raise ValueError(f"e_f must be finite, got {self.e_f!r}")
+        _occupation(self.e_f)  # refuses a non-finite e_f
         if self.kind == "fermi_dirac" and not (self.beta is not None and 0 < self.beta < np.inf):
             raise ValueError(f"fermi_dirac needs a finite beta > 0, got {self.beta!r}")
 
@@ -363,9 +350,8 @@ def hs_apply(
     op: CovariantOperator,
     f: SmoothFunction,
     quad: HSQuadrature,
-    p: int = 0,
 ) -> tuple[CovariantOperator, dict]:
-    """Contour evaluation of f^(p)(H) / p! through resolvents.
+    """Contour evaluation of f(H) through resolvents.
 
     Independent of the eigendecomposition: every node is a dense linear
     solve.  Returns the operator and a diagnostics dict with the
@@ -393,10 +379,7 @@ def hs_apply(
             if w == 0.0:
                 continue
             z = xval + 1j * y
-            res = np.linalg.solve(z * eye - h, eye)
-            if p > 0:
-                res = np.linalg.matrix_power(res, p + 1)
-            acc += w * res
+            acc += w * np.linalg.solve(z * eye - h, eye)
     # real f: the lower half plane contributes the conjugate transpose
     result = acc + acc.conj().T
     return CovariantOperator(result, op.model), {"abs_convergence_surrogate": 2.0 * surrogate}
@@ -408,7 +391,7 @@ def hs_apply(
 
 
 def position_commutator(a: CovariantOperator, axis: int) -> CovariantOperator:
-    """Entrywise [x_axis, A]_mn = displacement(m, n, axis) * A_mn.
+    """Entrywise [x_axis, A]_mn = displacement_table(model, axis)[m, n] * A_mn.
 
     On the open box this is the exact commutator with the position matrix;
     on the torus it is the minimal-image realization, faithful only where A

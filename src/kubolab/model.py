@@ -1,9 +1,9 @@
 """Disordered magnetic tight-binding lattices on finite boxes and tori.
 
 Builds the Anderson-Hofstadter Hamiltonian in Landau gauge (Peierls phase
-e^{i*2*pi*phi*x0} on forward hops along axis 1), the magnetic translations
-that implement covariance together with a cyclic shift of the disorder, and
-the bond-resolved velocity operators.
+e^{i*2*pi*phi*x0} on forward hops along axis 1), the cyclic shift of the
+disorder that covariance pairs with a magnetic translation, the
+minimal-image displacement tables, and the bond-resolved velocity operators.
 
 All constructors are pure functions of immutable inputs; there is no shared
 mutable state, so any number of them may run concurrently.
@@ -181,9 +181,6 @@ class LatticeModel:
         """(N, d) integer coordinates; site index is row-major in coords."""
         return _coords(self.config.sides)
 
-    def site_index(self, coord) -> int:
-        return int(_site_indices(self.config.sides, coord))
-
     # -- bonds -------------------------------------------------------------
 
     @cached_property
@@ -264,36 +261,6 @@ def build_hamiltonian(model: LatticeModel) -> CovariantOperator:
     return CovariantOperator(_scatter(model, hops, model.potential), model)
 
 
-def magnetic_translation(model: LatticeModel, a) -> CovariantOperator:
-    """Unitary magnetic translation by the integer lattice vector a.
-
-    Moves site indicators (U chi_b U* = chi_{b+a}) and conjugates the clean
-    Hamiltonian into itself; with disorder it intertwines the model with its
-    shifted realization.  Torus only.
-    """
-    if model.config.boundary != "torus":
-        raise UnsupportedOperationError("magnetic translations need the torus")
-    a = np.asarray(a, dtype=int)
-    if a.shape != (model.config.dimension,):
-        raise ConfigurationError("translation vector has wrong dimension")
-    n = model.n_sites
-    coords = model.coords
-    sides = model.config.sides
-    if model.flux.numerator != 0:
-        # multiplier e^{i 2 pi phi a0 x1} must close around the axis-1 seam
-        if (model.flux.numerator * int(a[0]) * sides[1]) % model.flux.denominator != 0:
-            raise ConfigurationError(
-                "magnetic translation incommensurate: phi * a0 * L1 not integer"
-            )
-        chi = 2.0 * np.pi * model.flux.phi * int(a[0]) * coords[:, 1]
-    else:
-        chi = np.zeros(n)
-    target = _site_indices(sides, coords + a)
-    u = np.zeros((n, n), dtype=complex)
-    u[target, np.arange(n)] = np.exp(1j * chi[target])
-    return CovariantOperator(u, model)
-
-
 def shift_disorder(model: LatticeModel, a) -> LatticeModel:
     """New model with the potential cyclically shifted: v'(x) = v(x - a)."""
     if model.config.boundary != "torus":
@@ -306,17 +273,10 @@ def shift_disorder(model: LatticeModel, a) -> LatticeModel:
     )
 
 
-def displacement(model: LatticeModel, m: int, n: int, axis: int) -> float:
-    """Signed coordinate difference between sites m and n along an axis.
-
-    Torus: minimal image ((m_j - n_j + L_j/2) mod L_j) - L_j/2; open box:
-    plain difference.
-    """
-    return float(displacement_table(model, axis)[m, n])
-
-
 def displacement_table(model: LatticeModel, axis: int) -> np.ndarray:
-    """(N, N) table of displacement(model, m, n, axis), read-only.
+    """(N, N) table of the signed coordinate differences x_axis(m) - x_axis(n),
+    read-only.  Torus: minimal image ((m_j - n_j + L_j/2) mod L_j) - L_j/2;
+    open box: plain difference.
 
     It depends on the geometry alone, so one table per (LatticeConfig, axis)
     is shared by every realization and flux on that lattice.  The last few

@@ -260,20 +260,6 @@ def hall_scaled(sigma: np.ndarray) -> float:
     return float(2.0 * np.pi * sigma[0, 1].real)
 
 
-def triple_commutator_check(p: CovariantOperator, axis: int | None = None) -> float:
-    """max_axis || [P, [P, [x_k, P]]] - [x_k, P] ||; identically zero for a
-    projection against exact position, wrap-bounded on the torus."""
-    axes = range(p.model.config.dimension) if axis is None else [axis]
-    worst = 0.0
-    pm = p.matrix
-    for k in axes:
-        m = position_commutator(p, k).matrix
-        inner = pm @ m - m @ pm
-        outer = pm @ inner - inner @ pm
-        worst = max(worst, float(np.linalg.norm(outer - m, 2)))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # Chern-number oracle (plaquette field strength on the magnetic BZ)
 # ---------------------------------------------------------------------------

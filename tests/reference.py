@@ -1,11 +1,13 @@
 """Reference implementations that only the tests call.
 
-The Liouvillian superoperator in the eigenbasis of H, two routes to the
-structure of the Kubo formula through it (the velocity-projection identity
-and the kernel-projection conductivity), the Duhamel density with the
-minimal-image drive commutator, and a Richardson check of a smooth
-function's declared derivatives.  The library computes none of these; the
-tests hold its routes against them.
+The magnetic translations that implement covariance, the Liouvillian
+superoperator in the eigenbasis of H, two routes to the structure of the
+Kubo formula through it (the velocity-projection identity and the
+kernel-projection conductivity), the triple-commutator structure of a
+projection, the contour route to f'(H) through (z - H)^{-2}, the Duhamel
+density with the minimal-image drive commutator, and a Richardson check of a
+smooth function's declared derivatives.  The library computes none of these;
+the tests hold its routes against them.
 """
 
 from __future__ import annotations
@@ -16,15 +18,60 @@ from functools import partial
 import numpy as np
 
 from kubolab import dynamics
-from kubolab.model import CovariantOperator, displacement_table, velocity_operator
+from kubolab.model import (
+    ConfigurationError,
+    CovariantOperator,
+    LatticeModel,
+    UnsupportedOperationError,
+    _site_indices,
+    displacement_table,
+    velocity_operator,
+)
 from kubolab.funcalc import (
+    HSQuadrature,
     SmoothFunction,
     SpectralData,
+    almost_analytic_dbar,
     apply_spectral,
     fermi_projection,
     position_commutator,
 )
 from kubolab.opspace import comm_ddagger, prod_right
+
+
+# ---------------------------------------------------------------------------
+# magnetic translations
+# ---------------------------------------------------------------------------
+
+
+def magnetic_translation(model: LatticeModel, a) -> CovariantOperator:
+    """Unitary magnetic translation by the integer lattice vector a.
+
+    Moves site indicators (U chi_b U* = chi_{b+a}) and conjugates the clean
+    Hamiltonian into itself; with disorder it intertwines the model with its
+    shifted realization.  Torus only.
+    """
+    if model.config.boundary != "torus":
+        raise UnsupportedOperationError("magnetic translations need the torus")
+    a = np.asarray(a, dtype=int)
+    if a.shape != (model.config.dimension,):
+        raise ConfigurationError("translation vector has wrong dimension")
+    n = model.n_sites
+    coords = model.coords
+    sides = model.config.sides
+    if model.flux.numerator != 0:
+        # multiplier e^{i 2 pi phi a0 x1} must close around the axis-1 seam
+        if (model.flux.numerator * int(a[0]) * sides[1]) % model.flux.denominator != 0:
+            raise ConfigurationError(
+                "magnetic translation incommensurate: phi * a0 * L1 not integer"
+            )
+        chi = 2.0 * np.pi * model.flux.phi * int(a[0]) * coords[:, 1]
+    else:
+        chi = np.zeros(n)
+    target = _site_indices(sides, coords + a)
+    u = np.zeros((n, n), dtype=complex)
+    u[target, np.arange(n)] = np.exp(1j * chi[target])
+    return CovariantOperator(u, model)
 
 
 # ---------------------------------------------------------------------------
@@ -41,9 +88,9 @@ class LiouvillianRep:
     degeneracy_tol: float | None = None
 
     def __post_init__(self):
-        if self.degeneracy_tol is None:
-            self.degeneracy_tol = 1e-9 * max(self.spectral.width, 1.0)
         e = self.spectral.eigenvalues
+        if self.degeneracy_tol is None:
+            self.degeneracy_tol = 1e-9 * max(float(e[-1] - e[0]), 1.0)
         self._gaps = e[:, None] - e[None, :]
 
     def to_eigenbasis(self, b: np.ndarray) -> np.ndarray:
@@ -128,6 +175,43 @@ def sigma_liouvillian_pathway(spectral: SpectralData, e_f: float, eta: float) ->
             mt = liou.to_eigenbasis(m_ops[k])
             sigma[j, k] = np.sum(at.conj() * mt) / n
     return sigma
+
+
+def triple_commutator_check(p: CovariantOperator, axis: int | None = None) -> float:
+    """max_axis || [P, [P, [x_k, P]]] - [x_k, P] ||; identically zero for a
+    projection against exact position, wrap-bounded on the torus."""
+    axes = range(p.model.config.dimension) if axis is None else [axis]
+    worst = 0.0
+    pm = p.matrix
+    for k in axes:
+        m = position_commutator(p, k).matrix
+        inner = pm @ m - m @ pm
+        outer = pm @ inner - inner @ pm
+        worst = max(worst, float(np.linalg.norm(outer - m, 2)))
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# contour derivative
+# ---------------------------------------------------------------------------
+
+
+def hs_apply_derivative(op: CovariantOperator, f: SmoothFunction, quad: HSQuadrature) -> CovariantOperator:
+    """Contour evaluation of f'(H): funcalc.hs_apply's node sum with each
+    resolvent squared, (z - H)^{-2}."""
+    h = op.matrix
+    xs, ys, area = quad.nodes()
+    eye = np.eye(h.shape[0], dtype=complex)
+    acc = np.zeros_like(eye)
+    for y in ys:
+        weights = -(1.0 / (2.0 * np.pi)) * almost_analytic_dbar(f, quad.order_m, xs, y) * area
+        for xval, w in zip(xs, weights):
+            if w == 0.0:
+                continue
+            res = np.linalg.solve((xval + 1j * y) * eye - h, eye)
+            acc += w * (res @ res)
+    # real f: the lower half plane contributes the conjugate transpose
+    return CovariantOperator(acc + acc.conj().T, op.model)
 
 
 # ---------------------------------------------------------------------------

@@ -60,11 +60,11 @@ from kubolab.response import (
     sigma_kubo_integral,
     sigma_resolvent,
     sigma_streda,
-    triple_commutator_check,
 )
 from kubolab.harness import ensemble_average
 
 from conftest import gap_fermi_level, make_chain, make_torus, random_operator, random_projector, spectral_of
+from reference import triple_commutator_check
 
 
 def report(criterion, detail):

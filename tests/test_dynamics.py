@@ -14,7 +14,6 @@ from kubolab.model import (
     UnsupportedOperationError,
     build_hamiltonian,
     displacement_table,
-    magnetic_translation,
     sample_disorder,
     shift_disorder,
 )
@@ -38,7 +37,7 @@ from kubolab.opspace import norm2, norms, trace_per_unit_volume
 from kubolab.model import CovariantOperator
 
 from conftest import forward_hops, gap_fermi_level, make_chain, make_torus, spectral_of
-from reference import evolve_density_duhamel_minimal_image
+from reference import evolve_density_duhamel_minimal_image, magnetic_translation
 
 
 S_MIN = float(np.log(1e-12))

