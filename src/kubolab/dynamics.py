@@ -12,12 +12,11 @@ driven axis a (E_a != 0), so `_h_at` scatters the model's bond list with
 those phases, as `build_hamiltonian` scatters it without them.
 
 Every propagator, Duhamel sum and density route is one march of H(t)
-(`_march`), and so are both gauges of the gauge check, the scalar one a
-march of H + E(t).X: the integrator and the step-size guard are chosen there
-and nowhere else, and only the current state is held, so memory is O(N^2)
-whatever the number of steps.  An RK4 step assembles H three times (the
-midpoint once for both middle stages), and the march hands on what its step
-holds of H(r_k): an RK4 step's k1 matrix, a riemann_product step's eigh.
+(`_march`), and so is the gauge check, its two gauges one stack: the
+integrator and the step-size guard are chosen there and nowhere else, and
+only the current state and one block of steps' H(t) (one `_h_at` call) are
+held, so memory is O(N^2) whatever the number of steps.  The march hands on
+what its step holds of H(r_k): an RK4 step's k1, a riemann_product's eigh.
 
 A single evolution is sequential in time; independent (realization, field,
 eta) evolutions may run concurrently.  The only state they may share is the
@@ -69,8 +68,9 @@ class DriveProtocol:
         """Axes with a nonzero field: the only hops that change with t."""
         return tuple(axis for axis, e in enumerate(self.field) if e != 0.0)
 
-    def field_at(self, t: float) -> np.ndarray:
-        return np.exp(self.eta * min(t, 0.0)) * np.array(self.field)
+    def field_at(self, t) -> np.ndarray:
+        """E(t); for an array of times, one row per time."""
+        return np.exp(self.eta * np.minimum(t, 0.0))[..., None] * np.array(self.field)
 
     def f_integral(self, t: float) -> np.ndarray:
         return (np.exp(self.eta * min(t, 0.0)) / self.eta + max(t, 0.0)) * np.array(
@@ -82,6 +82,10 @@ class DriveProtocol:
 
 
 INTEGRATORS = ("riemann_product", "ode_rk4", "magnus2")
+# Steps per march block: as many as keep one h_at call within _BLOCK_BYTES of H(t) (2 RK4
+# or 6 magnus2 steps at N = 36), at most _BLOCK_STEPS, past which temporaries set the memory.
+_BLOCK_BYTES = 128 * 1024
+_BLOCK_STEPS = 16
 
 
 @dataclass
@@ -118,23 +122,31 @@ class TimeGrid:
 # ---------------------------------------------------------------------------
 
 
-def _h_at(model: LatticeModel, drive: DriveProtocol, t: float) -> np.ndarray:
+def _h_at(model: LatticeModel, drive: DriveProtocol, t) -> np.ndarray:
     """Raw driven Hamiltonian matrix (fast path for the integrators), a
-    fresh array on every call.
+    fresh array on every call; for an array of times, the stack of H(t).
 
     The bond list of H with each amplitude of a driven axis a (E_a != 0)
     times c_a = e^{i F_a(t)}, scattered with the potential on the diagonal:
     on every bond and diagonal entry, the bits of phasing every forward hop
-    and adding the conjugate transpose.
+    and adding the conjugate transpose.  The undriven hops are scattered
+    once and copied to every time; no two axes share a position, so adding
+    the driven hops, then the diagonal, keeps one scatter's bits.
     """
-    # the phases as Python scalars: same values, less overhead per call
-    scale = float(np.exp(drive.eta * min(t, 0.0))) / drive.eta + max(t, 0.0)
-    hops = []
-    for axis, (_, _, amplitude) in enumerate(model.bonds):
-        if axis in drive.driven_axes:
-            amplitude = complex(np.exp(1j * scale * drive.field[axis])) * amplitude
-        hops.append((axis, amplitude))
-    return _scatter(model, hops, model.potential)
+    times = np.asarray(t, dtype=float)
+    scale = np.exp(drive.eta * np.minimum(times, 0.0)) / drive.eta + np.maximum(times, 0.0)
+    n = model.n_sites
+    undriven = [(axis, a) for axis, (_, _, a) in enumerate(model.bonds) if axis not in drive.driven_axes]
+    flat = np.empty(times.shape + (n * n,), dtype=complex)
+    flat[...] = _scatter(model, undriven).reshape(-1)
+    offsets = n * n * np.arange(times.size).reshape(times.shape + (1,))
+    for axis in drive.driven_axes:
+        forward, backward = model._bond_positions[axis]
+        amplitude = np.exp(1j * scale * drive.field[axis])[..., None] * model.bonds[axis][2]
+        flat.reshape(-1)[offsets + forward] += amplitude
+        flat.reshape(-1)[offsets + backward] += amplitude.conj()
+    flat[..., :: n + 1] += model.potential
+    return flat.reshape(times.shape + (n, n))
 
 
 def hamiltonian_at(model: LatticeModel, drive: DriveProtocol, t: float) -> CovariantOperator:
@@ -183,51 +195,59 @@ def _liouville(hr: np.ndarray, m: np.ndarray) -> np.ndarray:
     return -1j * (hm - hm.conj().T)
 
 
-def _rk4_step(h_at, apply, r: float, y: np.ndarray, h: float, h_r: np.ndarray) -> np.ndarray:
-    """One RK4 step of y' = apply(H(r), y) from h_r = H(r): H is assembled
-    once at the midpoint r + h/2 for both middle stages, and at r + h."""
-    k1 = apply(h_r, y)
-    h_mid = h_at(r + h / 2)
-    k2 = apply(h_mid, y + (h / 2) * k1)
-    k3 = apply(h_mid, y + (h / 2) * k2)
-    k4 = apply(h_at(r + h), y + h * k3)
-    return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 def _march(h_at, grid: TimeGrid, s: float, t: float, nsteps: int, y, conjugate=False):
-    """Yield (r_k, y_k, h_k), k = 0..nsteps, along one march of H(r) = h_at(r)
-    from y at s, with r_k = s + k (t - s) / nsteps and r_n = t, by
-    grid.method (see propagate).
+    """Yield (r_k, y_k, h_k), k = 0..nsteps, along one march of H(r) from y
+    at s, with r_k = s + k (t - s) / nsteps and r_n = t, by grid.method (see
+    propagate).  h_at maps a time to H(r), which may be a stack advanced side
+    by side, and an array of times to the stack of their H(r).
 
     States and propagators advance as y -> U y; with `conjugate`, density
-    matrices advance as y -> U y U*.  h_k is what the step from r_k holds of
-    H(r_k): its eigendecomposition (riemann_product), the matrix (ode_rk4, the
-    step's k1), or None (magnus2, and k = n).  The step-size guard is checked
-    before the first step, and only the current y is held.
+    matrices advance as y -> U y U*.  Each block of steps (see _BLOCK_BYTES)
+    takes one h_at call on its stage times (RK4: r_k, r_k + h/2 for k2
+    and k3, r_k + h; magnus2: s + (k + 1/2) h; riemann_product: r_k, then one
+    stacked eigh).  h_k is what the step from r_k holds of H(r_k), read-only:
+    its eigendecomposition (riemann_product), the matrix (ode_rk4, the step's
+    k1), or None (magnus2, and k = n).  The step-size guard is checked before
+    the first step, and only the current y and block are held.
     """
     if t < s:
         raise ValueError(f"a march needs s <= t, got s={s}, t={t}")
-    hnorm = float(np.max(np.abs(np.linalg.eigvalsh(h_at(s)))))
+    h_s = h_at(s)
+    hnorm = float(np.max(np.abs(np.linalg.eigvalsh(h_s))))
     if grid.step * hnorm >= 0.5:
         raise StepSizeError(
             f"step {grid.step} violates h * ||H|| = {grid.step * hnorm:.3f} < 0.5"
         )
     h = (t - s) / nsteps
     apply = _liouville if conjugate else _schrodinger
+    rk4 = grid.method == "ode_rk4"
     riemann = grid.method == "riemann_product"
-    offset = 0.0 if riemann else 0.5
+    block = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // ((3 if rk4 else 1) * h_s.nbytes)))
     r = s
-    for k in range(nsteps):
-        if grid.method == "ode_rk4":
-            h_r = h_at(s + k * h)
-            yield r, y, h_r
-            y = _rk4_step(h_at, apply, s + k * h, y, h, h_r)
+    for start in range(0, nsteps, block):
+        ks = np.arange(start, min(start + block, nsteps))
+        if rk4:
+            nodes = s + ks * h
+            stack = h_at(np.concatenate([nodes, nodes + h / 2, nodes + h]))
+            stack.flags.writeable = False
+            k1s, mids, ends = stack.reshape(3, len(ks), *h_s.shape)
         else:
-            eig = np.linalg.eigh(h_at(s + (k + offset) * h))
-            yield r, y, (eig if riemann else None)
-            u = _expm_hermitian(eig, -1j * h)
-            y = u @ y @ u.conj().T if conjugate else u @ y
-        r = t if k + 1 == nsteps else s + (k + 1) * h
+            evals, evecs = np.linalg.eigh(h_at(s + (ks + (0.0 if riemann else 0.5)) * h))
+            evals.flags.writeable = evecs.flags.writeable = False
+        for i, k in enumerate(ks.tolist()):
+            if rk4:
+                yield r, y, k1s[i]
+                k1 = apply(k1s[i], y)
+                k2 = apply(mids[i], y + (h / 2) * k1)
+                k3 = apply(mids[i], y + (h / 2) * k2)
+                k4 = apply(ends[i], y + h * k3)
+                y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            else:
+                eig = (evals[i], evecs[i])
+                yield r, y, (eig if riemann else None)
+                u = _expm_hermitian(eig, -1j * h)
+                y = u @ y @ u.conj().T if conjugate else u @ y
+            r = t if k + 1 == nsteps else s + (k + 1) * h
     yield r, y, None
 
 
@@ -316,8 +336,10 @@ def duhamel_residual(
     simpson = np.zeros_like(psi)
     trapezoid = np.zeros_like(psi)
     h_at = partial(_h_at, model, drive)
-    for k, (r, y, _) in enumerate(_march(h_at, grid, s, t, nsteps, psi)):
-        node = free_propagator(spectral, t - r) @ ((h0.matrix - h_at(r)) @ y)
+    for k, (r, y, h_r) in enumerate(_march(h_at, grid, s, t, nsteps, psi)):
+        if not isinstance(h_r, np.ndarray):  # an eigendecomposition, or None
+            h_r = h_at(r)
+        node = free_propagator(spectral, t - r) @ ((h0.matrix - h_r) @ y)
         simpson += _simpson_weight(k, nsteps) * node
         trapezoid += node if 0 < k < nsteps else node / 2
     h = (t - s) / nsteps
@@ -432,28 +454,27 @@ def gauge_equivalence_check(
     """|| G(t)* psi_vec(t) - psi_scal(t) || for the dual evolution.
 
     psi_vec evolves under the bond-phase H(t), psi_scal under the scalar
-    potential H + E(t).X; only meaningful on the open box where X is a
-    genuine position matrix.
+    potential H + E(t).X, in one march of the stack [H_vec, H_scal]; only
+    meaningful on the open box where X is a genuine position matrix.
     """
     if model.config.boundary != "open":
         raise UnsupportedOperationError("gauge equivalence needs the open box")
     grid.validate(drive)
-    psi0 = np.asarray(psi0, dtype=complex)
     s = grid.s_min
-    nsteps = grid.n_steps(s, t)
     h0 = build_hamiltonian(model).matrix
     xs = [position_matrix(model, axis).matrix for axis in range(model.config.dimension)]
 
-    def h_scal(r):
+    def h_both(r):
         e = drive.field_at(r)
-        return h0 + sum(e[j] * xs[j] for j in range(len(xs)))
+        h_scal = h0 + sum(e[..., j, None, None] * xs[j] for j in range(len(xs)))
+        return np.stack([_h_at(model, drive, r), h_scal], axis=-3)
 
     # both sides by RK4, so the discrepancy measures the gauge, not the integrator
     rk4 = replace(grid, method="ode_rk4")
-    _, psi_vec, _ = _final(_march(partial(_h_at, model, drive), rk4, s, t, nsteps, psi0))
-    _, psi_scal, _ = _final(_march(h_scal, rk4, s, t, nsteps, psi0))
+    both = np.asarray([psi0, psi0], dtype=complex)[..., None]
+    _, (psi_vec, psi_scal), _ = _final(_march(h_both, rk4, s, t, grid.n_steps(s, t), both))
     g = gauge_operator(model, drive, t).matrix
-    return float(np.linalg.norm(g.conj().T @ psi_vec - psi_scal))
+    return float(np.linalg.norm(g.conj().T @ psi_vec[:, 0] - psi_scal[:, 0]))
 
 
 @dataclass
@@ -468,19 +489,16 @@ def propagator_weight_check(
     drive: DriveProtocol,
     t: float,
     s: float,
-    grid: TimeGrid,
+    prop: CovariantOperator,
 ) -> WeightReport:
     """||(H(t)+gamma) U(t,s) (H(s)+gamma)^{-1}|| against exp(int ||C(r)|| dr),
     with C(r) = sum_j E_j(r) v_j(r) (H(r)+gamma)^{-1} and gamma shifting H
-    above 1."""
+    above 1, for the caller's propagator prop = U(t, s)."""
     h0 = build_hamiltonian(model).matrix
     lam_min = float(np.min(np.linalg.eigvalsh(h0)))
     gamma = max(1.0, 1.0 - lam_min)
-    prop = propagate(model, drive, t, s, grid)
-    n = model.n_sites
-    eye = np.eye(n)
-    ht = _h_at(model, drive, t) + gamma * eye
-    hs = _h_at(model, drive, s) + gamma * eye
+    eye = np.eye(model.n_sites)
+    ht, hs = _h_at(model, drive, [t, s]) + gamma * eye
     lhs = float(np.linalg.norm(ht @ prop.matrix @ np.linalg.inv(hs), 2))
 
     nodes, weights = gauss_legendre(24)

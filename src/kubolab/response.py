@@ -294,20 +294,15 @@ def chern_number_fhs(p: int, q: int, n_occ: int, nk1: int = 18, nk2: int = 18) -
     w = np.exp(-2j * np.pi * np.arange(q) / q)
     frames[nk1] = w[None, :, None] * frames[0]
 
-    def link(a, b):
-        m = frames[a].conj().T @ frames[b]
-        det = np.linalg.det(m)
+    def links(a, b):
+        det = np.linalg.det(a.conj().swapaxes(-1, -2) @ b)
         return det / abs(det)
 
-    total = 0.0
-    for i1 in range(nk1):
-        for i2 in range(nk2):
-            a = (i1, i2)
-            b = (i1 + 1, i2)
-            c = (i1 + 1, (i2 + 1) % nk2)
-            d = (i1, (i2 + 1) % nk2)
-            total += np.angle(link(a, b) * link(b, c) * link(c, d) * link(d, a))
-    return total / (2.0 * np.pi)
+    # each forward link once, along k1 and along k2; a plaquette's backward links are their conjugates
+    u1 = links(frames[:-1], frames[1:])
+    u2 = links(frames, np.roll(frames, -1, axis=1))
+    plaquettes = u1 * u2[1:] * np.roll(u1, -1, axis=1).conj() * u2[:-1].conj()
+    return np.sum(np.angle(plaquettes)) / (2.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,15 @@ superoperator in the eigenbasis of H, two routes to the structure of the
 Kubo formula through it (the velocity-projection identity and the
 kernel-projection conductivity), the triple-commutator structure of a
 projection, the contour route to f'(H) through (z - H)^{-2}, the Duhamel
-density with the minimal-image drive commutator, and a Richardson check of a
-smooth function's declared derivatives.  The library computes none of these;
+density with the minimal-image drive commutator, the gauge check with each
+gauge marched on its own, and a Richardson check of a smooth function's
+declared derivatives.  The library computes none of these;
 the tests hold its routes against them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -24,7 +25,9 @@ from kubolab.model import (
     LatticeModel,
     UnsupportedOperationError,
     _site_indices,
+    build_hamiltonian,
     displacement_table,
+    position_matrix,
     velocity_operator,
 )
 from kubolab.funcalc import (
@@ -246,6 +249,33 @@ def evolve_density_duhamel_minimal_image(model, drive, state, t, grid) -> Covari
     acc *= (t - s) / nsteps / 3.0
     rho = zeta - 1j * (v @ acc @ v.conj().T)
     return CovariantOperator((rho + rho.conj().T) / 2.0, model)
+
+
+# ---------------------------------------------------------------------------
+# gauge check, one march per gauge
+# ---------------------------------------------------------------------------
+
+
+def gauge_equivalence_two_marches(model, drive, psi0, t, grid) -> float:
+    """dynamics.gauge_equivalence_check with psi_vec and psi_scal each
+    marched on its own: one RK4 march of the bond-phase H(t) and one of the
+    scalar gauge H + E(t).X, from psi0 at grid.s_min to t."""
+    psi0 = np.asarray(psi0, dtype=complex)
+    s = grid.s_min
+    nsteps = grid.n_steps(s, t)
+    h0 = build_hamiltonian(model).matrix
+    xs = [position_matrix(model, axis).matrix for axis in range(model.config.dimension)]
+
+    def h_scal(r):
+        e = drive.field_at(r)
+        return h0 + sum(e[..., j, None, None] * xs[j] for j in range(len(xs)))
+
+    rk4 = replace(grid, method="ode_rk4")
+    h_vec = partial(dynamics._h_at, model, drive)
+    _, psi_vec, _ = dynamics._final(dynamics._march(h_vec, rk4, s, t, nsteps, psi0))
+    _, psi_scal, _ = dynamics._final(dynamics._march(h_scal, rk4, s, t, nsteps, psi0))
+    g = dynamics.gauge_operator(model, drive, t).matrix
+    return float(np.linalg.norm(g.conj().T @ psi_vec - psi_scal))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,16 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _byte_sweep():
+    spec = importlib.util.spec_from_file_location("byte_sweep", ROOT / "tools" / "byte_sweep.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_byte_sweep_of_a_tree_against_itself_agrees():
@@ -15,3 +23,14 @@ def test_byte_sweep_of_a_tree_against_itself_agrees():
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == ["algebra.ini", "hall.ini"]
     assert all(line.endswith("same; violations 0 / 0") for line in lines), lines
+
+
+def test_byte_sweep_names_the_one_moved_cell(tmp_path):
+    header = "check,value,tolerance,pass\n"
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    a.write_text(header + "unitarity,2.0e-12,1e-10,True\ngauge,4.0,1e-08,True\n")
+    b.write_text(header + "unitarity,2.0e-12,1e-10,True\ngauge,5.0,1e-08,True\n")
+    lines = _byte_sweep().column_changes(a.read_text(), b.read_text())
+    assert lines == ["value: 1 cell(s), max abs 1.0000e+00 at gauge (4.0 -> 5.0), max rel 2.5000e-01"]
+    assert _byte_sweep().column_changes(a.read_text(), a.read_text()) == []

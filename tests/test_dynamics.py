@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -37,7 +38,11 @@ from kubolab.opspace import norm2, norms, trace_per_unit_volume
 from kubolab.model import CovariantOperator
 
 from conftest import forward_hops, gap_fermi_level, make_chain, make_torus, spectral_of
-from reference import evolve_density_duhamel_minimal_image, magnetic_translation
+from reference import (
+    evolve_density_duhamel_minimal_image,
+    gauge_equivalence_two_marches,
+    magnetic_translation,
+)
 
 
 S_MIN = float(np.log(1e-12))
@@ -209,6 +214,35 @@ def test_h_at_returns_a_fresh_array():
         assert np.array_equal(hamiltonian_at(model, drive, -1.0).matrix, expect)
 
 
+@pytest.mark.parametrize(
+    "model,field",
+    [
+        (make_torus((6, 6), 1, 3, sample_disorder(DisorderSpec(1.0, 9), 0, 36)), (0.0, 0.1)),
+        (make_torus((6, 6), 1, 3, sample_disorder(DisorderSpec(1.0, 9), 0, 36)), (0.05, -0.1)),
+        (make_chain(8, "open"), (0.2,)),
+    ],
+    ids=["flux-torus-axis1", "flux-torus-both", "chain-open"],
+)
+def test_stacked_h_at_is_bitwise_per_time(model, field):
+    # a march's stage times, computed as arrays for the stack and as Python
+    # floats for the per-time calls
+    drive = DriveProtocol(2.0, field)
+    s, n = drive.s_min_for(), 40
+    h = (0.0 - s) / n
+    ks = np.arange(n)
+    stages = [
+        (s + ks * h, lambda k: s + k * h),
+        ((s + ks * h) + h / 2, lambda k: (s + k * h) + h / 2),
+        ((s + ks * h) + h, lambda k: (s + k * h) + h),
+        (s + (ks + 0.5) * h, lambda k: s + (k + 0.5) * h),
+    ]
+    for times, at in stages:
+        stack = dynamics._h_at(model, drive, times)
+        assert stack.shape == (n, model.n_sites, model.n_sites)
+        for k in range(n):
+            assert stack[k].tobytes() == dynamics._h_at(model, drive, at(k)).tobytes(), k
+
+
 def test_driven_path_retains_less_than_one_matrix():
     # H(t) and v(t) are scattered from the bond list; no dense hop or static part stays on the model
     model = make_torus((12, 12), 1, 3, sample_disorder(DisorderSpec(0.5, 7), 0, 144))
@@ -342,7 +376,7 @@ def test_rk4_march_assembles_three_matrices_per_step(monkeypatch):
     real = dynamics._h_at
 
     def counting(model, drive, t):
-        times.append(t)
+        times.extend(np.atleast_1d(t).tolist())  # one matrix per time
         return real(model, drive, t)
 
     monkeypatch.setattr(dynamics, "_h_at", counting)
@@ -350,7 +384,42 @@ def test_rk4_march_assembles_three_matrices_per_step(monkeypatch):
     propagate(model, drive, 0.0, -1.0, grid)
     # the step-size guard, then r, r + h/2 (shared by k2 and k3) and r + h per step
     assert len(times) == 3 * n + 1
-    assert len(set(times[1:4])) == 3
+    h = (0.0 - -1.0) / n
+    r = [-1.0 + k * h for k in range(n)]
+    assert sorted(times[1:]) == sorted(r + [x + h / 2 for x in r] + [x + h for x in r])
+
+
+def test_march_with_a_partial_last_block_ends_at_t(monkeypatch):
+    model = make_torus((6, 6), 1, 3)
+    drive = DriveProtocol(2.0, (0.0, 0.1))
+    # 13 steps: two full blocks and one step (magnus2, riemann_product), or six and one (RK4)
+    n = 13
+    assert [min(dynamics._BLOCK_STEPS, dynamics._BLOCK_BYTES // (m * 16 * 36**2)) for m in (1, 3)] == [6, 2]
+    s, t = -1.0, 0.0
+    h_at = partial(dynamics._h_at, model, drive)
+    for method in dynamics.INTEGRATORS:
+        grid = TimeGrid(S_MIN, 0.01, method)
+        nodes = [(r, y) for r, y, _ in dynamics._march(h_at, grid, s, t, n, np.eye(36, dtype=complex))]
+        assert [r for r, _ in nodes] == [s + k * ((t - s) / n) for k in range(n)] + [t], method
+        # one step per block gives the same bits
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_BLOCK_BYTES", 1)
+            _, y, _ = dynamics._final(dynamics._march(h_at, grid, s, t, n, np.eye(36, dtype=complex)))
+        assert y.tobytes() == nodes[-1][1].tobytes(), method
+
+
+@pytest.mark.parametrize("method", ["ode_rk4", "riemann_product"])
+def test_march_hands_out_read_only_stacks(method):
+    model = make_torus((4, 4), 1, 4)
+    drive = DriveProtocol(1.0, (0.0, 0.1))
+    march = dynamics._march(
+        partial(dynamics._h_at, model, drive), TimeGrid(S_MIN, 0.01, method), -1.0, 0.0, 30, np.eye(16, dtype=complex)
+    )
+    held = [part for _, _, h_k in march if h_k is not None for part in (h_k if method == "riemann_product" else [h_k])]
+    assert len(held) == 30 * (2 if method == "riemann_product" else 1)
+    for part in held:
+        with pytest.raises(ValueError, match="read-only"):
+            part[...] = 0.0
 
 
 def test_rk4_midpoint_reuse_keeps_bytes():
@@ -543,21 +612,21 @@ def test_duhamel_decomposes_each_node_once(method, monkeypatch):
         eigh = np.linalg.eigh
 
         def counting(a, *args, **kwargs):
-            calls.append(a.shape)
+            calls.append(int(np.prod(np.shape(a)[:-2])))  # matrices in the stack
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
         evolve_density_duhamel(model, drive, state, 0.0, grid)
         n = grid.n_steps(grid.s_min, 0.0, even=True)
         # one per node: the march's n step exponents, and H(t) at the last node
-        assert n == 346 and len(calls) == n + 1 == 347
+        assert n == 346 and sum(calls) == n + 1 == 347
 
     if method == "ode_rk4":
         times = []
         h_at = dynamics._h_at
 
         def counting(model, drive, t):
-            times.append(t)
+            times.extend(np.atleast_1d(t).tolist())  # one matrix per time
             return h_at(model, drive, t)
 
         monkeypatch.setattr(dynamics, "_h_at", counting)
@@ -591,6 +660,23 @@ def test_gauge_check_midpoint_reuse_keeps_value(rng):
     g = gauge_operator(model, drive, 0.0).matrix
     ref = float(np.linalg.norm(g.conj().T @ psi_vec - psi_scal))
     assert gauge_equivalence_check(model, drive, psi0, 0.0, grid) == ref
+
+
+@pytest.mark.parametrize(
+    "model,field",
+    [
+        (make_chain(8, "open"), (0.2,)),
+        (LatticeModel(LatticeConfig(2, (4, 5), "open"), FluxSpec(1, 3), sample_disorder(DisorderSpec(1.0, 4), 0, 20)), (0.1, -0.2)),
+    ],
+    ids=["chain", "flux-box"],
+)
+def test_gauge_check_one_march_keeps_two_marches_bytes(model, field, rng):
+    drive = DriveProtocol(1.0, field)
+    psi0 = rng.normal(size=model.n_sites) + 1j * rng.normal(size=model.n_sites)
+    psi0 /= np.linalg.norm(psi0)
+    grid = TimeGrid(S_MIN, 0.01)
+    disc = gauge_equivalence_check(model, drive, psi0, 0.0, grid)
+    assert disc == gauge_equivalence_two_marches(model, drive, psi0, 0.0, grid)
 
 
 def test_duhamel_memory_flat_in_step_count():
@@ -735,7 +821,8 @@ def test_gauge_equivalence_rejects_torus():
 def test_weight_check_zero_field_saturates():
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.0))
-    rep = propagator_weight_check(model, drive, 0.0, -3.0, TimeGrid(S_MIN, 0.01, "magnus2"))
+    u = propagate(model, drive, 0.0, -3.0, TimeGrid(S_MIN, 0.01, "magnus2"))
+    rep = propagator_weight_check(model, drive, 0.0, -3.0, u)
     assert rep.weighted_norm == pytest.approx(1.0, abs=1e-8)
     assert rep.bound == pytest.approx(1.0, abs=1e-12)
 
@@ -743,7 +830,8 @@ def test_weight_check_zero_field_saturates():
 def test_weight_check_inequality_holds():
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.1))
-    rep = propagator_weight_check(model, drive, 0.0, -5.0, TimeGrid(S_MIN, 0.01, "magnus2"))
+    u = propagate(model, drive, 0.0, -5.0, TimeGrid(S_MIN, 0.01, "magnus2"))
+    rep = propagator_weight_check(model, drive, 0.0, -5.0, u)
     assert rep.weighted_norm <= rep.bound * (1.0 + THRESHOLDS["weight_margin"])
     assert rep.gamma >= 1.0
 
@@ -752,6 +840,6 @@ def test_weight_bound_monotone_in_interval():
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.1))
     grid = TimeGrid(S_MIN, 0.01, "magnus2")
-    b1 = propagator_weight_check(model, drive, 0.0, -2.0, grid).bound
-    b2 = propagator_weight_check(model, drive, 0.0, -5.0, grid).bound
+    b1 = propagator_weight_check(model, drive, 0.0, -2.0, propagate(model, drive, 0.0, -2.0, grid)).bound
+    b2 = propagator_weight_check(model, drive, 0.0, -5.0, propagate(model, drive, 0.0, -5.0, grid)).bound
     assert b2 >= b1

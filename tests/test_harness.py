@@ -302,12 +302,13 @@ DECOMPOSITION_CASES = {
 
 
 def _count_decompositions(monkeypatch, n):
-    """Counts of np.linalg.eigh and eigvalsh calls on n x n inputs, live."""
+    """Counts of the n x n matrices np.linalg.eigh and eigvalsh decompose,
+    a stack counting once per matrix, live."""
     counts = {"eigh": 0, "eigvalsh": 0}
     for name in counts:
         def counted(a, *args, _raw=getattr(np.linalg, name), _name=name, **kwargs):
-            if np.shape(a) == (n, n):
-                counts[_name] += 1
+            if np.shape(a)[-2:] == (n, n):
+                counts[_name] += int(np.prod(np.shape(a)[:-2]))
             return _raw(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -326,13 +327,14 @@ def test_one_eigendecomposition_per_realization(tmp_path, monkeypatch, experimen
 
 def test_dynamics_check_decomposition_budget(tmp_path, monkeypatch):
     # the realization's H once, H(r_k) at every node of the RK4 Duhamel march,
-    # and one H at each step of the two magnus2 propagator marches (unitarity
-    # and the weight bound); the Liouville march of an RK4 grid decomposes nothing
+    # and one H at each step of the magnus2 unitarity propagator, marched as
+    # U(0, s/4) U(s/4, s), whose first factor the weight bound reads; the
+    # Liouville march of an RK4 grid decomposes nothing
     cfg = ExperimentConfig.parse(DYNAMICS_TINY)
     grid = cfg.grid_for(4.0)
     assert grid.method == "ode_rk4"
     s = grid.s_min
-    expected = 1 + (grid.n_steps(s, 0.0, even=True) + 1) + grid.n_steps(s, 0.0) + grid.n_steps(s / 4.0, 0.0)
+    expected = 1 + (grid.n_steps(s, 0.0, even=True) + 1) + grid.n_steps(s, s / 4.0) + grid.n_steps(s / 4.0, 0.0)
     counts = _count_decompositions(monkeypatch, cfg.lattice_config().n_sites)
     assert run_experiment(cfg, out_dir=tmp_path).violations == []
     assert counts["eigh"] == expected

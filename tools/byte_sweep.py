@@ -7,7 +7,9 @@ SRC_A and SRC_B are `src/` directories.  Each shipped config
 the base seed of `--seed 5`) runs once per tree, in a fresh process with
 PYTHONPATH=<src> and OPENBLAS_NUM_THREADS=1.  Per config it prints whether
 every manifest output hash and the config_sha256 agree, and the violation
-counts on both sides.  Exit status 1 on any difference or failed run.
+counts on both sides; under each CSV output that differs, one line per moved
+column with its largest absolute and relative change.  Exit status 1 on any
+difference or failed run.
 `--only` runs the named configs (file names such as hall.ini, or workload
 names such as hall-L24).
 """
@@ -15,7 +17,9 @@ names such as hall-L24).
 from __future__ import annotations
 
 import argparse
+import csv
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -49,7 +53,8 @@ def configs() -> dict[str, str]:
 
 
 def run(src: Path, name: str, text: str) -> dict:
-    """One suite run of the config `text` on the tree `src`, in a fresh process."""
+    """One suite run of the config `text` on the tree `src`, in a fresh
+    process; "csv" maps each CSV output's name to its text."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     with tempfile.TemporaryDirectory(prefix="byte-sweep-") as work:
         config = Path(work) / name
@@ -58,12 +63,36 @@ def run(src: Path, name: str, text: str) -> dict:
             [sys.executable, "-c", CHILD, str(config), str(Path(work) / "out")],
             cwd=work, env=env, capture_output=True, text=True,
         )
-    if proc.returncode != 0:
-        raise RuntimeError(f"{name} on {src} failed:\n{proc.stderr}")
-    result = json.loads(proc.stdout.splitlines()[-1])
+        if proc.returncode != 0:
+            raise RuntimeError(f"{name} on {src} failed:\n{proc.stderr}")
+        result = json.loads(proc.stdout.splitlines()[-1])
+        result["csv"] = {path.name: path.read_text() for path in (Path(work) / "out").rglob("*.csv")}
     if not Path(result["package"]).resolve().is_relative_to(src):
         raise RuntimeError(f"kubolab was imported from {result['package']}, not {src}")
     return result
+
+
+def column_changes(text_a: str, text_b: str) -> list[str]:
+    """One line per column that differs between two CSV texts: the cells
+    that moved, the largest absolute change with the row (named by its first
+    cell) where it is, and the largest relative change |b - a| / |a|."""
+    rows_a, rows_b = (list(csv.reader(io.StringIO(text))) for text in (text_a, text_b))
+    if len(rows_a) != len(rows_b) or rows_a[:1] != rows_b[:1]:
+        return [f"header or row count differs: {len(rows_a)} / {len(rows_b)} rows"]
+    lines = []
+    for j, column in enumerate(rows_a[0]):
+        moved = [(row_a[0], row_a[j], row_b[j]) for row_a, row_b in zip(rows_a[1:], rows_b[1:]) if row_a[j] != row_b[j]]
+        if not moved:
+            continue
+        try:
+            changes = [(abs(float(b) - float(a)), label, a, b) for label, a, b in moved]
+        except ValueError:
+            lines.append(f"{column}: {len(moved)} cell(s), not numeric")
+            continue
+        rel = max(change / abs(float(a)) if float(a) else float("inf") for change, _, a, _ in changes)
+        change, label, a, b = max(changes)
+        lines.append(f"{column}: {len(moved)} cell(s), max abs {change:.4e} at {label} ({a} -> {b}), max rel {rel:.4e}")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -94,6 +123,10 @@ def main(argv=None) -> int:
         verdict = "same" if not moved else "DIFFERS: " + ", ".join(moved)
         print(f"{name}: {len(files)} outputs, {verdict}; "
               f"violations {a['violations']} / {b['violations']}")
+        for output in moved:
+            if output in a["csv"] and output in b["csv"]:
+                for line in column_changes(a["csv"][output], b["csv"][output]):
+                    print(f"  {output} {line}")
     return 1 if differ else 0
 
 
