@@ -72,10 +72,12 @@ class DriveProtocol:
         """E(t); for an array of times, one row per time."""
         return np.exp(self.eta * np.minimum(t, 0.0))[..., None] * np.array(self.field)
 
-    def f_integral(self, t: float) -> np.ndarray:
-        return (np.exp(self.eta * min(t, 0.0)) / self.eta + max(t, 0.0)) * np.array(
-            self.field
-        )
+    def f_integral(self, t) -> np.ndarray:
+        """F(t), which every driven phase reads, with t_+ = t - t_- (exact);
+        for an array of times, one row per time."""
+        t_minus = np.minimum(t, 0.0)
+        scale = np.exp(self.eta * t_minus) / self.eta + (t - t_minus)
+        return scale[..., None] * np.array(self.field)
 
     def s_min_for(self, truncation_tol: float = 1e-12) -> float:
         return float(np.log(truncation_tol) / self.eta)
@@ -123,18 +125,19 @@ class TimeGrid:
 
 
 def _h_at(model: LatticeModel, drive: DriveProtocol, t) -> np.ndarray:
-    """Raw driven Hamiltonian matrix (fast path for the integrators), a
-    fresh array on every call; for an array of times, the stack of H(t).
+    """H(t), a fresh array on every call; for an array of times, the stack
+    of H(t).  H(-inf) = H, and H(t) is covariant on the torus for all t.
 
-    The bond list of H with each amplitude of a driven axis a (E_a != 0)
-    times c_a = e^{i F_a(t)}, scattered with the potential on the diagonal:
-    on every bond and diagonal entry, the bits of phasing every forward hop
-    and adding the conjugate transpose.  The undriven hops are scattered
-    once and copied to every time; no two axes share a position, so adding
-    the driven hops, then the diagonal, keeps one scatter's bits.
+    The bond list of H with each amplitude of a driven axis a (E_a != 0),
+    wrap bonds included, times c_a = e^{i F_a(t)}, scattered with the
+    potential on the diagonal: on every bond and diagonal entry, the bits of
+    phasing every forward hop and adding the conjugate transpose.  The
+    undriven hops are scattered once and copied to every time; no two axes
+    share a position, so adding the driven hops, then the diagonal, keeps
+    one scatter's bits.
     """
     times = np.asarray(t, dtype=float)
-    scale = np.exp(drive.eta * np.minimum(times, 0.0)) / drive.eta + np.maximum(times, 0.0)
+    f = drive.f_integral(times)
     n = model.n_sites
     undriven = [(axis, a) for axis, (_, _, a) in enumerate(model.bonds) if axis not in drive.driven_axes]
     flat = np.empty(times.shape + (n * n,), dtype=complex)
@@ -142,29 +145,18 @@ def _h_at(model: LatticeModel, drive: DriveProtocol, t) -> np.ndarray:
     offsets = n * n * np.arange(times.size).reshape(times.shape + (1,))
     for axis in drive.driven_axes:
         forward, backward = model._bond_positions[axis]
-        amplitude = np.exp(1j * scale * drive.field[axis])[..., None] * model.bonds[axis][2]
+        amplitude = np.exp(1j * f[..., axis])[..., None] * model.bonds[axis][2]
         flat.reshape(-1)[offsets + forward] += amplitude
         flat.reshape(-1)[offsets + backward] += amplitude.conj()
     flat[..., :: n + 1] += model.potential
     return flat.reshape(times.shape + (n, n))
 
 
-def hamiltonian_at(model: LatticeModel, drive: DriveProtocol, t: float) -> CovariantOperator:
-    """H(t): every forward hop along axis j carries the extra phase
-    e^{i F_j(t)}, wrap bonds included; the t -> -inf limit is the undriven
-    Hamiltonian and covariance on the torus holds for all t."""
-    return CovariantOperator(_h_at(model, drive, t), model)
-
-
 def _v_at(model: LatticeModel, drive: DriveProtocol, t: float, axis: int) -> np.ndarray:
-    scale = np.exp(drive.eta * min(t, 0.0)) / drive.eta + max(t, 0.0)
+    """Velocity of H(t) along axis: the bond rule applied to the driven hops,
+    each carrying the phase e^{i F_axis(t)}, a fresh array."""
     _, _, amplitude = model.bonds[axis]
-    return _scatter(model, [(axis, -1j * (np.exp(1j * scale * drive.field[axis]) * amplitude))])
-
-
-def velocity_at(model: LatticeModel, drive: DriveProtocol, t: float, axis: int) -> CovariantOperator:
-    """Velocity of H(t): the bond rule applied to the driven hops."""
-    return CovariantOperator(_v_at(model, drive, t, axis), model)
+    return _scatter(model, [(axis, -1j * (np.exp(1j * drive.f_integral(t)[axis]) * amplitude))])
 
 
 def gauge_operator(model: LatticeModel, drive: DriveProtocol, t: float) -> CovariantOperator:
@@ -485,18 +477,18 @@ class WeightReport:
 
 
 def propagator_weight_check(
-    model: LatticeModel,
+    spectral: SpectralData,
     drive: DriveProtocol,
     t: float,
     s: float,
     prop: CovariantOperator,
 ) -> WeightReport:
     """||(H(t)+gamma) U(t,s) (H(s)+gamma)^{-1}|| against exp(int ||C(r)|| dr),
-    with C(r) = sum_j E_j(r) v_j(r) (H(r)+gamma)^{-1} and gamma shifting H
-    above 1, for the caller's propagator prop = U(t, s)."""
-    h0 = build_hamiltonian(model).matrix
-    lam_min = float(np.min(np.linalg.eigvalsh(h0)))
-    gamma = max(1.0, 1.0 - lam_min)
+    with C(r) = sum_j E_j(r) v_j(r) (H(r)+gamma)^{-1} over the driven axes j,
+    for the caller's propagator prop = U(t, s); gamma = max(1, 1 - E_0), E_0
+    the lowest eigenvalue in the caller's decomposition `spectral` of H."""
+    model = spectral.model
+    gamma = max(1.0, 1.0 - float(spectral.eigenvalues[0]))
     eye = np.eye(model.n_sites)
     ht, hs = _h_at(model, drive, [t, s]) + gamma * eye
     lhs = float(np.linalg.norm(ht @ prop.matrix @ np.linalg.inv(hs), 2))
@@ -511,9 +503,8 @@ def propagator_weight_check(
             r = mid + half * x
             e_r = drive.field_at(r)
             hr = _h_at(model, drive, r) + gamma * eye
-            c = sum(
-                e_r[j] * _v_at(model, drive, r, j)
-                for j in range(model.config.dimension)
-            )
+            c = np.zeros(eye.shape, dtype=complex)
+            for j in drive.driven_axes:
+                c += e_r[j] * _v_at(model, drive, r, j)
             total += w * half * float(np.linalg.norm(c @ np.linalg.inv(hr), 2))
     return WeightReport(lhs, float(np.exp(total)), gamma)

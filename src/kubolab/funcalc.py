@@ -227,40 +227,26 @@ def hs_norm(f: SmoothFunction, m: int, tol: float = 1e-10) -> float:
 
 
 def _bump(u):
-    out = np.zeros_like(u, dtype=float)
+    """e^{-1/u} for u > 0, else 0, and its derivative e^{-1/u} / u^2."""
+    value, slope = np.zeros_like(u, dtype=float), np.zeros_like(u, dtype=float)
     pos = u > 0
-    out[pos] = np.exp(-1.0 / u[pos])
-    return out
-
-
-def _bump_prime(u):
-    out = np.zeros_like(u, dtype=float)
-    pos = u > 0
-    out[pos] = np.exp(-1.0 / u[pos]) / u[pos] ** 2
-    return out
+    value[pos] = np.exp(-1.0 / u[pos])
+    slope[pos] = value[pos] / u[pos] ** 2
+    return value, slope
 
 
 def plateau_cutoff(t):
-    """Smooth even plateau: 1 on [-1, 1], 0 outside [-2, 2]."""
-    t = np.abs(np.asarray(t, dtype=float))
-    a = _bump(2.0 - t)
-    b = _bump(t - 1.0)
-    with np.errstate(invalid="ignore"):
-        out = np.where(t <= 1.0, 1.0, np.where(t >= 2.0, 0.0, a / (a + b)))
-    return out
-
-
-def plateau_cutoff_prime(t):
+    """(chi, chi') for the smooth even plateau chi: 1 on [-1, 1], 0 outside
+    [-2, 2], and a / (a + b) between, from one evaluation of the bumps
+    a = e^{-1/(2 - |t|)} and b = e^{-1/(|t| - 1)}."""
     t = np.asarray(t, dtype=float)
-    s = np.sign(t)
     at = np.abs(t)
-    a = _bump(2.0 - at)
-    b = _bump(at - 1.0)
-    ap = _bump_prime(2.0 - at)
-    bp = _bump_prime(at - 1.0)
+    a, ap = _bump(2.0 - at)
+    b, bp = _bump(at - 1.0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        mid = -s * (ap * b + a * bp) / (a + b) ** 2
-    return np.where((at <= 1.0) | (at >= 2.0), 0.0, mid)
+        chi = np.where(at <= 1.0, 1.0, np.where(at >= 2.0, 0.0, a / (a + b)))
+        chi_prime = np.where((at <= 1.0) | (at >= 2.0), 0.0, -np.sign(t) * (ap * b + a * bp) / (a + b) ** 2)
+    return chi, chi_prime
 
 
 @dataclass
@@ -321,8 +307,7 @@ def almost_analytic_dbar(f: SmoothFunction, m: int, x, y):
     y = np.asarray(y, dtype=float)
     bracket = np.sqrt(1.0 + x * x)
     t = y / bracket
-    sigma = plateau_cutoff(t)
-    sigma_t = plateau_cutoff_prime(t)
+    sigma, sigma_t = plateau_cutoff(t)
     dsigma_dy = sigma_t / bracket
     dsigma_dx = -sigma_t * y * x / bracket**3
 

@@ -138,16 +138,19 @@ def _one_of(*choices):
 
 
 def _override_values(s) -> dict:
-    """{name: value} from `name=value, ...`: each name a THRESHOLDS key, each value finite."""
+    """{name: value} from `name=value, ...`: each name a THRESHOLDS float key, each value finite."""
     out = {}
     for item in s.split(","):
         if item.strip():
             key, _, val = item.partition("=")
-            if key.strip() not in THRESHOLDS:
-                raise ValueError(f"unknown tolerance {key.strip()!r}")
+            key = key.strip()
+            if key not in THRESHOLDS:
+                raise ValueError(f"unknown tolerance {key!r}")
+            if not isinstance(THRESHOLDS[key], float):
+                raise ValueError(f"{key} is not a float tolerance")
             if not math.isfinite(float(val)):
-                raise ValueError(f"tolerance {key.strip()} must be finite")
-            out[key.strip()] = float(val)
+                raise ValueError(f"tolerance {key} must be finite")
+            out[key] = float(val)
     return out
 
 
@@ -654,81 +657,80 @@ def _suite_kubo_sweep(cfg: ExperimentConfig, writer: _OutputWriter, tol):
 
 
 def _suite_dynamics(cfg: ExperimentConfig, writer: _OutputWriter, tol):
-    """The dynamics gates on realization 0; a numerical failure there (one of
-    _CELL_FAILURES) is recorded as its one cell error, as the ensemble suites do."""
+    """The dynamics gates on realization 0.  A numerical failure there (one of
+    _CELL_FAILURES) is recorded as its one cell error, as the ensemble suites
+    do, and the CSVs are written with their headers only."""
     try:
-        return _dynamics_checks(cfg, writer, tol)
+        spectral = cfg.spectral_for(0)
+        model = spectral.model
+        eta = max(cfg[("drive", "eta_list")])
+        drive = cfg.drive_for(eta)
+        grid = cfg.grid_for(eta)
+        state = cfg.state_for(spectral)
+        zeta = state.build(spectral)
+
+        # one Liouville march: the norms of rho(t) at 8 checkpoints and its end are the
+        # conserved-quantity trace; its symmetrized last state is the rho(0) the gates judge
+        timeseries = []
+        nsteps = grid.n_steps(grid.s_min, 0.0)
+        every = max(1, nsteps // 8)
+        for k, (r, rho_t) in enumerate(density_path(model, drive, zeta.matrix, 0.0, grid)):
+            if k % every == 0 or k == nsteps:
+                rho_ode = CovariantOperator((rho_t + rho_t.conj().T) / 2, model)
+                n = norms(rho_ode)
+                defect = float(np.linalg.norm(rho_t @ rho_t - rho_t))
+                timeseries.append([r, n.norm1, n.norm2, n.norminf, defect])
+
+        rho_duh = evolve_density_duhamel(model, drive, state, 0.0, grid)
+        diff = norm2(CovariantOperator(rho_ode.matrix - rho_duh.matrix, model))
+        min_eig = float(np.linalg.eigvalsh(rho_ode.matrix)[0])
+        checks = [
+            Check.below("density_route_agreement", diff, tol["density_route_agreement"]),
+            Check.below("norm2_conservation", abs(norm2(rho_ode) - norm2(zeta)), tol["density_norm_conservation"]),
+            Check("rho_min_eigenvalue", min_eig, tol["density_min_eigenvalue"], min_eig >= tol["density_min_eigenvalue"]),
+        ]
+        if state.kind == "projection":
+            proj = np.linalg.norm(rho_ode.matrix @ rho_ode.matrix - rho_ode.matrix)
+            checks.append(Check.below("projection_defect", proj, tol["density_projection_defect"]))
+
+        # U(0, s_min) = U(0, s_min/4) U(s_min/4, s_min); the weight bound reads the first factor
+        magnus = replace(grid, method="magnus2")
+        late = propagate(model, drive, 0.0, grid.s_min / 4.0, magnus)
+        u = late.matrix @ propagate(model, drive, grid.s_min / 4.0, grid.s_min, magnus).matrix
+        unitarity = np.linalg.norm(u.conj().T @ u - np.eye(model.n_sites))
+        checks.append(Check.below("propagator_unitarity", unitarity, tol["propagator_unitarity"]))
+        wreport = propagator_weight_check(spectral, drive, 0.0, grid.s_min / 4.0, late)
+        holds = wreport.weighted_norm <= wreport.bound * (1.0 + tol["weight_margin"])
+        checks.append(Check("weight_inequality", wreport.weighted_norm - wreport.bound, tol["weight_margin"], holds))
+
+        # two-site Duhamel residual refinement
+        chain = LatticeModel(LatticeConfig(1, (2,), "open"), FluxSpec(), np.zeros(2))
+        drive1 = DriveProtocol(eta, (0.1,))
+        psi = np.array([1.0, 0.0], dtype=complex)
+        residuals = []
+        refinement = []
+        for step in (0.04, 0.02, 0.01):
+            rep = duhamel_residual(chain, drive1, 0.0, grid.s_min, psi, TimeGrid(grid.s_min, step))
+            residuals.append(rep.residual)
+            refinement.append([step, rep.residual, rep.quadrature_estimate])
+        ok = residuals[-1] < tol["duhamel_residual"] and all(
+            b <= a for a, b in zip(residuals, residuals[1:])
+        )
+        checks.append(Check("duhamel_refinement", residuals[-1], tol["duhamel_residual"], ok))
+
+        # gauge equivalence on an open chain
+        open_chain = LatticeModel(LatticeConfig(1, (8,), "open"), FluxSpec(), np.zeros(8))
+        drive_open = DriveProtocol(eta, (0.2,))
+        rng = np.random.default_rng(7)
+        psi0 = rng.normal(size=8) + 1j * rng.normal(size=8)
+        psi0 /= np.linalg.norm(psi0)
+        disc = gauge_equivalence_check(open_chain, drive_open, psi0, 0.0, TimeGrid(grid.s_min, 0.002))
+        checks.append(Check.below("gauge_equivalence", disc, tol["gauge_equivalence"]))
     except _CELL_FAILURES as exc:
-        return {"cell_errors": [f"cell 0: {type(exc).__name__}: {exc}"]}, []
-
-
-def _dynamics_checks(cfg: ExperimentConfig, writer: _OutputWriter, tol):
-    spectral = cfg.spectral_for(0)
-    model = spectral.model
-    eta = max(cfg[("drive", "eta_list")])
-    drive = cfg.drive_for(eta)
-    grid = cfg.grid_for(eta)
-    state = cfg.state_for(spectral)
-    zeta = state.build(spectral)
-
-    # one Liouville march: the norms of rho(t) at 8 checkpoints and its end are the
-    # conserved-quantity trace; its symmetrized last state is the rho(0) the gates judge
-    timeseries = []
-    nsteps = grid.n_steps(grid.s_min, 0.0)
-    every = max(1, nsteps // 8)
-    for k, (r, rho_t) in enumerate(density_path(model, drive, zeta.matrix, 0.0, grid)):
-        if k % every == 0 or k == nsteps:
-            rho_ode = CovariantOperator((rho_t + rho_t.conj().T) / 2, model)
-            n = norms(rho_ode)
-            defect = float(np.linalg.norm(rho_t @ rho_t - rho_t))
-            timeseries.append([r, n.norm1, n.norm2, n.norminf, defect])
-
-    rho_duh = evolve_density_duhamel(model, drive, state, 0.0, grid)
-    diff = norm2(CovariantOperator(rho_ode.matrix - rho_duh.matrix, model))
-    min_eig = float(np.linalg.eigvalsh(rho_ode.matrix)[0])
-    checks = [
-        Check.below("density_route_agreement", diff, tol["density_route_agreement"]),
-        Check.below("norm2_conservation", abs(norm2(rho_ode) - norm2(zeta)), tol["density_norm_conservation"]),
-        Check("rho_min_eigenvalue", min_eig, tol["density_min_eigenvalue"], min_eig >= tol["density_min_eigenvalue"]),
-    ]
-    if state.kind == "projection":
-        proj = np.linalg.norm(rho_ode.matrix @ rho_ode.matrix - rho_ode.matrix)
-        checks.append(Check.below("projection_defect", proj, tol["density_projection_defect"]))
-
-    # U(0, s_min) = U(0, s_min/4) U(s_min/4, s_min); the weight bound reads the first factor
-    magnus = replace(grid, method="magnus2")
-    late = propagate(model, drive, 0.0, grid.s_min / 4.0, magnus)
-    u = late.matrix @ propagate(model, drive, grid.s_min / 4.0, grid.s_min, magnus).matrix
-    unitarity = np.linalg.norm(u.conj().T @ u - np.eye(model.n_sites))
-    checks.append(Check.below("propagator_unitarity", unitarity, tol["propagator_unitarity"]))
-    wreport = propagator_weight_check(model, drive, 0.0, grid.s_min / 4.0, late)
-    holds = wreport.weighted_norm <= wreport.bound * (1.0 + tol["weight_margin"])
-    checks.append(Check("weight_inequality", wreport.weighted_norm - wreport.bound, tol["weight_margin"], holds))
-
-    # two-site Duhamel residual refinement
-    chain = LatticeModel(LatticeConfig(1, (2,), "open"), FluxSpec(), np.zeros(2))
-    drive1 = DriveProtocol(eta, (0.1,))
-    psi = np.array([1.0, 0.0], dtype=complex)
-    residuals = []
-    refinement = []
-    for step in (0.04, 0.02, 0.01):
-        rep = duhamel_residual(chain, drive1, 0.0, grid.s_min, psi, TimeGrid(grid.s_min, step))
-        residuals.append(rep.residual)
-        refinement.append([step, rep.residual, rep.quadrature_estimate])
-    ok = residuals[-1] < tol["duhamel_residual"] and all(
-        b <= a for a, b in zip(residuals, residuals[1:])
-    )
-    checks.append(Check("duhamel_refinement", residuals[-1], tol["duhamel_residual"], ok))
-
-    # gauge equivalence on an open chain
-    open_chain = LatticeModel(LatticeConfig(1, (8,), "open"), FluxSpec(), np.zeros(8))
-    drive_open = DriveProtocol(eta, (0.2,))
-    rng = np.random.default_rng(7)
-    psi0 = rng.normal(size=8) + 1j * rng.normal(size=8)
-    psi0 /= np.linalg.norm(psi0)
-    disc = gauge_equivalence_check(open_chain, drive_open, psi0, 0.0, TimeGrid(grid.s_min, 0.002))
-    checks.append(Check.below("gauge_equivalence", disc, tol["gauge_equivalence"]))
-
+        checks, timeseries, refinement = [], [], []
+        summary = {"cell_errors": [f"cell 0: {type(exc).__name__}: {exc}"]}
+    else:
+        summary = {"checks": {c.name: c.value for c in checks}}
     writer.write_csv("dynamics_check.csv", ["check", "value", "tolerance", "pass"], checks)
     writer.write_csv(
         "dynamics_timeseries.csv",
@@ -738,7 +740,7 @@ def _dynamics_checks(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     writer.write_csv(
         "dynamics_refinement.csv", ["step", "duhamel_residual", "quadrature_estimate"], refinement
     )
-    return {"checks": {c.name: c.value for c in checks}}, checks
+    return summary, checks
 
 
 def _suite_funcalc(cfg: ExperimentConfig, writer: _OutputWriter, tol):

@@ -36,10 +36,10 @@ from .funcalc import (
 from .dynamics import (
     DriveProtocol,
     TimeGrid,
+    _h_at,
+    _v_at,
     evolve_density_ode,
     gauss_legendre,
-    hamiltonian_at,
-    velocity_at,
 )
 
 
@@ -72,10 +72,10 @@ def net_current(
     """
     model = rho.model
     d = model.config.dimension
-    zeta0 = state.build(SpectralData.from_operator(hamiltonian_at(model, drive, 0.0)))
+    zeta0 = state.build(SpectralData.from_operator(CovariantOperator(_h_at(model, drive, 0.0), model)))
     out = np.zeros(d, dtype=complex)
     for j in range(d):
-        v0 = velocity_at(model, drive, 0.0, j).matrix
+        v0 = _v_at(model, drive, 0.0, j)
         out[j] = np.sum(v0 * (rho.matrix - zeta0.matrix).T) / model.n_sites
     return _realness_guard(out)
 

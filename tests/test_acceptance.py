@@ -356,7 +356,7 @@ def test_criterion_10_propagator_theory():
     cocycle = float(np.linalg.norm(u_tr @ u_rs - u_ts))
     assert cocycle < TOL["propagator_cocycle"]
 
-    weight = propagator_weight_check(model, drive, 0.0, -5.0, propagate(model, drive, 0.0, -5.0, grid))
+    weight = propagator_weight_check(spectral_of(model), drive, 0.0, -5.0, propagate(model, drive, 0.0, -5.0, grid))
     assert weight.weighted_norm <= weight.bound * (1.0 + TOL["weight_margin"])
 
     ref = propagate(model, drive, 0.0, -2.0, TimeGrid(s_min, 0.0005, "ode_rk4")).matrix

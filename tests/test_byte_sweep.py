@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +35,15 @@ def test_byte_sweep_names_the_one_moved_cell(tmp_path):
     lines = _byte_sweep().column_changes(a.read_text(), b.read_text())
     assert lines == ["value: 1 cell(s), max abs 1.0000e+00 at gauge (4.0 -> 5.0), max rel 2.5000e-01"]
     assert _byte_sweep().column_changes(a.read_text(), a.read_text()) == []
+
+
+def test_byte_sweep_names_the_one_moved_summary_leaf():
+    a = {"summary": {"checks": {"gauge": 4.0, "unitarity": 2.0e-12}}, "violations": [["hall", 0.5, 0.02, False]]}
+    b = json.loads(json.dumps(a))
+    b["summary"]["checks"]["gauge"] = 5.0
+    texts = [json.dumps(x, indent=2, sort_keys=True) for x in (a, b)]
+    lines = _byte_sweep().json_changes(*texts)
+    assert lines == ["summary.checks.gauge: abs 1.0000e+00 (4.0 -> 5.0), rel 2.5000e-01"]
+    b["violations"][0][3] = True
+    assert _byte_sweep().json_changes(texts[1], json.dumps(b)) == ["violations[0][3]: False -> True"]
+    assert _byte_sweep().json_changes(texts[0], texts[0]) == []

@@ -29,10 +29,8 @@ from kubolab.dynamics import (
     free_propagator,
     gauge_equivalence_check,
     gauge_operator,
-    hamiltonian_at,
     propagate,
     propagator_weight_check,
-    velocity_at,
 )
 from kubolab.opspace import norm2, norms, trace_per_unit_volume
 from kubolab.model import CovariantOperator
@@ -102,7 +100,7 @@ def test_hamiltonian_at_zero_field_is_undriven():
     # (-0.0, -0.0) is the field of the FD route's minus run at zero field
     for field in ((0.0, 0.0), (-0.0, -0.0)):
         drive = DriveProtocol(1.0, field)
-        h = hamiltonian_at(model, drive, 0.0).matrix
+        h = dynamics._h_at(model, drive, 0.0)
         assert h.tobytes() == build_hamiltonian(model).matrix.tobytes(), field
 
 
@@ -111,7 +109,7 @@ def test_hamiltonian_at_early_time_limit():
     model = make_torus((4, 4), potential=pot)
     drive = DriveProtocol(1.0, (0.1, 0.2))
     h0 = build_hamiltonian(model).matrix
-    diff = np.linalg.norm(hamiltonian_at(model, drive, S_MIN).matrix - h0)
+    diff = np.linalg.norm(dynamics._h_at(model, drive, S_MIN) - h0)
     assert diff < 1e-10 * np.linalg.norm(h0)
 
 
@@ -120,7 +118,7 @@ def test_integer_flux_periodicity_1d_torus():
     eta = 1.0
     drive = DriveProtocol(eta, (2.0 * np.pi * eta,))  # F(0) = 2 pi
     assert np.allclose(
-        hamiltonian_at(model, drive, 0.0).matrix,
+        dynamics._h_at(model, drive, 0.0),
         build_hamiltonian(model).matrix,
         atol=1e-12,
     )
@@ -134,8 +132,8 @@ def test_driven_hamiltonian_covariant_on_torus():
     u = magnetic_translation(model, a).matrix
     shifted = shift_disorder(model, a)
     for t in (-2.0, 0.0):
-        lhs = u @ hamiltonian_at(model, drive, t).matrix @ u.conj().T
-        rhs = hamiltonian_at(shifted, drive, t).matrix
+        lhs = u @ dynamics._h_at(model, drive, t) @ u.conj().T
+        rhs = dynamics._h_at(shifted, drive, t)
         assert np.linalg.norm(lhs - rhs) < 1e-12
 
 
@@ -209,9 +207,9 @@ def test_h_at_returns_a_fresh_array():
         drive = DriveProtocol(1.0, field)
         expect = _h_phasing_every_hop(model, drive, -1.0)
         dynamics._h_at(model, drive, -1.0)[:] = 7.0
-        hamiltonian_at(model, drive, -1.0).matrix[:] = 7.0
+        dynamics._h_at(model, drive, [-1.0])[:] = 7.0
         assert np.array_equal(dynamics._h_at(model, drive, -1.0), expect)
-        assert np.array_equal(hamiltonian_at(model, drive, -1.0).matrix, expect)
+        assert np.array_equal(dynamics._h_at(model, drive, [-1.0])[0], expect)
 
 
 @pytest.mark.parametrize(
@@ -225,7 +223,7 @@ def test_h_at_returns_a_fresh_array():
 )
 def test_stacked_h_at_is_bitwise_per_time(model, field):
     # a march's stage times, computed as arrays for the stack and as Python
-    # floats for the per-time calls
+    # floats for the per-time calls; F(t) too, one row per time
     drive = DriveProtocol(2.0, field)
     s, n = drive.s_min_for(), 40
     h = (0.0 - s) / n
@@ -238,9 +236,11 @@ def test_stacked_h_at_is_bitwise_per_time(model, field):
     ]
     for times, at in stages:
         stack = dynamics._h_at(model, drive, times)
-        assert stack.shape == (n, model.n_sites, model.n_sites)
+        f = drive.f_integral(times)
+        assert stack.shape == (n, model.n_sites, model.n_sites) and f.shape == (n, len(field))
         for k in range(n):
             assert stack[k].tobytes() == dynamics._h_at(model, drive, at(k)).tobytes(), k
+            assert f[k].tobytes() == drive.f_integral(at(k)).tobytes(), k
 
 
 def test_driven_path_retains_less_than_one_matrix():
@@ -264,7 +264,7 @@ def test_velocity_at_matches_undriven_limit():
     from kubolab.model import velocity_operator
 
     assert np.allclose(
-        velocity_at(model, drive, S_MIN, 0).matrix,
+        dynamics._v_at(model, drive, S_MIN, 0),
         velocity_operator(model, 0).matrix,
         atol=1e-10,
     )
@@ -520,7 +520,7 @@ def _duhamel_stored_slices(model, drive, state, t, grid, kernel):
     h = (t - s) / n
 
     def h_at(r):
-        return hamiltonian_at(model, drive, r).matrix
+        return dynamics._h_at(model, drive, r)
 
     def rhs(r, m):
         return -1j * (h_at(r) @ m)
@@ -551,7 +551,7 @@ def _duhamel_stored_slices(model, drive, state, t, grid, kernel):
             if kernel == "minimal_image":
                 comm += e * (displacement_table(model, axis) * zeta)
             else:
-                vt = evecs.conj().T @ velocity_at(model, drive, r, axis).matrix @ evecs
+                vt = evecs.conj().T @ dynamics._v_at(model, drive, r, axis) @ evecs
                 dd = divided_difference_kernel(
                     evals, f_vals, state.profile_derivative()(evals), vt
                 )
@@ -749,7 +749,7 @@ def test_initial_condition_recovery():
     drive = DriveProtocol(eta, (0.0, emag))
     spectral = SpectralData.from_operator(build_hamiltonian(model))
     zeta = state.build(spectral).matrix
-    evals, evecs = np.linalg.eigh(hamiltonian_at(model, drive, S_MIN).matrix)
+    evals, evecs = np.linalg.eigh(dynamics._h_at(model, drive, S_MIN))
     zeta_smin = (evecs * state.profile()(evals)) @ evecs.conj().T
     from kubolab.funcalc import position_commutator
 
@@ -822,7 +822,7 @@ def test_weight_check_zero_field_saturates():
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.0))
     u = propagate(model, drive, 0.0, -3.0, TimeGrid(S_MIN, 0.01, "magnus2"))
-    rep = propagator_weight_check(model, drive, 0.0, -3.0, u)
+    rep = propagator_weight_check(spectral_of(model), drive, 0.0, -3.0, u)
     assert rep.weighted_norm == pytest.approx(1.0, abs=1e-8)
     assert rep.bound == pytest.approx(1.0, abs=1e-12)
 
@@ -831,7 +831,7 @@ def test_weight_check_inequality_holds():
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.1))
     u = propagate(model, drive, 0.0, -5.0, TimeGrid(S_MIN, 0.01, "magnus2"))
-    rep = propagator_weight_check(model, drive, 0.0, -5.0, u)
+    rep = propagator_weight_check(spectral_of(model), drive, 0.0, -5.0, u)
     assert rep.weighted_norm <= rep.bound * (1.0 + THRESHOLDS["weight_margin"])
     assert rep.gamma >= 1.0
 
@@ -840,6 +840,6 @@ def test_weight_bound_monotone_in_interval():
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.1))
     grid = TimeGrid(S_MIN, 0.01, "magnus2")
-    b1 = propagator_weight_check(model, drive, 0.0, -2.0, propagate(model, drive, 0.0, -2.0, grid)).bound
-    b2 = propagator_weight_check(model, drive, 0.0, -5.0, propagate(model, drive, 0.0, -5.0, grid)).bound
+    b1 = propagator_weight_check(spectral_of(model), drive, 0.0, -2.0, propagate(model, drive, 0.0, -2.0, grid)).bound
+    b2 = propagator_weight_check(spectral_of(model), drive, 0.0, -5.0, propagate(model, drive, 0.0, -5.0, grid)).bound
     assert b2 >= b1

@@ -24,6 +24,7 @@ from kubolab.funcalc import (
     hs_apply,
     hs_norm,
     localization_diagnostic,
+    plateau_cutoff,
     position_commutator,
     spectral_position_commutator,
 )
@@ -270,6 +271,20 @@ def test_hs_norm_against_trapezoid_oracle():
 
 
 # -- contour calculus ----------------------------------------------------------------
+
+
+def test_plateau_cutoff_and_its_derivative():
+    # chi is 1 on |t| <= 1 and 0 on |t| >= 2, flat there; between, chi' is the slope of chi
+    t = np.array([-3.0, -2.0, -1.0, -0.3, 0.0, 0.7, 1.0, 2.0, 2.5])
+    chi, chi_prime = plateau_cutoff(t)
+    assert np.array_equal(chi, (np.abs(t) <= 1.0).astype(float))
+    assert np.array_equal(chi_prime, np.zeros_like(t))
+    inside = np.concatenate([-np.linspace(1.05, 1.95, 19), np.linspace(1.05, 1.95, 19)])
+    _, slope = plateau_cutoff(inside)
+    h = 1e-6
+    central = (plateau_cutoff(inside + h)[0] - plateau_cutoff(inside - h)[0]) / (2 * h)
+    assert np.allclose(slope, central, rtol=1e-6, atol=1e-9)
+    assert np.all(slope[inside > 0] < 0) and np.all(slope[inside < 0] > 0)
 
 
 def test_hs_apply_scalar_case():

@@ -93,7 +93,17 @@ def test_tolerance_override_applied():
     assert (tol["algebra_identity"], tol["weight_margin"]) == (1e-6, -0.5)
 
 
-@pytest.mark.parametrize("override", ["algebra_identity=abc", "algebra_identity=nan"])
+@pytest.mark.parametrize(
+    "override",
+    [
+        "algebra_identity=abc",
+        "algebra_identity=nan",
+        # entries whose THRESHOLDS value is a tuple or an int, not a float
+        "riemann_order_ratio=2",
+        "hall_n_realizations=3",
+        "eta_sweep_values=0.5",
+    ],
+)
 def test_tolerance_overrides_checked_on_parse(override):
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.parse(f"[run]\ntolerance_overrides = {override}\n")
@@ -329,7 +339,9 @@ def test_dynamics_check_decomposition_budget(tmp_path, monkeypatch):
     # the realization's H once, H(r_k) at every node of the RK4 Duhamel march,
     # and one H at each step of the magnus2 unitarity propagator, marched as
     # U(0, s/4) U(s/4, s), whose first factor the weight bound reads; the
-    # Liouville march of an RK4 grid decomposes nothing
+    # Liouville march of an RK4 grid decomposes nothing.  eigvalsh: the
+    # step-size guard of those four marches, and rho_min_eigenvalue; the
+    # weight bound's shift reads the realization's own eigenvalues
     cfg = ExperimentConfig.parse(DYNAMICS_TINY)
     grid = cfg.grid_for(4.0)
     assert grid.method == "ode_rk4"
@@ -337,7 +349,7 @@ def test_dynamics_check_decomposition_budget(tmp_path, monkeypatch):
     expected = 1 + (grid.n_steps(s, 0.0, even=True) + 1) + grid.n_steps(s, s / 4.0) + grid.n_steps(s / 4.0, 0.0)
     counts = _count_decompositions(monkeypatch, cfg.lattice_config().n_sites)
     assert run_experiment(cfg, out_dir=tmp_path).violations == []
-    assert counts["eigh"] == expected
+    assert counts == {"eigh": expected, "eigvalsh": 4 + 1}
 
 
 @pytest.mark.parametrize("include_fd", [False, True])
@@ -646,6 +658,14 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+SUITE_CSVS = {
+    "equilibrium": ["equilibrium_raw.csv", "equilibrium_summary.csv"],
+    "hall": ["hall_raw.csv", "hall_summary.csv"],
+    "kubo-sweep": ["kubo_sweep.csv", "kubo_sweep_raw.csv"],
+    "dynamics-check": ["dynamics_check.csv", "dynamics_refinement.csv", "dynamics_timeseries.csv"],
+}
+
+
 @pytest.mark.parametrize(
     "experiment,e_f,drive,error",
     [
@@ -676,9 +696,10 @@ def test_cell_failures_recorded_not_fatal(tmp_path, experiment, e_f, drive, erro
     cells = 1 if experiment == "dynamics-check" else 2
     assert len(cell_errors) == cells and all(error in msg for msg in cell_errors)
     assert manifest.violations == [["cell_error", msg, "", False] for msg in cell_errors]
-    for name in manifest.outputs:
-        if name.endswith(".csv"):  # header only: no realization survived
-            assert len((tmp_path / "t" / name).read_text().splitlines()) == 1
+    csvs = sorted(name for name in manifest.outputs if name.endswith(".csv"))
+    assert csvs == SUITE_CSVS[experiment]
+    for name in csvs:  # header only: no realization survived
+        assert len((tmp_path / "t" / name).read_text().splitlines()) == 1
 
 
 def test_cell_linalg_failure_recorded_not_fatal(tmp_path, monkeypatch):

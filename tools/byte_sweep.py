@@ -8,8 +8,9 @@ the base seed of `--seed 5`) runs once per tree, in a fresh process with
 PYTHONPATH=<src> and OPENBLAS_NUM_THREADS=1.  Per config it prints whether
 every manifest output hash and the config_sha256 agree, and the violation
 counts on both sides; under each CSV output that differs, one line per moved
-column with its largest absolute and relative change.  Exit status 1 on any
-difference or failed run.
+column with its largest absolute and relative change, and under a differing
+summary.json, one line per moved leaf with its JSON path and its absolute and
+relative change.  Exit status 1 on any difference or failed run.
 `--only` runs the named configs (file names such as hall.ini, or workload
 names such as hall-L24).
 """
@@ -54,7 +55,8 @@ def configs() -> dict[str, str]:
 
 def run(src: Path, name: str, text: str) -> dict:
     """One suite run of the config `text` on the tree `src`, in a fresh
-    process; "csv" maps each CSV output's name to its text."""
+    process; "texts" maps the name of each CSV output and of summary.json to
+    its text."""
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     with tempfile.TemporaryDirectory(prefix="byte-sweep-") as work:
         config = Path(work) / name
@@ -66,7 +68,11 @@ def run(src: Path, name: str, text: str) -> dict:
         if proc.returncode != 0:
             raise RuntimeError(f"{name} on {src} failed:\n{proc.stderr}")
         result = json.loads(proc.stdout.splitlines()[-1])
-        result["csv"] = {path.name: path.read_text() for path in (Path(work) / "out").rglob("*.csv")}
+        result["texts"] = {
+            path.name: path.read_text()
+            for path in (Path(work) / "out").rglob("*")
+            if path.suffix == ".csv" or path.name == "summary.json"
+        }
     if not Path(result["package"]).resolve().is_relative_to(src):
         raise RuntimeError(f"kubolab was imported from {result['package']}, not {src}")
     return result
@@ -92,6 +98,39 @@ def column_changes(text_a: str, text_b: str) -> list[str]:
         rel = max(change / abs(float(a)) if float(a) else float("inf") for change, _, a, _ in changes)
         change, label, a, b = max(changes)
         lines.append(f"{column}: {len(moved)} cell(s), max abs {change:.4e} at {label} ({a} -> {b}), max rel {rel:.4e}")
+    return lines
+
+
+def _leaves(node, path: str = "") -> dict:
+    """{JSON path: value} of every scalar and every empty container under node."""
+    if isinstance(node, dict) and node:
+        children = {f"{path}.{key}" if path else key: item for key, item in node.items()}
+    elif isinstance(node, list) and node:
+        children = {f"{path}[{i}]": item for i, item in enumerate(node)}
+    else:
+        return {path: node}
+    return {leaf: value for child, item in children.items() for leaf, value in _leaves(item, child).items()}
+
+
+def json_changes(text_a: str, text_b: str) -> list[str]:
+    """One line per leaf that differs between two JSON texts: its path, and
+    for two numbers the absolute change |b - a| and the relative change
+    |b - a| / |a|; otherwise the two values, or the tree that has it."""
+    leaves_a, leaves_b = (_leaves(json.loads(text)) for text in (text_a, text_b))
+    lines = []
+    for path in list(leaves_a) + [p for p in leaves_b if p not in leaves_a]:
+        if path not in leaves_a or path not in leaves_b:
+            lines.append(f"{path}: only in {'A' if path in leaves_a else 'B'}")
+            continue
+        a, b = leaves_a[path], leaves_b[path]
+        if repr(a) == repr(b):
+            continue
+        if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b)):
+            change = abs(b - a)
+            rel = change / abs(a) if a else float("inf")
+            lines.append(f"{path}: abs {change:.4e} ({a!r} -> {b!r}), rel {rel:.4e}")
+        else:
+            lines.append(f"{path}: {a!r} -> {b!r}")
     return lines
 
 
@@ -124,8 +163,9 @@ def main(argv=None) -> int:
         print(f"{name}: {len(files)} outputs, {verdict}; "
               f"violations {a['violations']} / {b['violations']}")
         for output in moved:
-            if output in a["csv"] and output in b["csv"]:
-                for line in column_changes(a["csv"][output], b["csv"][output]):
+            if output in a["texts"] and output in b["texts"]:
+                changes = json_changes if output.endswith(".json") else column_changes
+                for line in changes(a["texts"][output], b["texts"][output]):
                     print(f"  {output} {line}")
     return 1 if differ else 0
 
