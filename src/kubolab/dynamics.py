@@ -16,7 +16,8 @@ Every propagator, Duhamel sum and density route is one march of H(t)
 integrator and the step-size guard are chosen there and nowhere else, and
 only the current state and one block of steps' H(t) (one `_h_at` call) are
 held, so memory is O(N^2) whatever the number of steps.  The march hands on
-what its step holds of H(r_k): an RK4 step's k1, a riemann_product's eigh.
+what its step holds of H(r_k): an RK4 step's k1, a riemann_product's eigh;
+the Duhamel density route reads it at every _NODE_STRIDE-th step only.
 
 A single evolution is sequential in time; independent (realization, field,
 eta) evolutions may run concurrently.  The only state they may share is the
@@ -28,6 +29,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, partial
+from itertools import islice
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -88,6 +90,7 @@ INTEGRATORS = ("riemann_product", "ode_rk4", "magnus2")
 # or 6 magnus2 steps at N = 36), at most _BLOCK_STEPS, past which temporaries set the memory.
 _BLOCK_BYTES = 128 * 1024
 _BLOCK_STEPS = 16
+_NODE_STRIDE = 4  # march steps per node of the smooth Duhamel density integrand
 
 
 @dataclass
@@ -112,11 +115,9 @@ class TimeGrid:
                 f"{np.exp(drive.eta * self.s_min):.2e} > {self.truncation_tol:.0e}"
             )
 
-    def n_steps(self, s: float, t: float, even: bool = False) -> int:
+    def n_steps(self, s: float, t: float, multiple: int = 1) -> int:
         n = max(1, int(np.ceil((t - s) / self.step - 1e-12)))
-        if even and n % 2:
-            n += 1
-        return n
+        return -(-n // multiple) * multiple
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +256,11 @@ def _simpson_weight(k: int, n: int) -> float:
     return 4.0 if k % 2 else 2.0
 
 
+def _boole_weight(k: int, n: int) -> float:
+    """Composite Boole weight of node k of n (a multiple of 4) intervals, without 2h/45."""
+    return 7.0 if k in (0, n) else (14.0, 32.0, 12.0, 32.0)[k % 4]
+
+
 @lru_cache(maxsize=8)
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], read-only and cached
@@ -324,7 +330,7 @@ def duhamel_residual(
     psi = np.asarray(psi, dtype=complex)
     h0 = build_hamiltonian(model)
     spectral = SpectralData.from_operator(h0)
-    nsteps = grid.n_steps(s, t, even=True)
+    nsteps = grid.n_steps(s, t, multiple=2)
     simpson = np.zeros_like(psi)
     trapezoid = np.zeros_like(psi)
     h_at = partial(_h_at, model, drive)
@@ -378,24 +384,28 @@ def evolve_density_duhamel(
     so the integral identity is exact at finite volume, on the torus too, and
     this route cross-validates the Liouville integration to integrator
     accuracy.  zeta(t) itself is built once, from the last node.  One
-    forward march of V(r) = U(r, s_min) carries the propagator sandwich, and
-    each node's Simpson term is added as the march passes it, so memory is
-    O(N^2) whatever the step count.  H(r) is assembled and decomposed once
-    per node: the march hands over its step's k1 matrix or eigendecomposition.
+    forward march of V(r) = U(r, s_min) carries the propagator sandwich.  The
+    smooth integrand takes a node at every _NODE_STRIDE-th step, summed by
+    the composite Boole rule over a step count rounded up to a multiple of
+    4 _NODE_STRIDE (Simpson's gap grows as the stride^4), each term added as
+    the march passes it, so memory is O(N^2) whatever the step count.  H(r)
+    is assembled and decomposed once per node: the march hands over its
+    step's k1 matrix or eigendecomposition.
     """
     grid.validate(drive)
     s = grid.s_min
-    nsteps = grid.n_steps(s, t, even=True)
+    nsteps = grid.n_steps(s, t, multiple=4 * _NODE_STRIDE)
     acc = np.zeros((model.n_sites, model.n_sites), dtype=complex)
     eye = np.eye(model.n_sites, dtype=complex)
     h_at = partial(_h_at, model, drive)
-    for k, (r, v, eig) in enumerate(_march(h_at, grid, s, t, nsteps, eye)):
+    nodes = islice(_march(h_at, grid, s, t, nsteps, eye), 0, None, _NODE_STRIDE)
+    for k, (r, v, eig) in enumerate(nodes):
         if not isinstance(eig, tuple):  # H(r) itself, or None
             eig = np.linalg.eigh(h_at(r) if eig is None else eig)
         m_r = _drive_commutator(model, drive, state, r, eig)
-        weight = _simpson_weight(k, nsteps) * np.exp(drive.eta * min(r, 0.0))
+        weight = _boole_weight(k, nsteps // _NODE_STRIDE) * np.exp(drive.eta * min(r, 0.0))
         acc += weight * (v.conj().T @ m_r @ v)
-    acc *= (t - s) / nsteps / 3.0
+    acc *= 2.0 * _NODE_STRIDE * (t - s) / nsteps / 45.0
     evals, evecs = eig
     rho = (evecs * state.profile()(evals)) @ evecs.conj().T - 1j * (v @ acc @ v.conj().T)
     return CovariantOperator((rho + rho.conj().T) / 2.0, model)

@@ -138,7 +138,7 @@ def _one_of(*choices):
 
 
 def _override_values(s) -> dict:
-    """{name: value} from `name=value, ...`: each name a THRESHOLDS float key, each value finite."""
+    """{name: value} from `name=value, ...`: each name a THRESHOLDS float tolerance, each value finite."""
     out = {}
     for item in s.split(","):
         if item.strip():
@@ -146,8 +146,8 @@ def _override_values(s) -> dict:
             key = key.strip()
             if key not in THRESHOLDS:
                 raise ValueError(f"unknown tolerance {key!r}")
-            if not isinstance(THRESHOLDS[key], float):
-                raise ValueError(f"{key} is not a float tolerance")
+            if not isinstance(THRESHOLDS[key], float) or key in ("fd_delta_e", "hall_disorder_strength"):
+                raise ValueError(f"{key} is not a float tolerance that a suite reads")
             if not math.isfinite(float(val)):
                 raise ValueError(f"tolerance {key} must be finite")
             out[key] = float(val)

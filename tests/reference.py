@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -231,12 +232,13 @@ def evolve_density_duhamel_minimal_image(model, drive, state, t, grid) -> Covari
     form on the torus measures."""
     grid.validate(drive)
     s = grid.s_min
-    nsteps = grid.n_steps(s, t, even=True)
+    nsteps = grid.n_steps(s, t, 4 * dynamics._NODE_STRIDE)
     tables = [displacement_table(model, axis) for axis in range(model.config.dimension)]
     acc = np.zeros((model.n_sites, model.n_sites), dtype=complex)
     eye = np.eye(model.n_sites, dtype=complex)
     h_at = partial(dynamics._h_at, model, drive)
-    for k, (r, v, eig) in enumerate(dynamics._march(h_at, grid, s, t, nsteps, eye)):
+    march = dynamics._march(h_at, grid, s, t, nsteps, eye)
+    for k, (r, v, eig) in enumerate(islice(march, 0, None, dynamics._NODE_STRIDE)):
         if not isinstance(eig, tuple):  # H(r) itself, or None
             eig = np.linalg.eigh(h_at(r) if eig is None else eig)
         evals, evecs = eig
@@ -244,9 +246,9 @@ def evolve_density_duhamel_minimal_image(model, drive, state, t, grid) -> Covari
         m_r = np.zeros(evecs.shape, dtype=complex)
         for axis in drive.driven_axes:
             m_r += drive.field[axis] * (tables[axis] * zeta)
-        weight = dynamics._simpson_weight(k, nsteps) * np.exp(drive.eta * min(r, 0.0))
+        weight = dynamics._boole_weight(k, nsteps // dynamics._NODE_STRIDE) * np.exp(drive.eta * min(r, 0.0))
         acc += weight * (v.conj().T @ m_r @ v)
-    acc *= (t - s) / nsteps / 3.0
+    acc *= 2.0 * dynamics._NODE_STRIDE * (t - s) / nsteps / 45.0
     rho = zeta - 1j * (v @ acc @ v.conj().T)
     return CovariantOperator((rho + rho.conj().T) / 2.0, model)
 

@@ -95,7 +95,7 @@ def test_grid_truncation_validated():
 # -- driven Hamiltonian and gauge -------------------------------------------------
 
 
-def test_hamiltonian_at_zero_field_is_undriven():
+def test_h_at_zero_field_is_undriven():
     model = make_torus((4, 4))
     # (-0.0, -0.0) is the field of the FD route's minus run at zero field
     for field in ((0.0, 0.0), (-0.0, -0.0)):
@@ -104,7 +104,7 @@ def test_hamiltonian_at_zero_field_is_undriven():
         assert h.tobytes() == build_hamiltonian(model).matrix.tobytes(), field
 
 
-def test_hamiltonian_at_early_time_limit():
+def test_h_at_early_time_limit():
     pot = sample_disorder(DisorderSpec(1.0, 2), 0, 16)
     model = make_torus((4, 4), potential=pot)
     drive = DriveProtocol(1.0, (0.1, 0.2))
@@ -258,7 +258,7 @@ def test_driven_path_retains_less_than_one_matrix():
     assert retained < model.n_sites**2 * 16
 
 
-def test_velocity_at_matches_undriven_limit():
+def test_v_at_matches_undriven_limit():
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.3, 0.0))
     from kubolab.model import velocity_operator
@@ -514,9 +514,11 @@ def test_density_zero_field_stays_equilibrium():
 
 def _duhamel_stored_slices(model, drive, state, t, grid, kernel):
     """Reference for evolve_density_duhamel: keep every V(r_k) = U(r_k, s_min)
-    and every integrand node, then apply the composite Simpson rule."""
+    and the integrand at every m-th step, m = _NODE_STRIDE, then apply the
+    composite Boole rule over a step count rounded up to a multiple of 4m."""
     s = grid.s_min
-    n = grid.n_steps(s, t, even=True)
+    m = dynamics._NODE_STRIDE
+    n = grid.n_steps(s, t, 4 * m)
     h = (t - s) / n
 
     def h_at(r):
@@ -562,11 +564,13 @@ def _duhamel_stored_slices(model, drive, state, t, grid, kernel):
         np.exp(drive.eta * min(s + k * h, 0.0))
         * (v.conj().T @ zeta_and_commutator(s + k * h)[1] @ v)
         for k, v in enumerate(vs)
+        if k % m == 0
     ])
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    acc = (h / 3.0) * np.tensordot(w, integrand, axes=(0, 0))
+    w = np.full(n // m + 1, 14.0)
+    w[1::2] = 32.0
+    w[2::4] = 12.0
+    w[0] = w[-1] = 7.0
+    acc = (2.0 * m * h / 45.0) * np.tensordot(w, integrand, axes=(0, 0))
     rho = zeta_and_commutator(t)[0] - 1j * (vs[-1] @ acc @ vs[-1].conj().T)
     return (rho + rho.conj().T) / 2.0
 
@@ -607,34 +611,45 @@ def test_duhamel_decomposes_each_node_once(method, monkeypatch):
         fresh = evolve_density_duhamel(model, drive, state, 0.0, grid).matrix
     assert rho.tobytes() == fresh.tobytes()
 
+    calls, times = [], []
+    eigh, h_at = np.linalg.eigh, dynamics._h_at
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(int(np.prod(np.shape(a)[:-2])))  # matrices in the stack
+        return eigh(a, *args, **kwargs)
+
+    def counting_h_at(model, drive, t):
+        times.extend(np.atleast_1d(t).tolist())  # one matrix per time
+        return h_at(model, drive, t)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(dynamics, "_h_at", counting_h_at)
+    evolve_density_duhamel(model, drive, state, 0.0, grid)
+    n = grid.n_steps(grid.s_min, 0.0, 16)
+    assert n == 352
     if method == "riemann_product":
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting(a, *args, **kwargs):
-            calls.append(int(np.prod(np.shape(a)[:-2])))  # matrices in the stack
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
-        evolve_density_duhamel(model, drive, state, 0.0, grid)
-        n = grid.n_steps(grid.s_min, 0.0, even=True)
-        # one per node: the march's n step exponents, and H(t) at the last node
-        assert n == 346 and sum(calls) == n + 1 == 347
-
+        # the march's n step exponents, every fourth of them also a node's,
+        # and H(t) at the last node
+        assert sum(calls) == n + 1 == 353
+    if method == "magnus2":
+        # the march's n midpoint exponents, and H(r_k) at each of the n/4 + 1 nodes
+        assert sum(calls) == n + n // 4 + 1 == 441
     if method == "ode_rk4":
-        times = []
-        h_at = dynamics._h_at
-
-        def counting(model, drive, t):
-            times.extend(np.atleast_1d(t).tolist())  # one matrix per time
-            return h_at(model, drive, t)
-
-        monkeypatch.setattr(dynamics, "_h_at", counting)
-        evolve_density_duhamel(model, drive, state, 0.0, grid)
-        n = grid.n_steps(grid.s_min, 0.0, even=True)
         # the step-size guard, three per step, and H(t) at the last node: each
-        # other node decomposes its step's k1 matrix
-        assert n == 346 and len(times) == 3 * n + 2 == 1040
+        # other node, at every fourth step, decomposes its step's k1 matrix
+        assert len(times) == 3 * n + 2 == 1058
+        assert sum(calls) == n // 4 + 1 == 89
+
+
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_boole_weights_integrate_quintics_exactly(m):
+    # the composite Boole rule on [0, 1] with m intervals is exact up to
+    # degree 5 and not at degree 6, which pins its order
+    x = np.arange(m + 1) / m
+    w = np.array([dynamics._boole_weight(k, m) for k in range(m + 1)]) * 2.0 / (45.0 * m)
+    for p in range(6):
+        assert abs(w @ x**p - 1.0 / (p + 1)) < 1e-14, p
+    assert abs(w @ x**6 - 1.0 / 7) > 1e-8
 
 
 def test_gauge_check_midpoint_reuse_keeps_value(rng):

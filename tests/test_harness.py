@@ -102,6 +102,9 @@ def test_tolerance_override_applied():
         "riemann_order_ratio=2",
         "hall_n_realizations=3",
         "eta_sweep_values=0.5",
+        # float parameters that no suite reads
+        "fd_delta_e=0.5",
+        "hall_disorder_strength=9.0",
     ],
 )
 def test_tolerance_overrides_checked_on_parse(override):
@@ -336,7 +339,8 @@ def test_one_eigendecomposition_per_realization(tmp_path, monkeypatch, experimen
 
 
 def test_dynamics_check_decomposition_budget(tmp_path, monkeypatch):
-    # the realization's H once, H(r_k) at every node of the RK4 Duhamel march,
+    # the realization's H once, H(r_k) at every node of the RK4 Duhamel march
+    # (every fourth of its steps, their count a multiple of 16),
     # and one H at each step of the magnus2 unitarity propagator, marched as
     # U(0, s/4) U(s/4, s), whose first factor the weight bound reads; the
     # Liouville march of an RK4 grid decomposes nothing.  eigvalsh: the
@@ -346,7 +350,8 @@ def test_dynamics_check_decomposition_budget(tmp_path, monkeypatch):
     grid = cfg.grid_for(4.0)
     assert grid.method == "ode_rk4"
     s = grid.s_min
-    expected = 1 + (grid.n_steps(s, 0.0, even=True) + 1) + grid.n_steps(s, s / 4.0) + grid.n_steps(s / 4.0, 0.0)
+    n_duh = grid.n_steps(s, 0.0, 4 * dynamics._NODE_STRIDE)
+    expected = 1 + (n_duh // dynamics._NODE_STRIDE + 1) + grid.n_steps(s, s / 4.0) + grid.n_steps(s / 4.0, 0.0)
     counts = _count_decompositions(monkeypatch, cfg.lattice_config().n_sites)
     assert run_experiment(cfg, out_dir=tmp_path).violations == []
     assert counts == {"eigh": expected, "eigvalsh": 4 + 1}
