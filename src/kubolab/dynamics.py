@@ -28,11 +28,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from itertools import islice
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .model import (
     ConfigurationError,
@@ -43,7 +42,7 @@ from .model import (
     build_hamiltonian,
     position_matrix,
 )
-from .funcalc import EquilibriumState, SpectralData, spectral_position_commutator
+from .funcalc import EquilibriumState, SpectralData, gauss_legendre, spectral_position_commutator
 
 
 class StepSizeError(ValueError):
@@ -259,16 +258,6 @@ def _simpson_weight(k: int, n: int) -> float:
 def _boole_weight(k: int, n: int) -> float:
     """Composite Boole weight of node k of n (a multiple of 4) intervals, without 2h/45."""
     return 7.0 if k in (0, n) else (14.0, 32.0, 12.0, 32.0)[k % 4]
-
-
-@lru_cache(maxsize=8)
-def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], read-only and cached
-    per order."""
-    rule = leggauss(order)
-    for a in rule:
-        a.flags.writeable = False
-    return rule
 
 
 # ---------------------------------------------------------------------------

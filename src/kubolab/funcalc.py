@@ -8,19 +8,16 @@ diagnostics.
 
 Pure functions throughout; the contour accumulation sums in a fixed node
 order so results are independent of scheduling.
-
-Importing this module needs numpy only.  scipy is loaded on first use by
-the two functions that call it: `_occupation` at finite temperature
-(scipy.special.expit, for `fermi_dirac` states and their profile) and
-`hs_norm` (scipy.integrate.quad, reached from the funcalc-check suite).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .model import CovariantOperator, LatticeModel, displacement_table
 
@@ -104,9 +101,8 @@ def _occupation(e_f: float, beta: float | None = None):
         raise ValueError(f"e_f must be finite, got {e_f!r}")
     if beta is None:
         return lambda e: (np.asarray(e) <= e_f).astype(float)
-    from scipy.special import expit  # local, so that `import kubolab` needs numpy only
-
-    return lambda e: expit(-beta * (np.asarray(e) - e_f))
+    # e^x overflows to inf past x ~ 709, where 1 / (1 + inf) = 0 is the exact limit
+    return np.errstate(over="ignore")(lambda e: 1.0 / (1.0 + np.exp(beta * (np.asarray(e) - e_f))))
 
 
 def fermi_dirac(spectral: SpectralData, beta: float, e_f: float) -> CovariantOperator:
@@ -196,29 +192,43 @@ def gaussian_function(center: float = 0.0, width: float = 1.0, m_max: int = 12) 
 # ---------------------------------------------------------------------------
 
 
-def hs_norm(f: SmoothFunction, m: int, tol: float = 1e-10) -> float:
-    """sum_{r=0}^{m} integral |f^(r)(u)| <u>^{r-1} du by adaptive quadrature."""
-    from scipy import integrate  # local, so that `import kubolab` needs numpy only
+@lru_cache(maxsize=8)
+def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only and cached per order."""
+    rule = leggauss(order)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
-    total = 0.0
-    for r in range(m + 1):
-        def integrand(u, r=r):
-            return abs(f.deriv(r, u)) * (1.0 + u * u) ** ((r - 1) / 2.0)
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", integrate.IntegrationWarning)
-            try:
-                val, err = integrate.quad(
-                    integrand, -np.inf, np.inf, epsabs=tol, epsrel=tol, limit=400
-                )
-            except integrate.IntegrationWarning as exc:
-                val, err = integrate.quad(integrand, -np.inf, np.inf, limit=400)
-                if err > 1e-6 * max(abs(val), 1.0):
-                    raise QuadratureAccuracyError(
-                        f"norm integral (order {r}) did not converge: {exc}", val
-                    ) from exc
-        total += val
-    return total
+_NORM_TOL = 1e-10  # the kept panels' disagreements sum to at most this times the integral
+_NORM_LEVELS = 40  # bisections before a panel is given up
+
+
+def _line_integral(g) -> float:
+    """integral of g over the line, mapped onto (-1, 1) by u = x / (1 - x^2): a panel's 10-node
+    Gauss-Legendre value is kept when the sum over its halves agrees, else the panel is bisected."""
+    nodes, weights = gauss_legendre(10)
+    c, h, total = np.linspace(-0.875, 0.875, 8), np.full(8, 0.125), 0.0  # panel centres and half-widths
+    for _ in range(_NORM_LEVELS):
+        cs, hs = np.concatenate([c, c - h / 2, c + h / 2])[:, None], np.concatenate([h, h / 2, h / 2])[:, None]
+        # 1 - x^2 as (1 + x)(1 - x), each from the exact panel centre, so it keeps its digits near x = +-1
+        x, pq = cs + hs * nodes, ((1 + cs) + hs * nodes) * ((1 - cs) - hs * nodes)
+        whole, left, right = np.split((g(x / pq) * (1 + x * x) / pq**2 * hs) @ weights, 3)
+        halves = left + right
+        ok = np.abs(whole - halves) <= _NORM_TOL * abs(total + np.sum(halves)) * h
+        total += np.sum(halves[ok])
+        c, h = np.concatenate([c[~ok] - h[~ok] / 2, c[~ok] + h[~ok] / 2]), np.tile(h[~ok] / 2, 2)
+        if not c.size:
+            return float(total)
+    estimate = float(total + np.sum(halves[~ok]))
+    raise QuadratureAccuracyError(f"no convergence in {_NORM_LEVELS} bisections: {estimate}", estimate)
+
+
+def hs_norm(f: SmoothFunction, m: int) -> float:
+    """sum_{r=0}^{m} integral |f^(r)(u)| <u>^{r-1} du, one `_line_integral` per order."""
+    return sum(_line_integral(lambda u, r=r: np.abs(f.deriv(r, u)) * (1.0 + u * u) ** ((r - 1) / 2.0))
+               for r in range(m + 1))
 
 
 # ---------------------------------------------------------------------------

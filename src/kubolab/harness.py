@@ -547,7 +547,8 @@ def _suite_hall(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     e_f = cfg.fermi_energy(clean_evals)
     n_occ = int(np.sum(clean_evals <= e_f))
     bands = max(1, round(n_occ * q / clean_model.n_sites))
-    chern = chern_number_fhs(p, q, bands) if p != 0 else 0.0
+    with _building_from("model.flux_p", "model.flux_q", "state.filling"):  # gapless bands have no Chern integer
+        chern = chern_number_fhs(p, q, bands) if p != 0 else 0.0
 
     def one(index):
         p_fermi = fermi_projection(cfg.spectral_for(index), e_f)

@@ -31,6 +31,7 @@ from .funcalc import (
     SpectralData,
     divided_difference_kernel,
     fermi_projection,
+    gauss_legendre,
     position_commutator,
 )
 from .dynamics import (
@@ -39,7 +40,6 @@ from .dynamics import (
     _h_at,
     _v_at,
     evolve_density_ode,
-    gauss_legendre,
 )
 
 
@@ -278,17 +278,25 @@ def hofstadter_bloch(p: int, q: int, k1, k2) -> np.ndarray:
     return h
 
 
+# the plaquette sum is a Chern integer only on a grid that resolves the bands (Fukui, Hatsugai
+# & Suzuki 2005): every plaquette phase well inside (-pi, pi), band n_occ + 1 apart at every k
+CHERN_MAX_FIELD = 1.0
+CHERN_MIN_GAP = 1e-8
+
+
 def chern_number_fhs(p: int, q: int, n_occ: int, nk1: int = 18, nk2: int = 18) -> float:
     """Plaquette field-strength Chern number of the lowest n_occ bands on
     the magnetic Brillouin zone [0, 2 pi / q) x [0, 2 pi).
 
     The Bloch matrix satisfies H(k1 + 2 pi / q) = W H(k1) W* with the
     diagonal gauge W = diag(e^{-2 pi i j / q}); the seam frames are glued
-    with W so the plaquette sum closes on the torus.
+    with W so the plaquette sum closes on the torus.  Raises ValueError
+    when a plaquette phase exceeds CHERN_MAX_FIELD or the direct gap above
+    band n_occ falls below CHERN_MIN_GAP on the grid.
     """
     k1s = np.linspace(0.0, 2.0 * np.pi / q, nk1, endpoint=False)
     k2s = np.linspace(0.0, 2.0 * np.pi, nk2, endpoint=False)
-    _, vec = np.linalg.eigh(hofstadter_bloch(p, q, k1s[:, None], k2s[None, :]))
+    evals, vec = np.linalg.eigh(hofstadter_bloch(p, q, k1s[:, None], k2s[None, :]))
     frames = np.zeros((nk1 + 1, nk2, q, n_occ), dtype=complex)
     frames[:nk1] = vec[..., :n_occ]
     w = np.exp(-2j * np.pi * np.arange(q) / q)
@@ -301,8 +309,13 @@ def chern_number_fhs(p: int, q: int, n_occ: int, nk1: int = 18, nk2: int = 18) -
     # each forward link once, along k1 and along k2; a plaquette's backward links are their conjugates
     u1 = links(frames[:-1], frames[1:])
     u2 = links(frames, np.roll(frames, -1, axis=1))
-    plaquettes = u1 * u2[1:] * np.roll(u1, -1, axis=1).conj() * u2[:-1].conj()
-    return np.sum(np.angle(plaquettes)) / (2.0 * np.pi)
+    phases = np.angle(u1 * u2[1:] * np.roll(u1, -1, axis=1).conj() * u2[:-1].conj())
+    field = float(np.max(np.abs(phases)))
+    gap = float(np.min(evals[..., n_occ : n_occ + 1] - evals[..., n_occ - 1 : n_occ], initial=np.inf))
+    if field > CHERN_MAX_FIELD or gap < CHERN_MIN_GAP:
+        raise ValueError(f"no Chern integer for the lowest {n_occ} of {q} bands on a {nk1}x{nk2} grid: largest "
+                         f"|arg F| {field:.3g} (max {CHERN_MAX_FIELD}), gap {gap:.3g} (min {CHERN_MIN_GAP})")
+    return np.sum(phases) / (2.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from kubolab.funcalc import (
     DegenerateFermiLevelError,
     EquilibriumState,
     HSQuadrature,
+    QuadratureAccuracyError,
     SmoothFunction,
     SpectralData,
     apply_spectral,
@@ -259,15 +260,34 @@ def test_hs_norm_positive_and_monotone():
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
-def test_hs_norm_against_trapezoid_oracle():
-    f = gaussian_function()
-    val = hs_norm(f, 1)
-    xs = np.linspace(-12.0, 12.0, 200001)
-    oracle = sum(
-        np.trapezoid(np.abs(f.deriv(r, xs)) * (1 + xs**2) ** ((r - 1) / 2), xs)
-        for r in range(2)
+def test_hs_norm_against_root_split_oracle():
+    # |f^(r)| has a kink at each root of He_r, so the oracle integrates between
+    # them, in pieces of at most unit length, by 40-node Gauss-Legendre
+    center, width = 0.3, 1.4
+    f = gaussian_function(center=center, width=width)
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    oracle = 0.0
+    for r in range(6):
+        roots = np.sort(np.polynomial.hermite_e.hermeroots([0.0] * r + [1.0]))
+        cuts = center + width * np.concatenate([[-14.0], roots, [14.0]])
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            edges = np.linspace(a, b, int(np.ceil(b - a)) + 1)
+            u = (edges[:-1, None] + edges[1:, None]) / 2 + np.diff(edges)[:, None] / 2 * nodes
+            piece = np.abs(f.deriv(r, u)) * (1 + u**2) ** ((r - 1) / 2) @ weights
+            oracle += float(np.sum(piece * np.diff(edges) / 2))
+        assert abs(hs_norm(f, r) - oracle) < 1e-10 * oracle, r
+
+
+def test_hs_norm_of_a_non_integrable_function_raises_with_its_estimate():
+    # the constant 1: its order-0 integrand <u>^{-1} is not integrable
+    one = SmoothFunction(
+        lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        lambda r, x: np.zeros_like(np.asarray(x, dtype=float)),
+        m_max=6,
     )
-    assert abs(val - oracle) < 1e-8
+    with pytest.raises(QuadratureAccuracyError) as info:
+        hs_norm(one, 2)
+    assert 0 < info.value.estimate < np.inf
 
 
 # -- contour calculus ----------------------------------------------------------------

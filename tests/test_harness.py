@@ -563,6 +563,21 @@ def test_cli_hall_on_a_chain_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_hall_at_a_gapless_filling_is_a_config_error(tmp_path, capsys):
+    # at flux 1/2 the two bands touch, so the Chern oracle has no integer to compare sigma with
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(
+        "[model]\ndimension = 2\nsides = 4,4\nflux_p = 1\nflux_q = 2\n"
+        "[state]\ne_f = auto\nfilling = 0.5\n[run]\nname = t\n"
+    )
+    rc = cli_main(["hall", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error:")
+    assert all(key in err for key in ("model.flux_p", "model.flux_q", "state.filling"))
+    assert not (tmp_path / "out").exists()
+
+
 def test_shipped_configs_carry_the_threshold_parameters():
     configs = Path(__file__).resolve().parents[1] / "configs"
     hall = ExperimentConfig.load(configs / "hall.ini")

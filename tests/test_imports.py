@@ -1,11 +1,10 @@
-"""The import graph: `import kubolab` needs numpy only.
+"""The import graph: kubolab needs numpy only.
 
-scipy is loaded by the Fermi-Dirac occupation (`fermi_dirac` and a
-finite-temperature state's profile) and `hs_norm` alone, on first use, and
-the zero-temperature suites never reach either.  numpy.random is loaded with
-the package, so that a suite's first disorder draw imports nothing.  Each
-check runs in a fresh interpreter, because this test process has long
-since imported everything.
+Every suite runs, with 0 violations, in an interpreter where importing
+scipy fails, and leaves no scipy module loaded.  numpy.random is loaded
+with the package, so that a suite's first disorder draw imports nothing.
+Each check runs in a fresh interpreter, because this test process has
+long since imported everything.
 """
 
 import json
@@ -17,15 +16,10 @@ from pathlib import Path
 
 import pytest
 
-from kubolab.funcalc import SpectralData, fermi_dirac, gaussian_function, hs_norm
-from kubolab.model import CovariantOperator
-
-from conftest import make_chain
-
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# the shapes of the three benchmark workloads, shrunk; disorder > 0 so that
-# the realizations draw from numpy.random
+# the shapes of the three benchmark workloads and of the other shipped
+# configs, shrunk; disorder > 0 so that the realizations draw from numpy.random
 SUITE_CONFIGS = {
     "hall": (
         "[model]\ndimension = 2\nsides = 6,6\nflux_p = 1\nflux_q = 3\n"
@@ -46,11 +40,32 @@ SUITE_CONFIGS = {
         "[drive]\neta_list = 4.0\nfield_magnitude = 0.1\nstep = 0.02\n"
         "[run]\nexperiment = dynamics-check\nname = dynamics\n"
     ),
+    "equilibrium": (
+        "[model]\ndimension = 2\nsides = 4,4\nflux_p = 1\nflux_q = 4\n"
+        "disorder_w = 1.0\nbase_seed = 11\nn_realizations = 3\n"
+        "[state]\nkind = fermi_dirac\nbeta = 4.0\ne_f = -1.8\n"
+        "[run]\nexperiment = equilibrium\nname = equilibrium\n"
+    ),
+    "funcalc-check": (
+        "[model]\ndimension = 1\nsides = 8\nboundary = open\nbase_seed = 11\n"
+        "[run]\nexperiment = funcalc-check\nname = funcalc\n"
+    ),
+    "algebra-check": (
+        "[model]\ndimension = 1\nsides = 8\nboundary = torus\ndisorder_w = 1.0\nbase_seed = 7\n"
+        "[run]\nexperiment = algebra-check\nname = algebra\n"
+    ),
 }
 
 PROBE = textwrap.dedent(
     """
     import json, sys
+
+    class NoScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name == "scipy" or name.startswith("scipy."):
+                raise ImportError(f"{name} is not installed here")
+
+    sys.meta_path.insert(0, NoScipy())
 
     def loaded(prefix):
         return sorted(k for k in sys.modules if k == prefix or k.startswith(prefix + "."))
@@ -58,7 +73,6 @@ PROBE = textwrap.dedent(
     facts = {}
     import kubolab
     import kubolab.cli
-    facts["scipy_after_import"] = loaded("scipy")
     facts["numpy_random_after_import"] = "numpy.random" in sys.modules
 
     from kubolab.harness import ExperimentConfig, run_experiment
@@ -70,18 +84,7 @@ PROBE = textwrap.dedent(
             "new_modules": sorted(set(sys.modules) - before),
             "violations": manifest.violations,
         }
-
-    from kubolab.funcalc import SpectralData, fermi_dirac, gaussian_function, hs_norm
-    from kubolab.model import CovariantOperator, FluxSpec, LatticeConfig, LatticeModel
-    import numpy as np
-
-    facts["hs_norm"] = hs_norm(gaussian_function(), 1)
-    facts["scipy_after_hs_norm"] = "scipy.integrate" in sys.modules
-    model = LatticeModel(LatticeConfig(1, (2,), "open"), FluxSpec())
-    h = CovariantOperator(np.diag([0.3, 5.0]), model)
-    f = fermi_dirac(SpectralData.from_operator(h), beta=2.0, e_f=0.3)
-    facts["fermi_dirac"] = np.diag(f.matrix).real.tolist()
-    facts["scipy_after_fermi_dirac"] = "scipy.special" in sys.modules
+    facts["scipy_loaded"] = loaded("scipy")
     print(json.dumps(facts))
     """
 )
@@ -103,23 +106,12 @@ def _probe(tmp_path):
 
 
 @pytest.mark.slow
-def test_zero_temperature_suites_never_load_scipy(tmp_path):
+def test_every_suite_runs_without_scipy(tmp_path):
     facts = _probe(tmp_path)
 
-    assert facts["scipy_after_import"] == []
     assert facts["numpy_random_after_import"]
     assert set(facts["runs"]) == set(SUITE_CONFIGS)
     for name, run in facts["runs"].items():
         assert run["violations"] == [], name
-        new = run["new_modules"]
-        assert not [m for m in new if m == "scipy" or m.startswith("scipy.")], (name, new)
-        assert not [m for m in new if m.startswith("numpy.random")], (name, new)
-
-    # the two scipy users still work, loading scipy on demand
-    assert facts["scipy_after_hs_norm"] and facts["scipy_after_fermi_dirac"]
-    assert facts["hs_norm"] == hs_norm(gaussian_function(), 1)
-    model = make_chain(2, "open")
-    h = CovariantOperator([[0.3, 0.0], [0.0, 5.0]], model)
-    f = fermi_dirac(SpectralData.from_operator(h), beta=2.0, e_f=0.3)
-    assert facts["fermi_dirac"] == f.matrix.diagonal().real.tolist()
-    assert facts["fermi_dirac"][0] == 0.5
+        assert not [m for m in run["new_modules"] if m.startswith("numpy.random")], (name, run["new_modules"])
+    assert facts["scipy_loaded"] == []

@@ -551,6 +551,14 @@ def test_chern_oracle_known_values(p, q, n_occ, expected):
     assert abs(abs(c) - expected) < 1e-10
 
 
+@pytest.mark.parametrize("p,q,n_occ", [(1, 2, 1), (1, 4, 2), (1, 6, 3)])
+def test_chern_oracle_refuses_unresolved_bands(p, q, n_occ):
+    # flux 1/2: plaquette phases at pi; 1/4: Dirac points on the grid, a zero
+    # direct gap; 1/6: the grid skips the touching point, but a phase reaches 2.88
+    with pytest.raises(ValueError, match="no Chern integer"):
+        chern_number_fhs(p, q, n_occ)
+
+
 def test_chern_oracle_grid_independent():
     a = chern_number_fhs(1, 3, 1, nk1=12, nk2=12)
     b = chern_number_fhs(1, 3, 1, nk1=24, nk2=24)
