@@ -80,9 +80,6 @@ class DriveProtocol:
         scale = np.exp(self.eta * t_minus) / self.eta + (t - t_minus)
         return scale[..., None] * np.array(self.field)
 
-    def s_min_for(self, truncation_tol: float = 1e-12) -> float:
-        return float(np.log(truncation_tol) / self.eta)
-
 
 INTEGRATORS = ("riemann_product", "ode_rk4", "magnus2")
 # Steps per march block: as many as keep one h_at call within _BLOCK_BYTES of H(t) (2 RK4

@@ -58,7 +58,6 @@ from .funcalc import (
     position_commutator,
 )
 from .dynamics import (
-    INTEGRATORS,
     DriveProtocol,
     StepSizeError,
     TimeGrid,
@@ -137,29 +136,6 @@ def _one_of(*choices):
     return parse
 
 
-def _override_values(s) -> dict:
-    """{name: value} from `name=value, ...`: each name a THRESHOLDS float tolerance, each value finite."""
-    out = {}
-    for item in s.split(","):
-        if item.strip():
-            key, _, val = item.partition("=")
-            key = key.strip()
-            if key not in THRESHOLDS:
-                raise ValueError(f"unknown tolerance {key!r}")
-            if not isinstance(THRESHOLDS[key], float) or key in ("fd_delta_e", "hall_disorder_strength"):
-                raise ValueError(f"{key} is not a float tolerance that a suite reads")
-            if not math.isfinite(float(val)):
-                raise ValueError(f"tolerance {key} must be finite")
-            out[key] = float(val)
-    return out
-
-
-def _tolerance_overrides(s):
-    """`name=value, ...` that _override_values accepts, kept as written."""
-    _override_values(s)
-    return s
-
-
 def _eta_list(s):
     etas = _parse_float_list(s)
     if not etas or not all(0 < eta < math.inf for eta in etas) or len(set(etas)) != len(etas):
@@ -184,17 +160,13 @@ _SCHEMA = {
     ("drive", "eta_list"): (_eta_list, _fmt_list, (1.0, 0.5, 0.25, 0.125)),
     ("drive", "field_magnitude"): (_between(-math.inf, math.inf), repr, 1e-3),
     ("drive", "field_axis"): (int, str, 2),  # 1-based axis label
-    ("drive", "s_min"): (_auto_or_float, str, "auto"),
     ("drive", "step"): (_between(0, math.inf), repr, 0.01),
-    ("drive", "method"): (_one_of(*INTEGRATORS), str, "ode_rk4"),
     ("drive", "truncation_tol"): (_between(0, 1), repr, 1e-12),
     ("drive", "include_fd"): (lambda s: _one_of("true", "false")(s.lower()) == "true", lambda b: str(bool(b)).lower(), False),
-    ("drive", "delta_e"): (_between(0, math.inf), repr, 1e-3),
     ("run", "experiment"): (str, str, "algebra-check"),
     ("run", "name"): (str, str, "run"),
     ("run", "output_dir"): (str, str, "out"),
     ("run", "threads"): (_between(0, math.inf, int), str, 1),
-    ("run", "tolerance_overrides"): (_tolerance_overrides, str, ""),
 }
 
 # where and how a run executes, never what it computes; left out of the digest
@@ -327,17 +299,9 @@ class ExperimentConfig:
         return DriveProtocol(eta, tuple(e))
 
     def grid_for(self, eta: float) -> TimeGrid:
-        raw = self[("drive", "s_min")]
+        """The RK4 grid from s_min, where e^(eta s_min) = drive.truncation_tol."""
         tol = self[("drive", "truncation_tol")]
-        drive = self.drive_for(eta)  # its own ConfigError names drive.field_axis
-        s_min = drive.s_min_for(tol) if raw == "auto" else float(raw)
-        with _building_from("drive.s_min", "drive.step", "drive.truncation_tol"):
-            grid = TimeGrid(s_min, self[("drive", "step")], self[("drive", "method")], tol)
-            grid.validate(drive)
-        return grid
-
-    def tolerances(self) -> dict:
-        return {**THRESHOLDS, **_override_values(self[("run", "tolerance_overrides")])}
+        return TimeGrid(float(np.log(tol) / eta), self[("drive", "step")], truncation_tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +427,7 @@ class Check(NamedTuple):
         return cls(name, value, tolerance, value < tolerance)
 
 
-def _suite_algebra(cfg: ExperimentConfig, writer: _OutputWriter, tol):
+def _suite_algebra(cfg: ExperimentConfig, writer: _OutputWriter):
     model = cfg.model_for(0)
     h = build_hamiltonian(model)
     n = model.n_sites
@@ -502,12 +466,12 @@ def _suite_algebra(cfg: ExperimentConfig, writer: _OutputWriter, tol):
             [build_hamiltonian(shift_disorder(model, sh)) for sh in shifts] + [h]
         )
         defects["translation_sum_trace"] = abs(trace_per_unit_volume(h) - trace_per_unit_volume(ens))
-    checks = [Check.below(name, defect, tol["algebra_identity"]) for name, defect in defects.items()]
+    checks = [Check.below(name, defect, THRESHOLDS["algebra_identity"]) for name, defect in defects.items()]
     writer.write_csv("algebra_check.csv", ["identity", "defect", "tolerance", "pass"], checks)
     return {"checks": {c.name: c.value for c in checks}}, checks
 
 
-def _suite_equilibrium(cfg: ExperimentConfig, writer: _OutputWriter, tol):
+def _suite_equilibrium(cfg: ExperimentConfig, writer: _OutputWriter):
     def one(index):
         spectral = cfg.spectral_for(index)
         j = equilibrium_current(spectral, cfg.state_for(spectral))
@@ -524,9 +488,9 @@ def _suite_equilibrium(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     for a in range(d) if rows else ():
         mean, stderr = ensemble_average([r[2 + a] for r in rows])
         if stderr is None or stderr == 0.0:
-            check = Check.below(f"equilibrium_j_{a+1}", abs(mean), tol["equilibrium_clean"])
+            check = Check.below(f"equilibrium_j_{a+1}", abs(mean), THRESHOLDS["equilibrium_clean"])
         else:
-            bound = tol["equilibrium_sigma_factor"] * stderr
+            bound = THRESHOLDS["equilibrium_sigma_factor"] * stderr
             check = Check(f"equilibrium_j_{a+1}", abs(mean), bound, abs(mean) <= bound)
         summary_rows.append([a + 1, mean, stderr if stderr is not None else "", len(rows), check.passed])
         checks.append(check)
@@ -536,7 +500,7 @@ def _suite_equilibrium(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     return {"axes": summary_rows, "cell_errors": cell_errors}, checks
 
 
-def _suite_hall(cfg: ExperimentConfig, writer: _OutputWriter, tol):
+def _suite_hall(cfg: ExperimentConfig, writer: _OutputWriter):
     if cfg[("state", "kind")] != "projection":
         raise ConfigError("hall needs state.kind = projection, the Fermi projection it traces")
     if cfg[("model", "dimension")] != 2:
@@ -572,7 +536,8 @@ def _suite_hall(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     if rows:
         mean, stderr = ensemble_average([r[3] for r in rows])
         gap = abs(abs(mean) - abs(chern))
-        bound = tol["hall_quantization_clean"] if cfg[("model", "disorder_w")] == 0 else tol["hall_quantization_disordered"]
+        clean = cfg[("model", "disorder_w")] == 0
+        bound = THRESHOLDS["hall_quantization_clean" if clean else "hall_quantization_disordered"]
         checks.append(Check.below("hall", gap, bound))
         summary_rows.append([mean, stderr if stderr is not None else "", chern, gap, bound, checks[0].passed])
         summary.update(hall_scaled_mean=mean, chern=chern, gap=gap)
@@ -584,20 +549,21 @@ def _suite_hall(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     return summary, checks
 
 
-def _suite_kubo_sweep(cfg: ExperimentConfig, writer: _OutputWriter, tol):
+def _suite_kubo_sweep(cfg: ExperimentConfig, writer: _OutputWriter):
     etas = sorted(cfg[("drive", "eta_list")], reverse=True)
     grid_for = cfg.grid_for if cfg[("drive", "include_fd")] else None
-    d, delta_e = cfg[("model", "dimension")], cfg[("drive", "delta_e")]
+    d = cfg[("model", "dimension")]
 
     def one(index):
         spectral = cfg.spectral_for(index)
-        return index, eta_sweep(spectral, cfg.state_for(spectral), etas, grid_for, delta_e)
+        return index, eta_sweep(spectral, cfg.state_for(spectral), etas, grid_for, THRESHOLDS["fd_delta_e"])
 
     sweeps, cell_errors = _map_realizations(one, cfg)
     # per realization: the Streda tensor, the resolvent, Kubo and FD stacks, the FD gaps
     streda, res, kubo, fd, fd_gap = ([sweep[i] for _, sweep in sweeps] for i in range(5))
     raw_rows, ens_rows, checks, gaps = [], [], [], {}
-    t_kubo, t_fd, t_final = tol["kubo_vs_resolvent"], tol["fd_vs_resolvent"], tol["eta_sweep_final_gap"]
+    t_kubo, t_fd = THRESHOLDS["kubo_vs_resolvent"], THRESHOLDS["fd_vs_resolvent"]
+    t_final = THRESHOLDS["eta_sweep_final_gap"]
     for e, eta in enumerate(etas if sweeps else ()):  # eta-major; no ensemble when every cell failed
         for r, (index, _) in enumerate(sweeps):
             for j, k in np.ndindex(d, d):
@@ -657,7 +623,7 @@ def _suite_kubo_sweep(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     }, checks
 
 
-def _suite_dynamics(cfg: ExperimentConfig, writer: _OutputWriter, tol):
+def _suite_dynamics(cfg: ExperimentConfig, writer: _OutputWriter):
     """The dynamics gates on realization 0.  A numerical failure there (one of
     _CELL_FAILURES) is recorded as its one cell error, as the ensemble suites
     do, and the CSVs are written with their headers only."""
@@ -685,24 +651,26 @@ def _suite_dynamics(cfg: ExperimentConfig, writer: _OutputWriter, tol):
         rho_duh = evolve_density_duhamel(model, drive, state, 0.0, grid)
         diff = norm2(CovariantOperator(rho_ode.matrix - rho_duh.matrix, model))
         min_eig = float(np.linalg.eigvalsh(rho_ode.matrix)[0])
+        floor = THRESHOLDS["density_min_eigenvalue"]
         checks = [
-            Check.below("density_route_agreement", diff, tol["density_route_agreement"]),
-            Check.below("norm2_conservation", abs(norm2(rho_ode) - norm2(zeta)), tol["density_norm_conservation"]),
-            Check("rho_min_eigenvalue", min_eig, tol["density_min_eigenvalue"], min_eig >= tol["density_min_eigenvalue"]),
+            Check.below("density_route_agreement", diff, THRESHOLDS["density_route_agreement"]),
+            Check.below("norm2_conservation", abs(norm2(rho_ode) - norm2(zeta)), THRESHOLDS["density_norm_conservation"]),
+            Check("rho_min_eigenvalue", min_eig, floor, min_eig >= floor),
         ]
         if state.kind == "projection":
             proj = np.linalg.norm(rho_ode.matrix @ rho_ode.matrix - rho_ode.matrix)
-            checks.append(Check.below("projection_defect", proj, tol["density_projection_defect"]))
+            checks.append(Check.below("projection_defect", proj, THRESHOLDS["density_projection_defect"]))
 
         # U(0, s_min) = U(0, s_min/4) U(s_min/4, s_min); the weight bound reads the first factor
         magnus = replace(grid, method="magnus2")
         late = propagate(model, drive, 0.0, grid.s_min / 4.0, magnus)
         u = late.matrix @ propagate(model, drive, grid.s_min / 4.0, grid.s_min, magnus).matrix
         unitarity = np.linalg.norm(u.conj().T @ u - np.eye(model.n_sites))
-        checks.append(Check.below("propagator_unitarity", unitarity, tol["propagator_unitarity"]))
+        checks.append(Check.below("propagator_unitarity", unitarity, THRESHOLDS["propagator_unitarity"]))
         wreport = propagator_weight_check(spectral, drive, 0.0, grid.s_min / 4.0, late)
-        holds = wreport.weighted_norm <= wreport.bound * (1.0 + tol["weight_margin"])
-        checks.append(Check("weight_inequality", wreport.weighted_norm - wreport.bound, tol["weight_margin"], holds))
+        margin = THRESHOLDS["weight_margin"]
+        holds = wreport.weighted_norm <= wreport.bound * (1.0 + margin)
+        checks.append(Check("weight_inequality", wreport.weighted_norm - wreport.bound, margin, holds))
 
         # two-site Duhamel residual refinement
         chain = LatticeModel(LatticeConfig(1, (2,), "open"), FluxSpec(), np.zeros(2))
@@ -714,10 +682,10 @@ def _suite_dynamics(cfg: ExperimentConfig, writer: _OutputWriter, tol):
             rep = duhamel_residual(chain, drive1, 0.0, grid.s_min, psi, TimeGrid(grid.s_min, step))
             residuals.append(rep.residual)
             refinement.append([step, rep.residual, rep.quadrature_estimate])
-        ok = residuals[-1] < tol["duhamel_residual"] and all(
+        ok = residuals[-1] < THRESHOLDS["duhamel_residual"] and all(
             b <= a for a, b in zip(residuals, residuals[1:])
         )
-        checks.append(Check("duhamel_refinement", residuals[-1], tol["duhamel_residual"], ok))
+        checks.append(Check("duhamel_refinement", residuals[-1], THRESHOLDS["duhamel_residual"], ok))
 
         # gauge equivalence on an open chain
         open_chain = LatticeModel(LatticeConfig(1, (8,), "open"), FluxSpec(), np.zeros(8))
@@ -726,7 +694,7 @@ def _suite_dynamics(cfg: ExperimentConfig, writer: _OutputWriter, tol):
         psi0 = rng.normal(size=8) + 1j * rng.normal(size=8)
         psi0 /= np.linalg.norm(psi0)
         disc = gauge_equivalence_check(open_chain, drive_open, psi0, 0.0, TimeGrid(grid.s_min, 0.002))
-        checks.append(Check.below("gauge_equivalence", disc, tol["gauge_equivalence"]))
+        checks.append(Check.below("gauge_equivalence", disc, THRESHOLDS["gauge_equivalence"]))
     except _CELL_FAILURES as exc:
         checks, timeseries, refinement = [], [], []
         summary = {"cell_errors": [f"cell 0: {type(exc).__name__}: {exc}"]}
@@ -744,7 +712,7 @@ def _suite_dynamics(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     return summary, checks
 
 
-def _suite_funcalc(cfg: ExperimentConfig, writer: _OutputWriter, tol):
+def _suite_funcalc(cfg: ExperimentConfig, writer: _OutputWriter):
     rng = np.random.default_rng(realization_seed(cfg[("model", "base_seed")], 777))
     n = 32
     chain = LatticeModel(LatticeConfig(1, (n,), "open"), FluxSpec(), np.zeros(n))
@@ -784,7 +752,7 @@ def _suite_funcalc(cfg: ExperimentConfig, writer: _OutputWriter, tol):
     writer.write_csv(
         "funcalc_commutator_ratio.csv", ["width", "comm_norm", "f_norm3", "ratio"], ratio_rows
     )
-    return {"hs_errors": errors}, [Check.below("hs_vs_spectral", errors[-1], tol["hs_vs_spectral"])]
+    return {"hs_errors": errors}, [Check.below("hs_vs_spectral", errors[-1], THRESHOLDS["hs_vs_spectral"])]
 
 
 _SUITE_FN = {
@@ -805,12 +773,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
     experiment = cfg[("run", "experiment")]
     if experiment not in _SUITE_FN:
         raise ConfigError(f"unknown experiment {experiment!r}; choose from {SUITES}")
-    tol = cfg.tolerances()
     out = Path(out_dir) if out_dir is not None else Path(cfg[("run", "output_dir")])
     writer = _OutputWriter(out / cfg[("run", "name")])
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     try:
-        summary, checks = _SUITE_FN[experiment](cfg, writer, tol)
+        summary, checks = _SUITE_FN[experiment](cfg, writer)
     except ConfigurationError as exc:  # values that each parse but do not fit together
         raise ConfigError(f"{experiment}: {exc}") from exc
     finished = time.strftime("%Y-%m-%dT%H:%M:%S")

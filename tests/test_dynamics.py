@@ -66,7 +66,7 @@ def test_f_integral_derivative_is_field():
 
 def test_f_integral_vanishes_at_minus_infinity():
     drive = DriveProtocol(1.0, (0.5,))
-    assert np.linalg.norm(drive.f_integral(drive.s_min_for(1e-12))) < 1e-12
+    assert np.linalg.norm(drive.f_integral(np.log(1e-12) / drive.eta)) < 1e-12
 
 
 def test_positive_rate_required():
@@ -225,7 +225,7 @@ def test_stacked_h_at_is_bitwise_per_time(model, field):
     # a march's stage times, computed as arrays for the stack and as Python
     # floats for the per-time calls; F(t) too, one row per time
     drive = DriveProtocol(2.0, field)
-    s, n = drive.s_min_for(), 40
+    s, n = float(np.log(1e-12) / drive.eta), 40
     h = (0.0 - s) / n
     ks = np.arange(n)
     stages = [

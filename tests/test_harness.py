@@ -13,7 +13,7 @@ import pytest
 
 from kubolab.acceptance import THRESHOLDS
 from kubolab.cli import main as cli_main
-from kubolab import dynamics, response
+from kubolab import dynamics, harness, response
 from kubolab.dynamics import evolve_density_ode
 from kubolab.harness import (
     SUITES,
@@ -54,8 +54,8 @@ def small_config(overrides=None):
 
 
 def test_config_round_trip():
-    # validated text values (e_f, s_min, method) are stored as written
-    cfg = small_config({("drive", "s_min"): "-30", ("drive", "method"): "magnus2"})
+    # validated text values (e_f, boundary) are stored as written
+    cfg = small_config({("state", "e_f"): "-5e-1", ("model", "boundary"): "open"})
     again = ExperimentConfig.parse(cfg.serialize())
     assert again.values == cfg.values
     assert again.digest() == cfg.digest()
@@ -80,17 +80,9 @@ def test_bad_value_reports_key():
 
 
 def test_unknown_tolerance_override_rejected():
-    with pytest.raises(ConfigError):
+    # a config cannot change a tolerance: the table has no config key
+    with pytest.raises(ConfigError, match=r"unknown config key run\.tolerance_overrides"):
         small_config({("run", "tolerance_overrides"): "no_such_tol=1"})
-
-
-def test_tolerance_override_applied():
-    # kept as written, so that the config digest does not move
-    raw = "algebra_identity=1e-6, weight_margin = -0.5"
-    cfg = small_config({("run", "tolerance_overrides"): raw})
-    assert cfg[("run", "tolerance_overrides")] == raw
-    tol = cfg.tolerances()
-    assert (tol["algebra_identity"], tol["weight_margin"]) == (1e-6, -0.5)
 
 
 @pytest.mark.parametrize(
@@ -102,15 +94,16 @@ def test_tolerance_override_applied():
         "riemann_order_ratio=2",
         "hall_n_realizations=3",
         "eta_sweep_values=0.5",
-        # float parameters that no suite reads
+        # float parameters, which the suites read from the table alone
         "fd_delta_e=0.5",
         "hall_disorder_strength=9.0",
     ],
 )
 def test_tolerance_overrides_checked_on_parse(override):
+    # no THRESHOLDS entry, of any type, is set from a config file
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.parse(f"[run]\ntolerance_overrides = {override}\n")
-    assert "run.tolerance_overrides" in str(err.value)
+    assert "unknown config key run.tolerance_overrides" in str(err.value)
 
 
 def test_auto_fermi_level_sits_in_gap():
@@ -256,10 +249,10 @@ name = t
 """
 
 
-def test_weight_gate_reads_its_margin(tmp_path):
+def test_weight_gate_reads_its_margin(tmp_path, monkeypatch):
     # a margin of -0.5 asks for a weighted norm below half the bound
+    monkeypatch.setitem(THRESHOLDS, "weight_margin", -0.5)
     cfg = ExperimentConfig.parse(DYNAMICS_TINY)
-    cfg.set("run", "tolerance_overrides", "weight_margin=-0.5")
     manifest = run_experiment(cfg, out_dir=tmp_path)
     gate = [v for v in manifest.violations if v[0] == "weight_inequality"]
     assert len(gate) == 1 and gate[0][2] == -0.5
@@ -484,17 +477,10 @@ CONFIG_ERROR_BASES = {
     "suite,section,key,raw",
     [
         ("equilibrium", "state", "e_f", "abc"),
-        ("dynamics-check", "drive", "s_min", "-1e3x"),
-        ("dynamics-check", "drive", "method", "rk5"),
-        # values that each parse, but that the lattice or the time grid rejects
+        # values that each parse, but that the lattice rejects
         ("kubo-sweep", "model", "sides", "6"),
         ("hall", "model", "sides", "6"),
         ("hall", "model", "flux_q", "3"),
-        ("kubo-sweep", "drive", "step", "-0.01"),
-        ("kubo-sweep", "drive", "s_min", "-3"),
-        ("algebra-check", "run", "tolerance_overrides", "algebra_identity=abc"),
-        ("algebra-check", "run", "tolerance_overrides", "algebra_identity=nan"),
-        ("algebra-check", "run", "tolerance_overrides", "algebra_identity=inf"),
         # an unknown state, and a state the Streda trace of hall does not take
         ("hall", "state", "kind", "bogus"),
         ("hall", "state", "kind", "fermi_dirac"),
@@ -505,11 +491,10 @@ CONFIG_ERROR_BASES = {
         ("equilibrium", "state", "beta", "0"),
         ("kubo-sweep", "state", "filling", "nan"),
         ("kubo-sweep", "drive", "truncation_tol", "0"),
+        ("kubo-sweep", "drive", "step", "-0.01"),
         ("dynamics-check", "drive", "step", "nan"),
-        ("dynamics-check", "drive", "s_min", "nan"),
         ("kubo-sweep", "drive", "eta_list", "inf"),
         ("dynamics-check", "drive", "field_magnitude", "nan"),
-        ("kubo-sweep", "drive", "delta_e", "0"),
         ("hall", "model", "disorder_w", "nan"),
         ("algebra-check", "run", "threads", "0"),
         ("algebra-check", "run", "threads", "-4"),
@@ -518,6 +503,17 @@ CONFIG_ERROR_BASES = {
         ("funcalc-check", "model", "dimension", "3"),
         ("funcalc-check", "model", "dimension", "0"),
         ("funcalc-check", "model", "flux_q", "0"),
+        # keys outside the schema, refused as unknown: the time grid is fixed
+        # by drive.truncation_tol and drive.step, and every tolerance and the
+        # FD step by the acceptance table
+        ("dynamics-check", "drive", "s_min", "-1e3x"),
+        ("dynamics-check", "drive", "method", "rk5"),
+        ("kubo-sweep", "drive", "s_min", "-3"),
+        ("dynamics-check", "drive", "s_min", "nan"),
+        ("kubo-sweep", "drive", "delta_e", "0"),
+        ("algebra-check", "run", "tolerance_overrides", "algebra_identity=abc"),
+        ("algebra-check", "run", "tolerance_overrides", "algebra_identity=nan"),
+        ("algebra-check", "run", "tolerance_overrides", "algebra_identity=inf"),
         # files that configparser itself rejects (section None: raw is the whole file)
         ("hall", None, "no section header", "x = 1\n"),
         ("hall", None, "duplicate key", "[model]\ndimension = 2\ndimension = 2\n"),
@@ -583,8 +579,6 @@ def test_shipped_configs_carry_the_threshold_parameters():
     hall = ExperimentConfig.load(configs / "hall.ini")
     assert hall[("model", "n_realizations")] == THRESHOLDS["hall_n_realizations"]
     assert hall[("model", "disorder_w")] == THRESHOLDS["hall_disorder_strength"]
-    kubo_fd = ExperimentConfig.load(configs / "kubo_fd.ini")
-    assert kubo_fd[("drive", "delta_e")] == THRESHOLDS["fd_delta_e"]
     kubo_sweep = ExperimentConfig.load(configs / "kubo_sweep.ini")
     assert kubo_sweep[("drive", "eta_list")] == THRESHOLDS["eta_sweep_values"]
     equilibrium = ExperimentConfig.load(configs / "equilibrium.ini")
@@ -603,24 +597,24 @@ def test_shipped_configs_parse_round_trip_and_build():
 
 def test_set_and_constructor_run_the_schema_parser():
     # the parser's own reason is kept in the message
-    with pytest.raises(ConfigError, match=r"drive\.method.*choose from"):
-        small_config().set("drive", "method", "rk5")
-    with pytest.raises(ConfigError, match=r"drive\.method.*choose from"):
-        ExperimentConfig({("drive", "method"): "rk5"})
+    with pytest.raises(ConfigError, match=r"model\.boundary.*choose from"):
+        small_config().set("model", "boundary", "bogus")
+    with pytest.raises(ConfigError, match=r"model\.boundary.*choose from"):
+        ExperimentConfig({("model", "boundary"): "bogus"})
     with pytest.raises(ConfigError, match=r"model\.dimension.*invalid literal"):
         ExperimentConfig.parse("[model]\ndimension = two\n")
-    cfg = small_config({("model", "sides"): [6, 6], ("drive", "s_min"): -30.0})
-    assert cfg[("model", "sides")] == (6, 6) and cfg[("drive", "s_min")] == "-30.0"
+    cfg = small_config({("model", "sides"): [6, 6], ("state", "e_f"): -0.5})
+    assert cfg[("model", "sides")] == (6, 6) and cfg[("state", "e_f")] == "-0.5"
 
 
-# suite -> (config, tolerance override that fails a gate, that gate's name)
+# suite -> (config, THRESHOLDS entry and a value of it that fails a gate, that gate's name)
 FAILING_GATE_CASES = {
-    "hall": (DECOMPOSITION_CASES["hall"][0], "hall_quantization_disordered=1e-30", "hall"),
-    "kubo-sweep": (DECOMPOSITION_CASES["kubo-sweep"][0], "kubo_vs_resolvent=1e-30", "kubo_vs_resolvent"),
-    "dynamics-check": (DYNAMICS_TINY, "gauge_equivalence=1e-30", "gauge_equivalence"),
-    "equilibrium": (MINIMAL_CONFIG, "equilibrium_clean=0", "equilibrium_j_1"),
-    "funcalc-check": (MINIMAL_CONFIG, "hs_vs_spectral=1e-30", "hs_vs_spectral"),
-    "algebra-check": (MINIMAL_CONFIG, "algebra_identity=1e-30", "centrality_diamond"),
+    "hall": (DECOMPOSITION_CASES["hall"][0], ("hall_quantization_disordered", 1e-30), "hall"),
+    "kubo-sweep": (DECOMPOSITION_CASES["kubo-sweep"][0], ("kubo_vs_resolvent", 1e-30), "kubo_vs_resolvent"),
+    "dynamics-check": (DYNAMICS_TINY, ("gauge_equivalence", 1e-30), "gauge_equivalence"),
+    "equilibrium": (MINIMAL_CONFIG, ("equilibrium_clean", 0.0), "equilibrium_j_1"),
+    "funcalc-check": (MINIMAL_CONFIG, ("hs_vs_spectral", 1e-30), "hs_vs_spectral"),
+    "algebra-check": (MINIMAL_CONFIG, ("algebra_identity", 1e-30), "centrality_diamond"),
 }
 
 
@@ -628,13 +622,13 @@ FAILING_GATE_CASES = {
     "suite",
     [pytest.param(s, marks=pytest.mark.slow) if s == "funcalc-check" else s for s in SUITES],
 )
-def test_cli_check_mode_flags_violations(tmp_path, capsys, suite):
+def test_cli_check_mode_flags_violations(tmp_path, monkeypatch, capsys, suite):
     # every suite's violations are [name, value, tolerance, passed] records,
     # printed field by field
-    text, override, gate = FAILING_GATE_CASES[suite]
+    text, (key, failing), gate = FAILING_GATE_CASES[suite]
+    monkeypatch.setitem(THRESHOLDS, key, failing)
     cfg = ExperimentConfig.parse(text)
     cfg.set("run", "name", "t")
-    cfg.set("run", "tolerance_overrides", override)
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(cfg.serialize())
     rc = cli_main([suite, "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--check"])
@@ -650,6 +644,46 @@ def test_cli_check_mode_flags_violations(tmp_path, capsys, suite):
     assert gate in [v[0] for v in violations]
     printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("VIOLATION ")]
     assert printed == [f"VIOLATION {name} value={value} tolerance={tol}" for name, value, tol, _ in violations]
+
+
+def test_kubo_sweep_fd_runs_on_a_chain(tmp_path, capsys):
+    # the finite-difference route drives each axis itself, so a chain runs it
+    # under the default field_axis = 2, a key that only dynamics-check reads
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(
+        "[model]\ndimension = 1\nsides = 12\ndisorder_w = 0.5\nbase_seed = 3\n"
+        "[state]\ne_f = auto\nfilling = 0.25\n"
+        "[drive]\neta_list = 1.0\ninclude_fd = true\nstep = 0.01\ntruncation_tol = 1e-10\n"
+        "[run]\nname = t\n"
+    )
+    rc = cli_main(["kubo-sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--check"])
+    assert rc == 0, capsys.readouterr()
+    with open(tmp_path / "out/t/kubo_sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1 and rows[0]["sigma_fd_re"] != ""
+
+
+def test_every_config_key_is_read(tmp_path, monkeypatch):
+    # the keys the suites read on small configs are exactly the schema's, so
+    # no key is set and then ignored; funcalc-check is left out, since it reads
+    # only model.base_seed, which algebra-check reads too.  The FD step is the
+    # acceptance table's: a patched entry reaches eta_sweep
+    read, deltas = set(), []
+    getitem, sweep = ExperimentConfig.__getitem__, harness.eta_sweep
+    monkeypatch.setattr(ExperimentConfig, "__getitem__", lambda cfg, key: read.add(key) or getitem(cfg, key))
+    monkeypatch.setattr(harness, "eta_sweep", lambda *args: deltas.append(args[4]) or sweep(*args))
+    monkeypatch.setitem(THRESHOLDS, "fd_delta_e", 2e-3)
+    fd = DECOMPOSITION_CASES["kubo-sweep"][0] + "include_fd = true\nstep = 0.05\ntruncation_tol = 1e-6\n"
+    # MINIMAL_CONFIG's equilibrium is at finite temperature, so it reads state.beta
+    cases = [(s, text) for s, (text, _, _) in FAILING_GATE_CASES.items() if s != "funcalc-check"]
+    for i, (suite, text) in enumerate(cases + [("kubo-sweep", fd)]):
+        cfg = ExperimentConfig.parse(text)
+        cfg.set("run", "experiment", suite)
+        if i == 0:  # run.output_dir is read only when no out_dir is given
+            cfg.set("run", "output_dir", str(tmp_path / "default"))
+        run_experiment(cfg, out_dir=None if i == 0 else tmp_path / str(i))
+    assert read == set(harness._SCHEMA)
+    assert deltas and set(deltas) == {2e-3}
 
 
 def test_cli_seed_override_changes_outputs(tmp_path):
