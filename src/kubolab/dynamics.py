@@ -15,8 +15,9 @@ Every propagator, Duhamel sum and density route is one march of H(t)
 (`_march`), and so is the gauge check, its two gauges one stack: the
 integrator and the step-size guard are chosen there and nowhere else, and
 only the current state and one block of steps' H(t) (one `_h_at` call) are
-held, so memory is O(N^2) whatever the number of steps.  The march hands on
-what its step holds of H(r_k): an RK4 step's k1, a riemann_product's eigh;
+held, so memory is O(N^2) whatever the number of steps.  magnus2 takes each
+midpoint exponential from a Taylor polynomial, not an eigh.  The march hands
+on what its step holds of H(r_k): an RK4 step's k1, a riemann_product's eigh;
 the Duhamel density route reads it at every _NODE_STRIDE-th step only.
 
 A single evolution is sequential in time; independent (realization, field,
@@ -30,6 +31,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from itertools import islice
+from math import factorial
 
 import numpy as np
 
@@ -82,8 +84,8 @@ class DriveProtocol:
 
 
 INTEGRATORS = ("riemann_product", "ode_rk4", "magnus2")
-# Steps per march block: as many as keep one h_at call within _BLOCK_BYTES of H(t) (2 RK4
-# or 6 magnus2 steps at N = 36), at most _BLOCK_STEPS, past which temporaries set the memory.
+# Steps per march block: as many as keep three N x N arrays a step (RK4's stage times, magnus2's
+# Taylor x^2 and accumulators) within _BLOCK_BYTES (2 steps at N = 36), at most _BLOCK_STEPS.
 _BLOCK_BYTES = 128 * 1024
 _BLOCK_STEPS = 16
 _NODE_STRIDE = 4  # march steps per node of the smooth Duhamel density integrand
@@ -169,6 +171,28 @@ def _expm_hermitian(eig, scale: complex) -> np.ndarray:
     return (evecs * np.exp(scale * evals)) @ evecs.conj().T
 
 
+def _expm_taylor(hs: np.ndarray, scale: complex) -> np.ndarray:
+    """exp(scale H) for each H of the Hermitian stack hs, overwritten by x = scale H: the
+    Taylor polynomial of least degree m with theta^(m+1) e^theta / (m+1)! <= 2^-53, theta
+    >= ||x||_2 the largest row sum of |x| (by hypot: numpy's complex abs first touches
+    128 KiB), by Paterson-Stockmeyer in x^2 (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+    488 (2011)): 1 + m // 2 products; x^2 and two accumulators share one stack."""
+    x = np.multiply(hs, scale, out=hs)
+    theta, m = float(np.max(np.hypot(x.real, x.imag).sum(axis=-1))), 1
+    while theta ** (m + 1) / factorial(m + 1) * np.exp(theta) > 2.0**-53:
+        m += 1
+    x2, acc, scratch = np.empty((3,) + x.shape, x.dtype)
+    np.matmul(x, x, out=x2)
+    acc[...] = 0
+    for j in range(m - m % 2, -1, -2):  # acc <- acc x^2 + x / (j + 1)! + 1 / j!
+        if j + 2 <= m:
+            acc, scratch = np.matmul(acc, x2, out=scratch), acc
+        if j < m:
+            acc += np.multiply(x, 1.0 / factorial(j + 1), out=scratch)
+        acc.reshape(*x.shape[:-2], -1)[..., :: x.shape[-1] + 1] += 1.0 / factorial(j)
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # the time march
 # ---------------------------------------------------------------------------
@@ -192,12 +216,12 @@ def _march(h_at, grid: TimeGrid, s: float, t: float, nsteps: int, y, conjugate=F
 
     States and propagators advance as y -> U y; with `conjugate`, density
     matrices advance as y -> U y U*.  Each block of steps (see _BLOCK_BYTES)
-    takes one h_at call on its stage times (RK4: r_k, r_k + h/2 for k2
-    and k3, r_k + h; magnus2: s + (k + 1/2) h; riemann_product: r_k, then one
-    stacked eigh).  h_k is what the step from r_k holds of H(r_k), read-only:
-    its eigendecomposition (riemann_product), the matrix (ode_rk4, the step's
-    k1), or None (magnus2, and k = n).  The step-size guard is checked before
-    the first step, and only the current y and block are held.
+    takes one h_at call on its stage times (RK4: r_k, r_k + h/2 for k2 and
+    k3, r_k + h; magnus2: s + (k + 1/2) h, then one stacked _expm_taylor;
+    riemann_product: r_k, then one stacked eigh).  h_k is what the step from
+    r_k holds of H(r_k), read-only: its eigendecomposition (riemann_product),
+    the matrix (ode_rk4, the step's k1), or None (magnus2, and k = n).  The
+    step-size guard comes first, and only the current y and block are held.
     """
     if t < s:
         raise ValueError(f"a march needs s <= t, got s={s}, t={t}")
@@ -211,7 +235,7 @@ def _march(h_at, grid: TimeGrid, s: float, t: float, nsteps: int, y, conjugate=F
     apply = _liouville if conjugate else _schrodinger
     rk4 = grid.method == "ode_rk4"
     riemann = grid.method == "riemann_product"
-    block = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // ((3 if rk4 else 1) * h_s.nbytes)))
+    block = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // ((1 if riemann else 3) * h_s.nbytes)))
     r = s
     for start in range(0, nsteps, block):
         ks = np.arange(start, min(start + block, nsteps))
@@ -220,9 +244,11 @@ def _march(h_at, grid: TimeGrid, s: float, t: float, nsteps: int, y, conjugate=F
             stack = h_at(np.concatenate([nodes, nodes + h / 2, nodes + h]))
             stack.flags.writeable = False
             k1s, mids, ends = stack.reshape(3, len(ks), *h_s.shape)
-        else:
-            evals, evecs = np.linalg.eigh(h_at(s + (ks + (0.0 if riemann else 0.5)) * h))
+        elif riemann:
+            evals, evecs = np.linalg.eigh(h_at(s + ks * h))
             evals.flags.writeable = evecs.flags.writeable = False
+        else:
+            us = _expm_taylor(h_at(s + (ks + 0.5) * h), -1j * h)
         for i, k in enumerate(ks.tolist()):
             if rk4:
                 yield r, y, k1s[i]
@@ -232,9 +258,8 @@ def _march(h_at, grid: TimeGrid, s: float, t: float, nsteps: int, y, conjugate=F
                 k4 = apply(ends[i], y + h * k3)
                 y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
             else:
-                eig = (evals[i], evecs[i])
-                yield r, y, (eig if riemann else None)
-                u = _expm_hermitian(eig, -1j * h)
+                yield r, y, ((evals[i], evecs[i]) if riemann else None)
+                u = _expm_hermitian((evals[i], evecs[i]), -1j * h) if riemann else us[i]
                 y = u @ y @ u.conj().T if conjugate else u @ y
             r = t if k + 1 == nsteps else s + (k + 1) * h
     yield r, y, None

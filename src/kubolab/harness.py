@@ -682,9 +682,7 @@ def _suite_dynamics(cfg: ExperimentConfig, writer: _OutputWriter):
             rep = duhamel_residual(chain, drive1, 0.0, grid.s_min, psi, TimeGrid(grid.s_min, step))
             residuals.append(rep.residual)
             refinement.append([step, rep.residual, rep.quadrature_estimate])
-        ok = residuals[-1] < THRESHOLDS["duhamel_residual"] and all(
-            b <= a for a, b in zip(residuals, residuals[1:])
-        )
+        ok = residuals[-1] < THRESHOLDS["duhamel_residual"] and all(np.diff(residuals) < 0)
         checks.append(Check("duhamel_refinement", residuals[-1], THRESHOLDS["duhamel_residual"], ok))
 
         # gauge equivalence on an open chain
@@ -752,7 +750,9 @@ def _suite_funcalc(cfg: ExperimentConfig, writer: _OutputWriter):
     writer.write_csv(
         "funcalc_commutator_ratio.csv", ["width", "comm_norm", "f_norm3", "ratio"], ratio_rows
     )
-    return {"hs_errors": errors}, [Check.below("hs_vs_spectral", errors[-1], THRESHOLDS["hs_vs_spectral"])]
+    gain, floor = min(a / b for a, b in zip(errors, errors[1:])), THRESHOLDS["hs_refinement_gain"]
+    checks = [Check.below("hs_vs_spectral", errors[-1], THRESHOLDS["hs_vs_spectral"])]
+    return {"hs_errors": errors}, checks + [Check("hs_refinement_gain", gain, floor, gain >= floor)]
 
 
 _SUITE_FN = {

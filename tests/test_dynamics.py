@@ -301,6 +301,43 @@ def test_free_case_matches_exponential(method, step):
     assert np.linalg.norm(prop.matrix - free_propagator(spectral, 2.0)) < 1e-10
 
 
+def _random_hermitian_stack(seed, count, n=36):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    return a + a.conj().transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("theta", [1e-3, 0.02, 0.5])
+def test_expm_taylor_matches_eigh_route(theta):
+    # theta = ||x||_inf, the Taylor degree's input: 0.02 on the bench's magnus2
+    # march, 0.5 the step-size guard's limit of h ||H||
+    hs = _random_hermitian_stack(11, 3)
+    h = theta / np.abs(hs).sum(axis=-1).max()
+    taylor = dynamics._expm_taylor(hs.copy(), -1j * h)
+    for u, hm in zip(taylor, hs):
+        assert np.abs(u - dynamics._expm_hermitian(np.linalg.eigh(hm), -1j * h)).max() <= 1e-14
+
+
+def test_expm_taylor_one_matrix_stack():
+    model = make_torus((6, 6), 1, 3)
+    u = dynamics._expm_taylor(build_hamiltonian(model).matrix[None], -0.01j)
+    assert u.shape == (1, 36, 36)
+    assert np.abs(u[0] - free_propagator(spectral_of(model), 0.01)).max() <= 1e-14
+
+
+def test_expm_taylor_as_unitary_as_eigh_route():
+    hs = _random_hermitian_stack(5, 8)
+    hs *= 4.0 / np.abs(hs).sum(axis=-1).max(axis=-1)[:, None, None]  # ||H||_inf = 4
+    eye = np.eye(36)
+
+    def defect(u):
+        return np.linalg.norm(u.conj().T @ u - eye)
+
+    taylor = [defect(u) for u in dynamics._expm_taylor(hs.copy(), -0.005j)]
+    eigh = [defect(dynamics._expm_hermitian(np.linalg.eigh(hm), -0.005j)) for hm in hs]
+    assert max(taylor) <= max(eigh)
+
+
 @pytest.mark.parametrize("method", ["riemann_product", "magnus2"])
 def test_unitarity_exact_for_product_methods(method):
     model = make_torus((4, 4))
@@ -632,8 +669,9 @@ def test_duhamel_decomposes_each_node_once(method, monkeypatch):
         # and H(t) at the last node
         assert sum(calls) == n + 1 == 353
     if method == "magnus2":
-        # the march's n midpoint exponents, and H(r_k) at each of the n/4 + 1 nodes
-        assert sum(calls) == n + n // 4 + 1 == 441
+        # H(r_k) at each of the n/4 + 1 nodes; the march's midpoint exponentials
+        # are Taylor polynomials, which decompose nothing
+        assert sum(calls) == n // 4 + 1 == 89
     if method == "ode_rk4":
         # the step-size guard, three per step, and H(t) at the last node: each
         # other node, at every fourth step, decomposes its step's k1 matrix
@@ -708,6 +746,23 @@ def test_duhamel_memory_flat_in_step_count():
             tracemalloc.stop()
     # storing every slice and integrand node would take 7.5 MB at step 0.04 and 14.6 MB at 0.02
     assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_magnus2_unitarity_marches_memory_bounded():
+    # the two magnus2 marches of dynamics-check's unitarity gate, on the bench's
+    # 6x6 config (eta = 2, step 0.005, 2,764 steps): 498 KiB was their peak when
+    # each block of steps took its exponentials from one stacked eigh
+    model = make_torus((6, 6), 1, 3)
+    drive = DriveProtocol(2.0, (0.0, 0.1))
+    grid = TimeGrid(S_MIN / 2.0, 0.005, "magnus2")
+    tracemalloc.start()
+    try:
+        late = propagate(model, drive, 0.0, grid.s_min / 4.0, grid)
+        late.matrix @ propagate(model, drive, grid.s_min / 4.0, grid.s_min, grid).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 498 * 1024
 
 
 @pytest.mark.slow

@@ -332,19 +332,19 @@ def test_one_eigendecomposition_per_realization(tmp_path, monkeypatch, experimen
 
 
 def test_dynamics_check_decomposition_budget(tmp_path, monkeypatch):
-    # the realization's H once, H(r_k) at every node of the RK4 Duhamel march
-    # (every fourth of its steps, their count a multiple of 16),
-    # and one H at each step of the magnus2 unitarity propagator, marched as
-    # U(0, s/4) U(s/4, s), whose first factor the weight bound reads; the
-    # Liouville march of an RK4 grid decomposes nothing.  eigvalsh: the
-    # step-size guard of those four marches, and rho_min_eigenvalue; the
-    # weight bound's shift reads the realization's own eigenvalues
+    # the realization's H once, and H(r_k) at every node of the RK4 Duhamel
+    # march (every fourth of its steps, their count a multiple of 16); the
+    # magnus2 unitarity propagator, marched as U(0, s/4) U(s/4, s), whose first
+    # factor the weight bound reads, takes its exponentials from Taylor
+    # polynomials, and the Liouville march of an RK4 grid decomposes nothing.
+    # eigvalsh: the step-size guard of the four marches, and rho_min_eigenvalue;
+    # the weight bound's shift reads the realization's own eigenvalues
     cfg = ExperimentConfig.parse(DYNAMICS_TINY)
     grid = cfg.grid_for(4.0)
     assert grid.method == "ode_rk4"
     s = grid.s_min
     n_duh = grid.n_steps(s, 0.0, 4 * dynamics._NODE_STRIDE)
-    expected = 1 + (n_duh // dynamics._NODE_STRIDE + 1) + grid.n_steps(s, s / 4.0) + grid.n_steps(s / 4.0, 0.0)
+    expected = 1 + (n_duh // dynamics._NODE_STRIDE + 1)
     counts = _count_decompositions(monkeypatch, cfg.lattice_config().n_sites)
     assert run_experiment(cfg, out_dir=tmp_path).violations == []
     assert counts == {"eigh": expected, "eigvalsh": 4 + 1}
@@ -607,25 +607,34 @@ def test_set_and_constructor_run_the_schema_parser():
     assert cfg[("model", "sides")] == (6, 6) and cfg[("state", "e_f")] == "-0.5"
 
 
-# suite -> (config, THRESHOLDS entry and a value of it that fails a gate, that gate's name)
+# case -> (suite, config, THRESHOLDS entry and a value of it that fails a gate, that gate's name);
+# a suite's first case is named after it
 FAILING_GATE_CASES = {
-    "hall": (DECOMPOSITION_CASES["hall"][0], ("hall_quantization_disordered", 1e-30), "hall"),
-    "kubo-sweep": (DECOMPOSITION_CASES["kubo-sweep"][0], ("kubo_vs_resolvent", 1e-30), "kubo_vs_resolvent"),
-    "dynamics-check": (DYNAMICS_TINY, ("gauge_equivalence", 1e-30), "gauge_equivalence"),
-    "equilibrium": (MINIMAL_CONFIG, ("equilibrium_clean", 0.0), "equilibrium_j_1"),
-    "funcalc-check": (MINIMAL_CONFIG, ("hs_vs_spectral", 1e-30), "hs_vs_spectral"),
-    "algebra-check": (MINIMAL_CONFIG, ("algebra_identity", 1e-30), "centrality_diamond"),
+    "hall": ("hall", DECOMPOSITION_CASES["hall"][0], ("hall_quantization_disordered", 1e-30), "hall"),
+    "kubo-sweep": (
+        "kubo-sweep", DECOMPOSITION_CASES["kubo-sweep"][0], ("kubo_vs_resolvent", 1e-30), "kubo_vs_resolvent"
+    ),
+    "dynamics-check": ("dynamics-check", DYNAMICS_TINY, ("gauge_equivalence", 1e-30), "gauge_equivalence"),
+    "equilibrium": ("equilibrium", MINIMAL_CONFIG, ("equilibrium_clean", 0.0), "equilibrium_j_1"),
+    "funcalc-check": ("funcalc-check", MINIMAL_CONFIG, ("hs_vs_spectral", 1e-30), "hs_vs_spectral"),
+    "funcalc-check-refinement": (
+        "funcalc-check", MINIMAL_CONFIG, ("hs_refinement_gain", 1e30), "hs_refinement_gain"
+    ),
+    "algebra-check": ("algebra-check", MINIMAL_CONFIG, ("algebra_identity", 1e-30), "centrality_diamond"),
 }
 
 
 @pytest.mark.parametrize(
-    "suite",
-    [pytest.param(s, marks=pytest.mark.slow) if s == "funcalc-check" else s for s in SUITES],
+    "case",
+    [
+        pytest.param(case, marks=pytest.mark.slow) if suite == "funcalc-check" else case
+        for case, (suite, *_) in FAILING_GATE_CASES.items()
+    ],
 )
-def test_cli_check_mode_flags_violations(tmp_path, monkeypatch, capsys, suite):
+def test_cli_check_mode_flags_violations(tmp_path, monkeypatch, capsys, case):
     # every suite's violations are [name, value, tolerance, passed] records,
     # printed field by field
-    text, (key, failing), gate = FAILING_GATE_CASES[suite]
+    suite, text, (key, failing), gate = FAILING_GATE_CASES[case]
     monkeypatch.setitem(THRESHOLDS, key, failing)
     cfg = ExperimentConfig.parse(text)
     cfg.set("run", "name", "t")
@@ -644,6 +653,19 @@ def test_cli_check_mode_flags_violations(tmp_path, monkeypatch, capsys, suite):
     assert gate in [v[0] for v in violations]
     printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("VIOLATION ")]
     assert printed == [f"VIOLATION {name} value={value} tolerance={tol}" for name, value, tol, _ in violations]
+
+
+def test_every_suite_has_a_failing_gate_case():
+    assert FAILING_GATE_CASES.keys() >= set(SUITES)
+
+
+def test_duhamel_refinement_gate_needs_a_strict_decrease(tmp_path, monkeypatch):
+    # a residual that stays flat as the step halves fails the gate, though it
+    # sits below THRESHOLDS["duhamel_residual"]
+    flat = dynamics.DuhamelReport(residual=1e-9, quadrature_estimate=0.0)
+    monkeypatch.setattr(harness, "duhamel_residual", lambda *args: flat)
+    manifest = run_experiment(ExperimentConfig.parse(DYNAMICS_TINY), out_dir=tmp_path)
+    assert [v[0] for v in manifest.violations] == ["duhamel_refinement"]
 
 
 def test_kubo_sweep_fd_runs_on_a_chain(tmp_path, capsys):
@@ -675,7 +697,7 @@ def test_every_config_key_is_read(tmp_path, monkeypatch):
     monkeypatch.setitem(THRESHOLDS, "fd_delta_e", 2e-3)
     fd = DECOMPOSITION_CASES["kubo-sweep"][0] + "include_fd = true\nstep = 0.05\ntruncation_tol = 1e-6\n"
     # MINIMAL_CONFIG's equilibrium is at finite temperature, so it reads state.beta
-    cases = [(s, text) for s, (text, _, _) in FAILING_GATE_CASES.items() if s != "funcalc-check"]
+    cases = [(s, text) for s, text, _, _ in FAILING_GATE_CASES.values() if s != "funcalc-check"]
     for i, (suite, text) in enumerate(cases + [("kubo-sweep", fd)]):
         cfg = ExperimentConfig.parse(text)
         cfg.set("run", "experiment", suite)
