@@ -2,13 +2,14 @@
 
 Configs are flat, typed key-value text files with sections; unknown keys
 are rejected and parse(serialize(c)) round-trips exactly.  Every suite
-writes raw per-realization rows and an ensemble summary, and returns all
-its gates as `Check(name, value, tolerance, passed)` records.
-run_experiment makes the violations (the failed checks, then one
-cell_error per failed realization) and writes them to the JSON summary
-and the run manifest.  Fixed config implies bitwise-identical output
-files across runs and across thread counts; the config hash leaves out
-run.name, run.output_dir and run.threads, which never change results.
+writes its data CSVs and returns (checks, cell_errors): all its gates as
+`Check(name, value, tolerance, passed)` records, passing or not, and one
+message per realization that failed numerically.  run_experiment is the
+one writer of that record: summary.json holds it as returned, and the run
+manifest holds the violations (the failed checks, then one cell_error per
+message).  Fixed config implies bitwise-identical output files across
+runs and across thread counts; the config hash leaves out run.name,
+run.output_dir and run.threads, which never change results.
 """
 
 from __future__ import annotations
@@ -352,8 +353,6 @@ class _OutputWriter:
 def _csv_cell(v):
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
-    if isinstance(v, np.integer):
-        return str(int(v))
     return str(v)
 
 
@@ -412,8 +411,10 @@ def _map_realizations(fn, cfg: ExperimentConfig):
 
 
 class Check(NamedTuple):
-    """One acceptance gate, written as [name, value, tolerance, passed]; each
-    suite decides `passed` with its own comparison."""
+    """One acceptance gate; each suite decides `passed` with its own
+    comparison.  summary.json writes it as the list [name, value, tolerance,
+    passed], so value and tolerance are plain floats (a cell_error's are its
+    message and "")."""
 
     name: str
     value: object
@@ -466,9 +467,7 @@ def _suite_algebra(cfg: ExperimentConfig, writer: _OutputWriter):
             [build_hamiltonian(shift_disorder(model, sh)) for sh in shifts] + [h]
         )
         defects["translation_sum_trace"] = abs(trace_per_unit_volume(h) - trace_per_unit_volume(ens))
-    checks = [Check.below(name, defect, THRESHOLDS["algebra_identity"]) for name, defect in defects.items()]
-    writer.write_csv("algebra_check.csv", ["identity", "defect", "tolerance", "pass"], checks)
-    return {"checks": {c.name: c.value for c in checks}}, checks
+    return [Check.below(name, defect, THRESHOLDS["algebra_identity"]) for name, defect in defects.items()], []
 
 
 def _suite_equilibrium(cfg: ExperimentConfig, writer: _OutputWriter):
@@ -497,7 +496,7 @@ def _suite_equilibrium(cfg: ExperimentConfig, writer: _OutputWriter):
     writer.write_csv(
         "equilibrium_summary.csv", ["axis", "mean", "stderr", "n", "pass"], summary_rows
     )
-    return {"axes": summary_rows, "cell_errors": cell_errors}, checks
+    return checks, cell_errors
 
 
 def _suite_hall(cfg: ExperimentConfig, writer: _OutputWriter):
@@ -532,7 +531,7 @@ def _suite_hall(cfg: ExperimentConfig, writer: _OutputWriter):
         ["realization", "seed", "sigma_12", "hall_scaled", "chern_oracle", "loc_rate"],
         rows,
     )
-    summary, summary_rows, checks = {"cell_errors": cell_errors}, [], []
+    summary_rows, checks = [], []
     if rows:
         mean, stderr = ensemble_average([r[3] for r in rows])
         gap = abs(abs(mean) - abs(chern))
@@ -540,13 +539,12 @@ def _suite_hall(cfg: ExperimentConfig, writer: _OutputWriter):
         bound = THRESHOLDS["hall_quantization_clean" if clean else "hall_quantization_disordered"]
         checks.append(Check.below("hall", gap, bound))
         summary_rows.append([mean, stderr if stderr is not None else "", chern, gap, bound, checks[0].passed])
-        summary.update(hall_scaled_mean=mean, chern=chern, gap=gap)
     writer.write_csv(
         "hall_summary.csv",
         ["hall_scaled_mean", "stderr", "chern_oracle", "gap", "tolerance", "pass"],
         summary_rows,
     )
-    return summary, checks
+    return checks, cell_errors
 
 
 def _suite_kubo_sweep(cfg: ExperimentConfig, writer: _OutputWriter):
@@ -561,7 +559,7 @@ def _suite_kubo_sweep(cfg: ExperimentConfig, writer: _OutputWriter):
     sweeps, cell_errors = _map_realizations(one, cfg)
     # per realization: the Streda tensor, the resolvent, Kubo and FD stacks, the FD gaps
     streda, res, kubo, fd, fd_gap = ([sweep[i] for _, sweep in sweeps] for i in range(5))
-    raw_rows, ens_rows, checks, gaps = [], [], [], {}
+    raw_rows, ens_rows, checks, final_gaps = [], [], [], {}
     t_kubo, t_fd = THRESHOLDS["kubo_vs_resolvent"], THRESHOLDS["fd_vs_resolvent"]
     t_final = THRESHOLDS["eta_sweep_final_gap"]
     for e, eta in enumerate(etas if sweeps else ()):  # eta-major; no ensemble when every cell failed
@@ -590,8 +588,8 @@ def _suite_kubo_sweep(cfg: ExperimentConfig, writer: _OutputWriter):
                     len(sweeps), stderr if stderr is not None else "",
                 ]
             )
-            if j != k:
-                gaps.setdefault((j, k), []).append(abs(res_mean - streda_mean))
+            if j != k:  # overwritten per eta, so the smallest (last) eta's stays
+                final_gaps[j, k] = abs(res_mean - streda_mean)
         kubo_gap = max(float(np.max(np.abs(kb[e] - rs[e]))) for kb, rs in zip(kubo, res))
         checks.append(Check("kubo_vs_resolvent", kubo_gap, t_kubo, kubo_gap <= t_kubo))
         if grid_for:
@@ -615,18 +613,16 @@ def _suite_kubo_sweep(cfg: ExperimentConfig, writer: _OutputWriter):
         ],
         ens_rows,
     )
-    checks += [Check("eta_sweep_final_gap", s[-1], t_final, s[-1] <= t_final) for s in gaps.values() if len(s) > 1]
-    return {
-        "etas": etas,
-        "gap_series": {f"{j+1},{k+1}": v for (j, k), v in gaps.items()},
-        "cell_errors": cell_errors,
-    }, checks
+    if len(etas) > 1:
+        checks += [Check("eta_sweep_final_gap", g, t_final, g <= t_final) for g in final_gaps.values()]
+    return checks, cell_errors
 
 
 def _suite_dynamics(cfg: ExperimentConfig, writer: _OutputWriter):
     """The dynamics gates on realization 0.  A numerical failure there (one of
     _CELL_FAILURES) is recorded as its one cell error, as the ensemble suites
     do, and the CSVs are written with their headers only."""
+    cell_errors = []
     try:
         spectral = cfg.spectral_for(0)
         model = spectral.model
@@ -668,9 +664,8 @@ def _suite_dynamics(cfg: ExperimentConfig, writer: _OutputWriter):
         unitarity = np.linalg.norm(u.conj().T @ u - np.eye(model.n_sites))
         checks.append(Check.below("propagator_unitarity", unitarity, THRESHOLDS["propagator_unitarity"]))
         wreport = propagator_weight_check(spectral, drive, 0.0, grid.s_min / 4.0, late)
-        margin = THRESHOLDS["weight_margin"]
-        holds = wreport.weighted_norm <= wreport.bound * (1.0 + margin)
-        checks.append(Check("weight_inequality", wreport.weighted_norm - wreport.bound, margin, holds))
+        excess, margin = wreport.weighted_norm / wreport.bound - 1.0, THRESHOLDS["weight_margin"]
+        checks.append(Check("weight_inequality", excess, margin, excess <= margin))
 
         # two-site Duhamel residual refinement
         chain = LatticeModel(LatticeConfig(1, (2,), "open"), FluxSpec(), np.zeros(2))
@@ -695,10 +690,7 @@ def _suite_dynamics(cfg: ExperimentConfig, writer: _OutputWriter):
         checks.append(Check.below("gauge_equivalence", disc, THRESHOLDS["gauge_equivalence"]))
     except _CELL_FAILURES as exc:
         checks, timeseries, refinement = [], [], []
-        summary = {"cell_errors": [f"cell 0: {type(exc).__name__}: {exc}"]}
-    else:
-        summary = {"checks": {c.name: c.value for c in checks}}
-    writer.write_csv("dynamics_check.csv", ["check", "value", "tolerance", "pass"], checks)
+        cell_errors.append(f"cell 0: {type(exc).__name__}: {exc}")
     writer.write_csv(
         "dynamics_timeseries.csv",
         ["t", "norm1", "norm2", "norminf", "projection_defect"],
@@ -707,7 +699,7 @@ def _suite_dynamics(cfg: ExperimentConfig, writer: _OutputWriter):
     writer.write_csv(
         "dynamics_refinement.csv", ["step", "duhamel_residual", "quadrature_estimate"], refinement
     )
-    return summary, checks
+    return checks, cell_errors
 
 
 def _suite_funcalc(cfg: ExperimentConfig, writer: _OutputWriter):
@@ -752,7 +744,7 @@ def _suite_funcalc(cfg: ExperimentConfig, writer: _OutputWriter):
     )
     gain, floor = min(a / b for a, b in zip(errors, errors[1:])), THRESHOLDS["hs_refinement_gain"]
     checks = [Check.below("hs_vs_spectral", errors[-1], THRESHOLDS["hs_vs_spectral"])]
-    return {"hs_errors": errors}, checks + [Check("hs_refinement_gain", gain, floor, gain >= floor)]
+    return checks + [Check("hs_refinement_gain", gain, floor, gain >= floor)], []
 
 
 _SUITE_FN = {
@@ -768,8 +760,9 @@ SUITES = tuple(_SUITE_FN)
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
     """Dispatch the configured suite, write outputs, and return the manifest.
-    Violations: the suite's failed checks, then one cell_error per entry of
-    the summary's cell_errors."""
+    summary.json holds the suite's (checks, cell_errors) as returned, every
+    check passing or not; the manifest's violations are the failed checks,
+    then one cell_error per cell error message."""
     experiment = cfg[("run", "experiment")]
     if experiment not in _SUITE_FN:
         raise ConfigError(f"unknown experiment {experiment!r}; choose from {SUITES}")
@@ -777,22 +770,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
     writer = _OutputWriter(out / cfg[("run", "name")])
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     try:
-        summary, checks = _SUITE_FN[experiment](cfg, writer)
+        checks, cell_errors = _SUITE_FN[experiment](cfg, writer)
     except ConfigurationError as exc:  # values that each parse but do not fit together
         raise ConfigError(f"{experiment}: {exc}") from exc
     finished = time.strftime("%Y-%m-%dT%H:%M:%S")
-    violations = [c for c in checks if not c.passed]
-    violations += [Check("cell_error", msg, "", False) for msg in summary.get("cell_errors", ())]
     writer.write_json(
         "summary.json",
         {
-            "schema_version": 1,
+            "schema_version": 2,
             "experiment": experiment,
             "config_sha256": cfg.digest(),
-            "summary": _plain(summary),
-            "violations": _plain(violations),
+            "checks": checks,
+            "cell_errors": cell_errors,
         },
     )
+    violations = [c for c in checks if not c.passed]
+    violations += [Check("cell_error", msg, "", False) for msg in cell_errors]
     seeds = [
         realization_seed(cfg[("model", "base_seed")], i)
         for i in range(cfg[("model", "n_realizations")])
@@ -805,19 +798,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> RunManifest:
         started_at=started,
         finished_at=finished,
         outputs=dict(sorted(writer.hashes.items())),
-        violations=_plain(violations),
+        violations=[list(v) for v in violations],
     )
     (writer.out_dir / "manifest.json").write_text(manifest.to_json())
     return manifest
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj

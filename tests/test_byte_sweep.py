@@ -38,12 +38,21 @@ def test_byte_sweep_names_the_one_moved_cell(tmp_path):
 
 
 def test_byte_sweep_names_the_one_moved_summary_leaf():
-    a = {"summary": {"checks": {"gauge": 4.0, "unitarity": 2.0e-12}}, "violations": [["hall", 0.5, 0.02, False]]}
+    a = {
+        "schema_version": 2,
+        "checks": [["unitarity", 2.0e-12, 1e-10, True], ["gauge", 4.0, 1e-08, False]],
+        "cell_errors": ["cell 1: StepSizeError: h ||H|| = 0.6"],
+    }
     b = json.loads(json.dumps(a))
-    b["summary"]["checks"]["gauge"] = 5.0
+    b["checks"][1][1] = 5.0
     texts = [json.dumps(x, indent=2, sort_keys=True) for x in (a, b)]
     lines = _byte_sweep().json_changes(*texts)
-    assert lines == ["summary.checks.gauge: abs 1.0000e+00 (4.0 -> 5.0), rel 2.5000e-01"]
-    b["violations"][0][3] = True
-    assert _byte_sweep().json_changes(texts[1], json.dumps(b)) == ["violations[0][3]: False -> True"]
+    # a check is named by its first item; a list of strings keeps plain indices
+    assert lines == ["checks[1:gauge][1]: abs 1.0000e+00 (4.0 -> 5.0), rel 2.5000e-01"]
+    b["checks"][1][3] = True
+    b["cell_errors"][0] = "cell 0: StepSizeError: h ||H|| = 0.6"
+    assert _byte_sweep().json_changes(texts[1], json.dumps(b)) == [
+        "cell_errors[0]: 'cell 1: StepSizeError: h ||H|| = 0.6' -> 'cell 0: StepSizeError: h ||H|| = 0.6'",
+        "checks[1:gauge][3]: False -> True",
+    ]
     assert _byte_sweep().json_changes(texts[0], texts[0]) == []

@@ -175,7 +175,6 @@ def test_algebra_suite_passes(tmp_path):
     manifest = run_experiment(small_config(), out_dir=tmp_path)
     assert manifest.violations == []
     out = tmp_path / "t"
-    assert (out / "algebra_check.csv").exists()
     assert (out / "summary.json").exists()
     assert (out / "manifest.json").exists()
     summary = json.loads((out / "summary.json").read_text())
@@ -185,8 +184,7 @@ def test_algebra_suite_passes(tmp_path):
 def test_outputs_bitwise_deterministic(tmp_path):
     run_experiment(small_config(), out_dir=tmp_path / "a")
     run_experiment(small_config(), out_dir=tmp_path / "b")
-    for name in ("algebra_check.csv", "summary.json"):
-        assert (tmp_path / "a/t" / name).read_bytes() == (tmp_path / "b/t" / name).read_bytes()
+    assert (tmp_path / "a/t/summary.json").read_bytes() == (tmp_path / "b/t/summary.json").read_bytes()
 
 
 def test_thread_count_does_not_change_outputs(tmp_path):
@@ -256,6 +254,19 @@ def test_weight_gate_reads_its_margin(tmp_path, monkeypatch):
     manifest = run_experiment(cfg, out_dir=tmp_path)
     gate = [v for v in manifest.violations if v[0] == "weight_inequality"]
     assert len(gate) == 1 and gate[0][2] == -0.5
+    # the value is the relative excess weighted_norm / bound - 1, so a failed
+    # gate reads above its tolerance
+    assert gate[0][1] > gate[0][2]
+
+    # and a passing one at or below it: 2.0000015 against a bound of 2 is an
+    # excess of 7.5e-7, inside the default margin 1e-6, though 1.5e-6 above
+    monkeypatch.setitem(THRESHOLDS, "weight_margin", 1e-6)
+    report = dynamics.WeightReport(weighted_norm=2.0000015, bound=2.0, gamma=1.0)
+    monkeypatch.setattr(harness, "propagator_weight_check", lambda *args: report)
+    run_experiment(cfg, out_dir=tmp_path / "fake")
+    checks = json.loads((tmp_path / "fake/t/summary.json").read_text())["checks"]
+    (_, value, tolerance, passed), = [c for c in checks if c[0] == "weight_inequality"]
+    assert passed is True and value == pytest.approx(7.5e-7) and value <= tolerance
 
 
 @pytest.mark.slow
@@ -264,9 +275,8 @@ def test_dynamics_suite_gates_timeseries_and_determinism(tmp_path):
     first = run_experiment(cfg, out_dir=tmp_path / "a")
     second = run_experiment(ExperimentConfig.parse(DYNAMICS_TINY), out_dir=tmp_path / "b")
     assert first.violations == []
-    with open(tmp_path / "a/t/dynamics_check.csv", newline="") as fh:
-        checks = list(csv.DictReader(fh))
-    assert len(checks) == 8 and all(row["pass"] == "True" for row in checks)
+    checks = json.loads((tmp_path / "a/t/summary.json").read_text())["checks"]
+    assert len(checks) == 8 and all(passed is True for *_, passed in checks)
 
     # the timeseries is the suite's one Liouville march, on its own grid; its
     # last row is the rho(0) the gates judge
@@ -408,7 +418,7 @@ def test_manifest_records_seeds_and_hashes(tmp_path):
 
     assert manifest.seeds[1] == realization_seed(777, 1)
     data = json.loads((tmp_path / "t" / "manifest.json").read_text())
-    assert set(data["outputs"]) == {"algebra_check.csv", "summary.json"}
+    assert set(data["outputs"]) == {"summary.json"}
 
 
 def test_unknown_experiment_rejected():
@@ -446,6 +456,37 @@ def test_kubo_sweep_csv_schema(tmp_path):
         assert len(cell) == 2
         for c in columns:
             assert float(row[c]) == math.fsum(float(r[c]) for r in cell) / 2
+
+
+def test_kubo_sweep_gates_read_back_from_its_csvs(tmp_path):
+    # the gap series is kubo_sweep.csv's: each final-gap gate is, bit for bit,
+    # |Re sigma_res - Re sigma_Streda| of an off-diagonal pair at the file's
+    # smallest eta, and the kubo_vs_resolvent gates follow its eta order
+    cfg = ExperimentConfig.load(Path(__file__).resolve().parents[1] / "configs" / "kubo_sweep.ini")
+    run_experiment(cfg, out_dir=tmp_path)
+    out = tmp_path / cfg[("run", "name")]
+    checks = json.loads((out / "summary.json").read_text())["checks"]
+    with open(out / "kubo_sweep.csv", newline="") as fh:
+        ens = list(csv.DictReader(fh))
+    with open(out / "kubo_sweep_raw.csv", newline="") as fh:
+        raw = list(csv.DictReader(fh))
+    etas = list(dict.fromkeys(row["eta"] for row in ens))
+    assert len(etas) == 4
+    final = [
+        abs(float(row["sigma_res_re"]) - float(row["streda_re"]))
+        for row in ens if row["eta"] == etas[-1] and row["j"] != row["k"]
+    ]
+    assert len(final) == 2 and [c[1] for c in checks if c[0] == "eta_sweep_final_gap"] == final
+
+    def kubo_gap(eta):
+        return max(
+            abs(complex(float(r["sigma_kubo_re"]), float(r["sigma_kubo_im"]))
+                - complex(float(r["sigma_res_re"]), float(r["sigma_res_im"])))
+            for r in raw if r["eta"] == eta
+        )
+
+    kubo = [c[1] for c in checks if c[0] == "kubo_vs_resolvent"]
+    assert kubo == pytest.approx([kubo_gap(eta) for eta in etas], rel=1e-12)
 
 
 # -- CLI ---------------------------------------------------------------------------
@@ -642,7 +683,12 @@ def test_cli_check_mode_flags_violations(tmp_path, monkeypatch, capsys, case):
     cfg_path.write_text(cfg.serialize())
     rc = cli_main([suite, "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--check"])
     assert rc == 2
-    violations = json.loads((tmp_path / "out/t/summary.json").read_text())["violations"]
+    violations = json.loads((tmp_path / "out/t/manifest.json").read_text())["violations"]
+    # summary.json is the suite's whole gate record; its failed checks are the
+    # manifest's violations before the cell errors, in order
+    summary = json.loads((tmp_path / "out/t/summary.json").read_text())
+    assert set(summary) == {"schema_version", "experiment", "config_sha256", "checks", "cell_errors"}
+    assert [c for c in summary["checks"] if not c[3]] == [v for v in violations if v[0] != "cell_error"]
 
     def number(x):
         return isinstance(x, (int, float)) and not isinstance(x, bool)
@@ -738,7 +784,7 @@ SUITE_CSVS = {
     "equilibrium": ["equilibrium_raw.csv", "equilibrium_summary.csv"],
     "hall": ["hall_raw.csv", "hall_summary.csv"],
     "kubo-sweep": ["kubo_sweep.csv", "kubo_sweep_raw.csv"],
-    "dynamics-check": ["dynamics_check.csv", "dynamics_refinement.csv", "dynamics_timeseries.csv"],
+    "dynamics-check": ["dynamics_refinement.csv", "dynamics_timeseries.csv"],
 }
 
 
@@ -768,7 +814,7 @@ def test_cell_failures_recorded_not_fatal(tmp_path, experiment, e_f, drive, erro
     )
     manifest = run_experiment(cfg, out_dir=tmp_path)
     summary = json.loads((tmp_path / "t" / "summary.json").read_text())
-    cell_errors = summary["summary"]["cell_errors"]
+    cell_errors = summary["cell_errors"]
     cells = 1 if experiment == "dynamics-check" else 2
     assert len(cell_errors) == cells and all(error in msg for msg in cell_errors)
     assert manifest.violations == [["cell_error", msg, "", False] for msg in cell_errors]
@@ -786,7 +832,7 @@ def test_cell_linalg_failure_recorded_not_fatal(tmp_path, monkeypatch):
     cfg = small_config({("run", "experiment"): "equilibrium", ("model", "n_realizations"): 2})
     run_experiment(cfg, out_dir=tmp_path)
     summary = json.loads((tmp_path / "t" / "summary.json").read_text())
-    assert len(summary["summary"]["cell_errors"]) == 2
+    assert len(summary["cell_errors"]) == 2
 
 
 @pytest.mark.parametrize("threads", [1, 2])

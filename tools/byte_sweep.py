@@ -9,8 +9,9 @@ PYTHONPATH=<src> and OPENBLAS_NUM_THREADS=1.  Per config it prints whether
 every manifest output hash and the config_sha256 agree, and the violation
 counts on both sides; under each CSV output that differs, one line per moved
 column with its largest absolute and relative change, and under a differing
-summary.json, one line per moved leaf with its JSON path and its absolute and
-relative change.  Exit status 1 on any difference or failed run.
+summary.json, one line per moved leaf with its JSON path (a check is named
+in it, as in checks[5:weight_inequality][1]) and its absolute and relative
+change.  Exit status 1 on any difference or failed run.
 `--only` runs the named configs (file names such as hall.ini, or workload
 names such as hall-L24).
 """
@@ -101,12 +102,18 @@ def column_changes(text_a: str, text_b: str) -> list[str]:
     return lines
 
 
+def _named(i: int, item) -> str:
+    """The index of a list element, with the name of a record such as a check
+    [name, value, tolerance, passed] after it: "5:weight_inequality"."""
+    return f"{i}:{item[0]}" if isinstance(item, list) and item and isinstance(item[0], str) else str(i)
+
+
 def _leaves(node, path: str = "") -> dict:
     """{JSON path: value} of every scalar and every empty container under node."""
     if isinstance(node, dict) and node:
         children = {f"{path}.{key}" if path else key: item for key, item in node.items()}
     elif isinstance(node, list) and node:
-        children = {f"{path}[{i}]": item for i, item in enumerate(node)}
+        children = {f"{path}[{_named(i, item)}]": item for i, item in enumerate(node)}
     else:
         return {path: node}
     return {leaf: value for child, item in children.items() for leaf, value in _leaves(item, child).items()}
