@@ -13,12 +13,13 @@ those phases, as `build_hamiltonian` scatters it without them.
 
 Every propagator, Duhamel sum and density route is one march of H(t)
 (`_march`), and so is the gauge check, its two gauges one stack: the
-integrator and the step-size guard are chosen there and nowhere else, and
-only the current state and one block of steps' H(t) (one `_h_at` call) are
-held, so memory is O(N^2) whatever the number of steps.  magnus2 takes each
-midpoint exponential from a Taylor polynomial, not an eigh.  The march hands
-on what its step holds of H(r_k): an RK4 step's k1, a riemann_product's eigh;
-the Duhamel density route reads it at every _NODE_STRIDE-th step only.
+step-size guard sits there and nowhere else, and only the current state and
+one block of steps' H(t) (one `_h_at` call) are held, so memory is O(N^2)
+whatever the number of steps.  Each route fixes its own integrator:
+`propagate` marches by magnus2, the midpoint exponential product, each
+exponential a Taylor polynomial, not an eigh; every other route by RK4.  An
+RK4 march hands on its step's k1 matrix H(r_k); the Duhamel density route
+decomposes it at every _NODE_STRIDE-th step only.
 
 A single evolution is sequential in time; independent (realization, field,
 eta) evolutions may run concurrently.  The only state they may share is the
@@ -28,7 +29,7 @@ model's cached bond list, whose entries are deterministic.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass
 from functools import cached_property, partial
 from itertools import islice
 from math import factorial
@@ -83,7 +84,6 @@ class DriveProtocol:
         return scale[..., None] * np.array(self.field)
 
 
-INTEGRATORS = ("riemann_product", "ode_rk4", "magnus2")
 # Steps per march block: as many as keep three N x N arrays a step (RK4's stage times, magnus2's
 # Taylor x^2 and accumulators) within _BLOCK_BYTES (2 steps at N = 36), at most _BLOCK_STEPS.
 _BLOCK_BYTES = 128 * 1024
@@ -97,14 +97,12 @@ class TimeGrid:
 
     s_min: float
     step: float
-    method: str = "ode_rk4"  # one of INTEGRATORS
+    _: KW_ONLY
     truncation_tol: float = 1e-12
 
     def __post_init__(self):
         if not self.step > 0:
             raise ConfigurationError("step must be positive")
-        if self.method not in INTEGRATORS:
-            raise ConfigurationError(f"unknown integrator {self.method!r}")
 
     def validate(self, drive: DriveProtocol) -> None:
         if not np.exp(drive.eta * self.s_min) <= self.truncation_tol * (1.0 + 1e-9):
@@ -208,20 +206,21 @@ def _liouville(hr: np.ndarray, m: np.ndarray) -> np.ndarray:
     return -1j * (hm - hm.conj().T)
 
 
-def _march(h_at, grid: TimeGrid, s: float, t: float, nsteps: int, y, conjugate=False):
+def _march(h_at, grid: TimeGrid, s: float, t: float, nsteps: int, y, rhs=_schrodinger):
     """Yield (r_k, y_k, h_k), k = 0..nsteps, along one march of H(r) from y
-    at s, with r_k = s + k (t - s) / nsteps and r_n = t, by grid.method (see
-    propagate).  h_at maps a time to H(r), which may be a stack advanced side
-    by side, and an array of times to the stack of their H(r).
+    at s, with r_k = s + k (t - s) / nsteps and r_n = t.  h_at maps a time
+    to H(r), which may be a stack advanced side by side, and an array of
+    times to the stack of their H(r).
 
-    States and propagators advance as y -> U y; with `conjugate`, density
-    matrices advance as y -> U y U*.  Each block of steps (see _BLOCK_BYTES)
-    takes one h_at call on its stage times (RK4: r_k, r_k + h/2 for k2 and
-    k3, r_k + h; magnus2: s + (k + 1/2) h, then one stacked _expm_taylor;
-    riemann_product: r_k, then one stacked eigh).  h_k is what the step from
-    r_k holds of H(r_k), read-only: its eigendecomposition (riemann_product),
-    the matrix (ode_rk4, the step's k1), or None (magnus2, and k = n).  The
-    step-size guard comes first, and only the current y and block are held.
+    The caller fixes the integrator.  RK4 integrates dy/dt = rhs(H(r), y):
+    states and propagators advance as y -> U y (_schrodinger), density
+    matrices as y -> U y U* (_liouville).  With rhs None, magnus2 advances
+    y -> U y by the midpoint exponential (see propagate).  Each block of
+    steps (see _BLOCK_BYTES) takes one h_at call on its stage times (RK4:
+    r_k, r_k + h/2 for k2 and k3, r_k + h; magnus2: s + (k + 1/2) h, then one
+    stacked _expm_taylor).  h_k is the step's k1 matrix H(r_k), read-only
+    (RK4), or None (magnus2, and k = n).  The step-size guard comes first,
+    and only the current y and block are held.
     """
     if t < s:
         raise ValueError(f"a march needs s <= t, got s={s}, t={t}")
@@ -232,35 +231,28 @@ def _march(h_at, grid: TimeGrid, s: float, t: float, nsteps: int, y, conjugate=F
             f"step {grid.step} violates h * ||H|| = {grid.step * hnorm:.3f} < 0.5"
         )
     h = (t - s) / nsteps
-    apply = _liouville if conjugate else _schrodinger
-    rk4 = grid.method == "ode_rk4"
-    riemann = grid.method == "riemann_product"
-    block = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // ((1 if riemann else 3) * h_s.nbytes)))
+    block = max(1, min(_BLOCK_STEPS, _BLOCK_BYTES // (3 * h_s.nbytes)))
     r = s
     for start in range(0, nsteps, block):
         ks = np.arange(start, min(start + block, nsteps))
-        if rk4:
+        if rhs is None:
+            us = _expm_taylor(h_at(s + (ks + 0.5) * h), -1j * h)
+        else:
             nodes = s + ks * h
             stack = h_at(np.concatenate([nodes, nodes + h / 2, nodes + h]))
             stack.flags.writeable = False
             k1s, mids, ends = stack.reshape(3, len(ks), *h_s.shape)
-        elif riemann:
-            evals, evecs = np.linalg.eigh(h_at(s + ks * h))
-            evals.flags.writeable = evecs.flags.writeable = False
-        else:
-            us = _expm_taylor(h_at(s + (ks + 0.5) * h), -1j * h)
         for i, k in enumerate(ks.tolist()):
-            if rk4:
-                yield r, y, k1s[i]
-                k1 = apply(k1s[i], y)
-                k2 = apply(mids[i], y + (h / 2) * k1)
-                k3 = apply(mids[i], y + (h / 2) * k2)
-                k4 = apply(ends[i], y + h * k3)
-                y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if rhs is None:
+                yield r, y, None
+                y = us[i] @ y
             else:
-                yield r, y, ((evals[i], evecs[i]) if riemann else None)
-                u = _expm_hermitian((evals[i], evecs[i]), -1j * h) if riemann else us[i]
-                y = u @ y @ u.conj().T if conjugate else u @ y
+                yield r, y, k1s[i]
+                k1 = rhs(k1s[i], y)
+                k2 = rhs(mids[i], y + (h / 2) * k1)
+                k3 = rhs(mids[i], y + (h / 2) * k2)
+                k4 = rhs(ends[i], y + h * k3)
+                y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
             r = t if k + 1 == nsteps else s + (k + 1) * h
     yield r, y, None
 
@@ -294,15 +286,13 @@ def propagate(
     s: float,
     grid: TimeGrid,
 ) -> CovariantOperator:
-    """U(t, s), s <= t, as a unitary CovariantOperator, by the grid's method.
-
-    `riemann_product` multiplies exact exponentials of the Hamiltonian
-    frozen at the left endpoint of each step (first order, exactly unitary
-    per step); `magnus2` freezes at the midpoint (second order);
-    `ode_rk4` integrates i dU/dt = H(t) U (fourth order).
+    """U(t, s), s <= t, as a unitary CovariantOperator, by the magnus2 march:
+    the product of the exponentials of H frozen at the midpoint of each step,
+    second order and unitary to rounding (Blanes, Casas, Oteo & Ros, Phys.
+    Rep. 470, 151 (2009)), each exponential a Taylor polynomial, no eigh.
     """
     eye = np.eye(model.n_sites, dtype=complex)
-    march = _march(partial(_h_at, model, drive), grid, s, t, grid.n_steps(s, t), eye)
+    march = _march(partial(_h_at, model, drive), grid, s, t, grid.n_steps(s, t), eye, rhs=None)
     _, u, _ = next(march) if t == s else _final(march)
     return CovariantOperator(u, model)
 
@@ -346,7 +336,7 @@ def duhamel_residual(
     trapezoid = np.zeros_like(psi)
     h_at = partial(_h_at, model, drive)
     for k, (r, y, h_r) in enumerate(_march(h_at, grid, s, t, nsteps, psi)):
-        if not isinstance(h_r, np.ndarray):  # an eigendecomposition, or None
+        if h_r is None:  # the last node
             h_r = h_at(r)
         node = free_propagator(spectral, t - r) @ ((h0.matrix - h_r) @ y)
         simpson += _simpson_weight(k, nsteps) * node
@@ -400,8 +390,8 @@ def evolve_density_duhamel(
     the composite Boole rule over a step count rounded up to a multiple of
     4 _NODE_STRIDE (Simpson's gap grows as the stride^4), each term added as
     the march passes it, so memory is O(N^2) whatever the step count.  H(r)
-    is assembled and decomposed once per node: the march hands over its
-    step's k1 matrix or eigendecomposition.
+    is assembled and decomposed once per node: the RK4 march hands over its
+    step's k1 matrix.
     """
     grid.validate(drive)
     s = grid.s_min
@@ -410,9 +400,8 @@ def evolve_density_duhamel(
     eye = np.eye(model.n_sites, dtype=complex)
     h_at = partial(_h_at, model, drive)
     nodes = islice(_march(h_at, grid, s, t, nsteps, eye), 0, None, _NODE_STRIDE)
-    for k, (r, v, eig) in enumerate(nodes):
-        if not isinstance(eig, tuple):  # H(r) itself, or None
-            eig = np.linalg.eigh(h_at(r) if eig is None else eig)
+    for k, (r, v, h_r) in enumerate(nodes):
+        eig = np.linalg.eigh(h_at(r) if h_r is None else h_r)
         m_r = _drive_commutator(model, drive, state, r, eig)
         weight = _boole_weight(k, nsteps // _NODE_STRIDE) * np.exp(drive.eta * min(r, 0.0))
         acc += weight * (v.conj().T @ m_r @ v)
@@ -429,11 +418,11 @@ def density_path(
     t: float,
     grid: TimeGrid,
 ):
-    """Yield (r, rho(r)) along one march of i d(rho)/dt = [H(t), rho] from
+    """Yield (r, rho(r)) along one RK4 march of i d(rho)/dt = [H(t), rho] from
     the matrix rho at grid.s_min to t; the matrices are not symmetrized."""
     grid.validate(drive)
     s = grid.s_min
-    march = _march(partial(_h_at, model, drive), grid, s, t, grid.n_steps(s, t), rho, conjugate=True)
+    march = _march(partial(_h_at, model, drive), grid, s, t, grid.n_steps(s, t), rho, _liouville)
     return ((r, y) for r, y, _ in march)
 
 
@@ -482,10 +471,9 @@ def gauge_equivalence_check(
         h_scal = h0 + sum(e[..., j, None, None] * xs[j] for j in range(len(xs)))
         return np.stack([_h_at(model, drive, r), h_scal], axis=-3)
 
-    # both sides by RK4, so the discrepancy measures the gauge, not the integrator
-    rk4 = replace(grid, method="ode_rk4")
+    # both sides by one RK4 march, so the discrepancy measures the gauge, not the integrator
     both = np.asarray([psi0, psi0], dtype=complex)[..., None]
-    _, (psi_vec, psi_scal), _ = _final(_march(h_both, rk4, s, t, grid.n_steps(s, t), both))
+    _, (psi_vec, psi_scal), _ = _final(_march(h_both, grid, s, t, grid.n_steps(s, t), both))
     g = gauge_operator(model, drive, t).matrix
     return float(np.linalg.norm(g.conj().T @ psi_vec[:, 0] - psi_scal[:, 0]))
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .acceptance import THRESHOLDS
 from .model import CovariantOperator, velocity_operator
 from .funcalc import (
     EquilibriumState,
@@ -215,11 +216,13 @@ def sigma_finite_difference(
     state: EquilibriumState,
     eta: float,
     grid: TimeGrid,
-    delta_e: float = 1e-3,
 ) -> np.ndarray:
-    """Central difference of the net current over +- delta_e along each axis;
-    the Liouville dynamics runs per evaluation, from zeta built on `spectral`,
-    so each of the 2d evaluations decomposes only H(0) (see net_current)."""
+    """Central difference of the net current over +- delta_e along each axis,
+    delta_e the acceptance table's fd_delta_e; the Liouville dynamics runs per
+    evaluation, from zeta built on `spectral`, so each of the 2d evaluations
+    decomposes only H(0) (see net_current)."""
+    delta_e = THRESHOLDS["fd_delta_e"]
+
     def current(field):
         drive = DriveProtocol(eta, tuple(field))
         return net_current(evolve_density_ode(spectral, drive, state, 0.0, grid), drive, state)
@@ -328,7 +331,6 @@ def eta_sweep(
     state: EquilibriumState,
     etas,
     grid_for=None,
-    delta_e: float = 1e-3,
 ):
     """(streda, resolvent, kubo, fd, fd_gap) of one realization along a
     strictly descending eta list: the d x d Streda tensor, once, and one
@@ -350,6 +352,6 @@ def eta_sweep(
     if grid_for is None:
         return streda, resolvent, kubo, None, None
     gauge = basis.gauge_derivative()
-    fd = np.array([sigma_finite_difference(spectral, state, e, grid_for(e), delta_e) for e in etas])
+    fd = np.array([sigma_finite_difference(spectral, state, e, grid_for(e)) for e in etas])
     fd_gap = [float(np.max(np.abs(f - sigma_resolvent(gauge, eta)))) for f, eta in zip(fd, etas)]
     return streda, resolvent, kubo, fd, fd_gap

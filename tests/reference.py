@@ -4,16 +4,17 @@ The magnetic translations that implement covariance, the Liouvillian
 superoperator in the eigenbasis of H, two routes to the structure of the
 Kubo formula through it (the velocity-projection identity and the
 kernel-projection conductivity), the triple-commutator structure of a
-projection, the contour route to f'(H) through (z - H)^{-2}, the Duhamel
-density with the minimal-image drive commutator, the gauge check with each
-gauge marched on its own, and a Richardson check of a smooth function's
-declared derivatives.  The library computes none of these;
-the tests hold its routes against them.
+projection, the contour route to f'(H) through (z - H)^{-2}, the
+propagators of the two integrators `propagate` does not use (the Riemann
+product and RK4), the Duhamel density with the minimal-image drive
+commutator, the gauge check with each gauge marched on its own, and a
+Richardson check of a smooth function's declared derivatives.  The library
+computes none of these; the tests hold its routes against them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 
@@ -219,6 +220,32 @@ def hs_apply_derivative(op: CovariantOperator, f: SmoothFunction, quad: HSQuadra
 
 
 # ---------------------------------------------------------------------------
+# propagators by the other integrators
+# ---------------------------------------------------------------------------
+
+
+def riemann_product(model, drive, t, s, grid) -> np.ndarray:
+    """U(t, s), s <= t, as the product of exact exponentials of H(r_k) frozen
+    at the left endpoint r_k = s + k h of each of the grid's steps: first
+    order, unitary to rounding."""
+    n = grid.n_steps(s, t)
+    h = (t - s) / n
+    u = np.eye(model.n_sites, dtype=complex)
+    for k in range(n):
+        eig = np.linalg.eigh(dynamics._h_at(model, drive, s + k * h))
+        u = dynamics._expm_hermitian(eig, -1j * h) @ u
+    return u
+
+
+def rk4_propagator(model, drive, t, s, grid) -> np.ndarray:
+    """U(t, s), s <= t, by the library's RK4 march of the identity: fourth
+    order, unitary only to its truncation error."""
+    eye = np.eye(model.n_sites, dtype=complex)
+    march = dynamics._march(partial(dynamics._h_at, model, drive), grid, s, t, grid.n_steps(s, t), eye)
+    return dynamics._final(march)[1]
+
+
+# ---------------------------------------------------------------------------
 # Duhamel density, minimal-image commutator
 # ---------------------------------------------------------------------------
 
@@ -238,10 +265,8 @@ def evolve_density_duhamel_minimal_image(model, drive, state, t, grid) -> Covari
     eye = np.eye(model.n_sites, dtype=complex)
     h_at = partial(dynamics._h_at, model, drive)
     march = dynamics._march(h_at, grid, s, t, nsteps, eye)
-    for k, (r, v, eig) in enumerate(islice(march, 0, None, dynamics._NODE_STRIDE)):
-        if not isinstance(eig, tuple):  # H(r) itself, or None
-            eig = np.linalg.eigh(h_at(r) if eig is None else eig)
-        evals, evecs = eig
+    for k, (r, v, h_r) in enumerate(islice(march, 0, None, dynamics._NODE_STRIDE)):
+        evals, evecs = np.linalg.eigh(h_at(r) if h_r is None else h_r)
         zeta = (evecs * state.profile()(evals)) @ evecs.conj().T
         m_r = np.zeros(evecs.shape, dtype=complex)
         for axis in drive.driven_axes:
@@ -272,10 +297,9 @@ def gauge_equivalence_two_marches(model, drive, psi0, t, grid) -> float:
         e = drive.field_at(r)
         return h0 + sum(e[..., j, None, None] * xs[j] for j in range(len(xs)))
 
-    rk4 = replace(grid, method="ode_rk4")
     h_vec = partial(dynamics._h_at, model, drive)
-    _, psi_vec, _ = dynamics._final(dynamics._march(h_vec, rk4, s, t, nsteps, psi0))
-    _, psi_scal, _ = dynamics._final(dynamics._march(h_scal, rk4, s, t, nsteps, psi0))
+    _, psi_vec, _ = dynamics._final(dynamics._march(h_vec, grid, s, t, nsteps, psi0))
+    _, psi_scal, _ = dynamics._final(dynamics._march(h_scal, grid, s, t, nsteps, psi0))
     g = dynamics.gauge_operator(model, drive, t).matrix
     return float(np.linalg.norm(g.conj().T @ psi_vec - psi_scal))
 

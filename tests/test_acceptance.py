@@ -64,7 +64,7 @@ from kubolab.response import (
 from kubolab.harness import ensemble_average
 
 from conftest import gap_fermi_level, make_chain, make_torus, random_operator, random_projector, spectral_of
-from reference import triple_commutator_check
+from reference import riemann_product, rk4_propagator, triple_commutator_check
 
 
 def report(criterion, detail):
@@ -126,7 +126,7 @@ def test_criterion_2_three_method_agreement():
 
     res_gauge = sigma_resolvent(basis.gauge_derivative(), eta)
     grid = TimeGrid(np.log(1e-10) / eta, 0.01, truncation_tol=1e-10)
-    fd = sigma_finite_difference(spectral, state, eta, grid, delta_e=TOL["fd_delta_e"])
+    fd = sigma_finite_difference(spectral, state, eta, grid)
     fd_gap = float(np.max(np.abs(fd - res_gauge)))
     assert fd_gap < TOL["fd_vs_resolvent"]
     report(
@@ -345,11 +345,11 @@ def test_criterion_10_propagator_theory():
     drive = DriveProtocol(1.0, (0.0, 0.1))
     s_min = float(np.log(1e-12))
 
-    u = propagate(model, drive, 0.0, s_min, TimeGrid(s_min, 0.01, "magnus2")).matrix
+    grid = TimeGrid(s_min, 0.01)
+    u = propagate(model, drive, 0.0, s_min, grid).matrix
     unitarity = float(np.linalg.norm(u.conj().T @ u - np.eye(model.n_sites)))
     assert unitarity < TOL["propagator_unitarity"]
 
-    grid = TimeGrid(s_min, 0.01, "magnus2")
     u_ts = propagate(model, drive, 0.0, -2.0, grid).matrix
     u_tr = propagate(model, drive, 0.0, -1.0, grid).matrix
     u_rs = propagate(model, drive, -1.0, -2.0, grid).matrix
@@ -359,14 +359,9 @@ def test_criterion_10_propagator_theory():
     weight = propagator_weight_check(spectral_of(model), drive, 0.0, -5.0, propagate(model, drive, 0.0, -5.0, grid))
     assert weight.weighted_norm <= weight.bound * (1.0 + TOL["weight_margin"])
 
-    ref = propagate(model, drive, 0.0, -2.0, TimeGrid(s_min, 0.0005, "ode_rk4")).matrix
+    ref = rk4_propagator(model, drive, 0.0, -2.0, TimeGrid(s_min, 0.0005))
     errs = [
-        float(
-            np.linalg.norm(
-                propagate(model, drive, 0.0, -2.0, TimeGrid(s_min, h, "riemann_product")).matrix
-                - ref
-            )
-        )
+        float(np.linalg.norm(riemann_product(model, drive, 0.0, -2.0, TimeGrid(s_min, h)) - ref))
         for h in (0.02, 0.01, 0.005)
     ]
     ratios = [x / y for x, y in zip(errs, errs[1:])]

@@ -40,10 +40,18 @@ from reference import (
     evolve_density_duhamel_minimal_image,
     gauge_equivalence_two_marches,
     magnetic_translation,
+    riemann_product,
+    rk4_propagator,
 )
 
 
 S_MIN = float(np.log(1e-12))
+# U(t, s) as a matrix, by the library's magnus2 march and by the two references
+PROPAGATORS = {
+    "riemann_product": riemann_product,
+    "magnus2": lambda *args: propagate(*args).matrix,
+    "ode_rk4": rk4_propagator,
+}
 
 
 # -- drive protocol ------------------------------------------------------------
@@ -90,6 +98,12 @@ def test_grid_truncation_validated():
     for s_min, step in ((-5.0, 0.01), (float("nan"), 0.01), (S_MIN, 0.0), (S_MIN, float("nan"))):
         with pytest.raises(ConfigurationError):
             TimeGrid(s_min, step).validate(drive)
+
+
+def test_grid_tolerance_is_keyword_only():
+    # a stale integrator name in third place fails, not sets the tolerance to a string
+    with pytest.raises(TypeError):
+        TimeGrid(S_MIN, 0.01, "magnus2")
 
 
 # -- driven Hamiltonian and gauge -------------------------------------------------
@@ -296,9 +310,8 @@ def test_free_case_matches_exponential(method, step):
     model = make_torus((4, 4), potential=pot)
     drive = DriveProtocol(1.0, (0.0, 0.0))
     spectral = SpectralData.from_operator(build_hamiltonian(model))
-    grid = TimeGrid(S_MIN, step, method)
-    prop = propagate(model, drive, 0.0, -2.0, grid)
-    assert np.linalg.norm(prop.matrix - free_propagator(spectral, 2.0)) < 1e-10
+    u = PROPAGATORS[method](model, drive, 0.0, -2.0, TimeGrid(S_MIN, step))
+    assert np.linalg.norm(u - free_propagator(spectral, 2.0)) < 1e-10
 
 
 def _random_hermitian_stack(seed, count, n=36):
@@ -342,14 +355,14 @@ def test_expm_taylor_as_unitary_as_eigh_route():
 def test_unitarity_exact_for_product_methods(method):
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.1))
-    u = propagate(model, drive, 0.0, -10.0, TimeGrid(S_MIN, 0.02, method)).matrix
+    u = PROPAGATORS[method](model, drive, 0.0, -10.0, TimeGrid(S_MIN, 0.02))
     assert np.linalg.norm(u.conj().T @ u - np.eye(16)) < 1e-12
 
 
 def test_group_inverse():
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.1))
-    prop = propagate(model, drive, 0.0, -3.0, TimeGrid(S_MIN, 0.01, "magnus2"))
+    prop = propagate(model, drive, 0.0, -3.0, TimeGrid(S_MIN, 0.01))
     assert isinstance(prop, CovariantOperator) and prop.model is model
     assert np.linalg.norm(prop.matrix @ prop.matrix.conj().T - np.eye(16)) < 1e-9
 
@@ -357,23 +370,20 @@ def test_group_inverse():
 def test_cocycle_on_aligned_grid():
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.1))
-    for method in ("riemann_product", "magnus2", "ode_rk4"):
-        grid = TimeGrid(S_MIN, 0.01, method)
-        u_ts = propagate(model, drive, 0.0, -2.0, grid).matrix
-        u_tr = propagate(model, drive, 0.0, -1.0, grid).matrix
-        u_rs = propagate(model, drive, -1.0, -2.0, grid).matrix
-        assert np.linalg.norm(u_tr @ u_rs - u_ts) < 1e-11
+    grid = TimeGrid(S_MIN, 0.01)
+    for method, prop in PROPAGATORS.items():
+        u_ts = prop(model, drive, 0.0, -2.0, grid)
+        u_tr = prop(model, drive, 0.0, -1.0, grid)
+        u_rs = prop(model, drive, -1.0, -2.0, grid)
+        assert np.linalg.norm(u_tr @ u_rs - u_ts) < 1e-11, method
 
 
 def test_riemann_product_first_order_convergence():
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.1))
-    ref = propagate(model, drive, 0.0, -2.0, TimeGrid(S_MIN, 0.0005, "ode_rk4")).matrix
+    ref = rk4_propagator(model, drive, 0.0, -2.0, TimeGrid(S_MIN, 0.0005))
     errs = [
-        np.linalg.norm(
-            propagate(model, drive, 0.0, -2.0, TimeGrid(S_MIN, h, "riemann_product")).matrix
-            - ref
-        )
+        np.linalg.norm(riemann_product(model, drive, 0.0, -2.0, TimeGrid(S_MIN, h)) - ref)
         for h in (0.02, 0.01, 0.005)
     ]
     ratios = [a / b for a, b in zip(errs, errs[1:])]
@@ -383,11 +393,9 @@ def test_riemann_product_first_order_convergence():
 def test_magnus2_second_order_convergence():
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.1))
-    ref = propagate(model, drive, 0.0, -2.0, TimeGrid(S_MIN, 0.0005, "ode_rk4")).matrix
+    ref = rk4_propagator(model, drive, 0.0, -2.0, TimeGrid(S_MIN, 0.0005))
     errs = [
-        np.linalg.norm(
-            propagate(model, drive, 0.0, -2.0, TimeGrid(S_MIN, h, "magnus2")).matrix - ref
-        )
+        np.linalg.norm(propagate(model, drive, 0.0, -2.0, TimeGrid(S_MIN, h)).matrix - ref)
         for h in (0.02, 0.01)
     ]
     assert 3.4 < errs[0] / errs[1] < 4.6
@@ -408,7 +416,7 @@ def _rk4_four_assemblies(h_at, apply, s, y, h, nsteps):
 def test_rk4_march_assembles_three_matrices_per_step(monkeypatch):
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.1))
-    grid = TimeGrid(S_MIN, 0.01, "ode_rk4")
+    grid = TimeGrid(S_MIN, 0.01)
     times = []
     real = dynamics._h_at
 
@@ -418,7 +426,7 @@ def test_rk4_march_assembles_three_matrices_per_step(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_h_at", counting)
     n = grid.n_steps(-1.0, 0.0)
-    propagate(model, drive, 0.0, -1.0, grid)
+    rk4_propagator(model, drive, 0.0, -1.0, grid)
     # the step-size guard, then r, r + h/2 (shared by k2 and k3) and r + h per step
     assert len(times) == 3 * n + 1
     h = (0.0 - -1.0) / n
@@ -429,34 +437,33 @@ def test_rk4_march_assembles_three_matrices_per_step(monkeypatch):
 def test_march_with_a_partial_last_block_ends_at_t(monkeypatch):
     model = make_torus((6, 6), 1, 3)
     drive = DriveProtocol(2.0, (0.0, 0.1))
-    # 13 steps: two full blocks and one step (magnus2, riemann_product), or six and one (RK4)
+    # 13 steps: six full blocks of two and one step
     n = 13
-    assert [min(dynamics._BLOCK_STEPS, dynamics._BLOCK_BYTES // (m * 16 * 36**2)) for m in (1, 3)] == [6, 2]
+    assert min(dynamics._BLOCK_STEPS, dynamics._BLOCK_BYTES // (3 * 16 * 36**2)) == 2
     s, t = -1.0, 0.0
     h_at = partial(dynamics._h_at, model, drive)
-    for method in dynamics.INTEGRATORS:
-        grid = TimeGrid(S_MIN, 0.01, method)
-        nodes = [(r, y) for r, y, _ in dynamics._march(h_at, grid, s, t, n, np.eye(36, dtype=complex))]
-        assert [r for r, _ in nodes] == [s + k * ((t - s) / n) for k in range(n)] + [t], method
+    grid = TimeGrid(S_MIN, 0.01)
+    for rhs in (dynamics._schrodinger, None):  # RK4, magnus2
+        nodes = [(r, y) for r, y, _ in dynamics._march(h_at, grid, s, t, n, np.eye(36, dtype=complex), rhs)]
+        assert [r for r, _ in nodes] == [s + k * ((t - s) / n) for k in range(n)] + [t], rhs
         # one step per block gives the same bits
         with monkeypatch.context() as patch:
             patch.setattr(dynamics, "_BLOCK_BYTES", 1)
-            _, y, _ = dynamics._final(dynamics._march(h_at, grid, s, t, n, np.eye(36, dtype=complex)))
-        assert y.tobytes() == nodes[-1][1].tobytes(), method
+            _, y, _ = dynamics._final(dynamics._march(h_at, grid, s, t, n, np.eye(36, dtype=complex), rhs))
+        assert y.tobytes() == nodes[-1][1].tobytes(), rhs
 
 
-@pytest.mark.parametrize("method", ["ode_rk4", "riemann_product"])
-def test_march_hands_out_read_only_stacks(method):
+def test_march_hands_out_read_only_stacks():
     model = make_torus((4, 4), 1, 4)
     drive = DriveProtocol(1.0, (0.0, 0.1))
     march = dynamics._march(
-        partial(dynamics._h_at, model, drive), TimeGrid(S_MIN, 0.01, method), -1.0, 0.0, 30, np.eye(16, dtype=complex)
+        partial(dynamics._h_at, model, drive), TimeGrid(S_MIN, 0.01), -1.0, 0.0, 30, np.eye(16, dtype=complex)
     )
-    held = [part for _, _, h_k in march if h_k is not None for part in (h_k if method == "riemann_product" else [h_k])]
-    assert len(held) == 30 * (2 if method == "riemann_product" else 1)
-    for part in held:
+    held = [h_k for _, _, h_k in march if h_k is not None]
+    assert len(held) == 30
+    for h_k in held:
         with pytest.raises(ValueError, match="read-only"):
-            part[...] = 0.0
+            h_k[...] = 0.0
 
 
 def test_rk4_midpoint_reuse_keeps_bytes():
@@ -502,18 +509,10 @@ def test_stability_guard():
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.1))
     with pytest.raises(StepSizeError):
-        propagate(model, drive, 0.0, -1.0, TimeGrid(S_MIN, 0.5, "magnus2"))
+        propagate(model, drive, 0.0, -1.0, TimeGrid(S_MIN, 0.5))
 
 
 # -- Duhamel identity ---------------------------------------------------------------
-
-
-def test_duhamel_zero_field_exact():
-    model = make_chain(2, "open")
-    drive = DriveProtocol(1.0, (0.0,))
-    psi = np.array([1.0, 0.0], complex)
-    rep = duhamel_residual(model, drive, 0.0, -5.0, psi, TimeGrid(S_MIN, 0.01, "magnus2"))
-    assert rep.residual < 1e-12
 
 
 def test_duhamel_two_site_refinement():
@@ -566,18 +565,12 @@ def _duhamel_stored_slices(model, drive, state, t, grid, kernel):
 
     vs = [np.eye(model.n_sites, dtype=complex)]
     for k in range(n):
-        v = vs[-1]
-        if grid.method == "ode_rk4":
-            r = s + k * h
-            k1 = rhs(r, v)
-            k2 = rhs(r + h / 2, v + (h / 2) * k1)
-            k3 = rhs(r + h / 2, v + (h / 2) * k2)
-            k4 = rhs(r + h, v + h * k3)
-            vs.append(v + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
-        else:
-            tk = s + (k if grid.method == "riemann_product" else k + 0.5) * h
-            evals, evecs = np.linalg.eigh(h_at(tk))
-            vs.append((evecs * np.exp(-1j * h * evals)) @ evecs.conj().T @ v)
+        v, r = vs[-1], s + k * h
+        k1 = rhs(r, v)
+        k2 = rhs(r + h / 2, v + (h / 2) * k1)
+        k3 = rhs(r + h / 2, v + (h / 2) * k2)
+        k4 = rhs(r + h, v + h * k3)
+        vs.append(v + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4))
 
     def zeta_and_commutator(r):
         evals, evecs = np.linalg.eigh(h_at(r))
@@ -613,11 +606,10 @@ def _duhamel_stored_slices(model, drive, state, t, grid, kernel):
 
 
 @pytest.mark.parametrize("kernel", ["gauge_derivative", "minimal_image"])
-@pytest.mark.parametrize("method", ["riemann_product", "magnus2", "ode_rk4"])
-def test_streaming_duhamel_matches_stored_slices(method, kernel):
+def test_streaming_duhamel_matches_stored_slices(kernel):
     model, state = _gapped_torus_state()
     drive = DriveProtocol(4.0, (0.0, 0.1))
-    grid = TimeGrid(np.log(1e-12) / 4.0, 0.02, method)
+    grid = TimeGrid(np.log(1e-12) / 4.0, 0.02)
     # the library streams the divided difference; the minimal-image stream
     # is the test-side copy in reference.py
     evolve = {
@@ -629,11 +621,10 @@ def test_streaming_duhamel_matches_stored_slices(method, kernel):
     assert np.linalg.norm(rho - ref) <= 1e-12
 
 
-@pytest.mark.parametrize("method", ["riemann_product", "magnus2", "ode_rk4"])
-def test_duhamel_decomposes_each_node_once(method, monkeypatch):
+def test_duhamel_decomposes_each_node_once(monkeypatch):
     model, state = _gapped_torus_state()
     drive = DriveProtocol(4.0, (0.0, 0.1))
-    grid = TimeGrid(np.log(1e-12) / 4.0, 0.02, method)
+    grid = TimeGrid(np.log(1e-12) / 4.0, 0.02)
     rho = evolve_density_duhamel(model, drive, state, 0.0, grid).matrix
 
     # the same sum with H(r_k) decomposed afresh at every node
@@ -664,19 +655,10 @@ def test_duhamel_decomposes_each_node_once(method, monkeypatch):
     evolve_density_duhamel(model, drive, state, 0.0, grid)
     n = grid.n_steps(grid.s_min, 0.0, 16)
     assert n == 352
-    if method == "riemann_product":
-        # the march's n step exponents, every fourth of them also a node's,
-        # and H(t) at the last node
-        assert sum(calls) == n + 1 == 353
-    if method == "magnus2":
-        # H(r_k) at each of the n/4 + 1 nodes; the march's midpoint exponentials
-        # are Taylor polynomials, which decompose nothing
-        assert sum(calls) == n // 4 + 1 == 89
-    if method == "ode_rk4":
-        # the step-size guard, three per step, and H(t) at the last node: each
-        # other node, at every fourth step, decomposes its step's k1 matrix
-        assert len(times) == 3 * n + 2 == 1058
-        assert sum(calls) == n // 4 + 1 == 89
+    # the step-size guard, three per step, and H(t) at the last node: each
+    # other node, at every fourth step, decomposes its step's k1 matrix
+    assert len(times) == 3 * n + 2 == 1058
+    assert sum(calls) == n // 4 + 1 == 89
 
 
 @pytest.mark.parametrize("m", [4, 8, 16])
@@ -737,7 +719,7 @@ def test_duhamel_memory_flat_in_step_count():
     drive = DriveProtocol(4.0, (0.0, 0.1))
     peaks = []
     for step in (0.04, 0.02):
-        grid = TimeGrid(np.log(1e-12) / 4.0, step, "magnus2")
+        grid = TimeGrid(np.log(1e-12) / 4.0, step)
         tracemalloc.start()
         try:
             evolve_density_duhamel(model, drive, state, 0.0, grid)
@@ -754,7 +736,7 @@ def test_magnus2_unitarity_marches_memory_bounded():
     # each block of steps took its exponentials from one stacked eigh
     model = make_torus((6, 6), 1, 3)
     drive = DriveProtocol(2.0, (0.0, 0.1))
-    grid = TimeGrid(S_MIN / 2.0, 0.005, "magnus2")
+    grid = TimeGrid(S_MIN / 2.0, 0.005)
     tracemalloc.start()
     try:
         late = propagate(model, drive, 0.0, grid.s_min / 4.0, grid)
@@ -807,7 +789,7 @@ def test_density_conjugation_consistency():
     spectral = spectral_of(model)
     rho_s = evolve_density_ode(spectral, drive, state, -1.0, grid)
     rho_t = evolve_density_ode(spectral, drive, state, 0.0, grid)
-    u = propagate(model, drive, 0.0, -1.0, TimeGrid(S_MIN, 0.01, "ode_rk4")).matrix
+    u = rk4_propagator(model, drive, 0.0, -1.0, grid)
     conj = u @ rho_s.matrix @ u.conj().T
     conj = (conj + conj.conj().T) / 2
     assert norm2(CovariantOperator(conj - rho_t.matrix, model)) < 1e-8
@@ -891,7 +873,7 @@ def test_gauge_equivalence_rejects_torus():
 def test_weight_check_zero_field_saturates():
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.0))
-    u = propagate(model, drive, 0.0, -3.0, TimeGrid(S_MIN, 0.01, "magnus2"))
+    u = propagate(model, drive, 0.0, -3.0, TimeGrid(S_MIN, 0.01))
     rep = propagator_weight_check(spectral_of(model), drive, 0.0, -3.0, u)
     assert rep.weighted_norm == pytest.approx(1.0, abs=1e-8)
     assert rep.bound == pytest.approx(1.0, abs=1e-12)
@@ -900,7 +882,7 @@ def test_weight_check_zero_field_saturates():
 def test_weight_check_inequality_holds():
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.1))
-    u = propagate(model, drive, 0.0, -5.0, TimeGrid(S_MIN, 0.01, "magnus2"))
+    u = propagate(model, drive, 0.0, -5.0, TimeGrid(S_MIN, 0.01))
     rep = propagator_weight_check(spectral_of(model), drive, 0.0, -5.0, u)
     assert rep.weighted_norm <= rep.bound * (1.0 + THRESHOLDS["weight_margin"])
     assert rep.gamma >= 1.0
@@ -909,7 +891,7 @@ def test_weight_check_inequality_holds():
 def test_weight_bound_monotone_in_interval():
     model = make_torus((4, 4))
     drive = DriveProtocol(1.0, (0.0, 0.1))
-    grid = TimeGrid(S_MIN, 0.01, "magnus2")
+    grid = TimeGrid(S_MIN, 0.01)
     b1 = propagator_weight_check(spectral_of(model), drive, 0.0, -2.0, propagate(model, drive, 0.0, -2.0, grid)).bound
     b2 = propagator_weight_check(spectral_of(model), drive, 0.0, -5.0, propagate(model, drive, 0.0, -5.0, grid)).bound
     assert b2 >= b1

@@ -346,18 +346,25 @@ def test_dynamics_check_decomposition_budget(tmp_path, monkeypatch):
     # march (every fourth of its steps, their count a multiple of 16); the
     # magnus2 unitarity propagator, marched as U(0, s/4) U(s/4, s), whose first
     # factor the weight bound reads, takes its exponentials from Taylor
-    # polynomials, and the Liouville march of an RK4 grid decomposes nothing.
+    # polynomials, and the RK4 Liouville march decomposes nothing.
     # eigvalsh: the step-size guard of the four marches, and rho_min_eigenvalue;
     # the weight bound's shift reads the realization's own eigenvalues
     cfg = ExperimentConfig.parse(DYNAMICS_TINY)
     grid = cfg.grid_for(4.0)
-    assert grid.method == "ode_rk4"
     s = grid.s_min
     n_duh = grid.n_steps(s, 0.0, 4 * dynamics._NODE_STRIDE)
     expected = 1 + (n_duh // dynamics._NODE_STRIDE + 1)
     counts = _count_decompositions(monkeypatch, cfg.lattice_config().n_sites)
     assert run_experiment(cfg, out_dir=tmp_path).violations == []
     assert counts == {"eigh": expected, "eigvalsh": 4 + 1}
+
+
+def test_dynamics_check_keeps_the_configured_truncation_tol(tmp_path):
+    # the Duhamel refinement and gauge grids start at the config's s_min, so
+    # they keep its tolerance: at 1e-10 a 1e-12 grid would refuse that start
+    cfg = ExperimentConfig.parse(DYNAMICS_TINY)
+    cfg.set("drive", "truncation_tol", 1e-10)
+    assert run_experiment(cfg, out_dir=tmp_path).violations == []
 
 
 @pytest.mark.parametrize("include_fd", [False, True])
@@ -656,7 +663,10 @@ FAILING_GATE_CASES = {
         "kubo-sweep", DECOMPOSITION_CASES["kubo-sweep"][0], ("kubo_vs_resolvent", 1e-30), "kubo_vs_resolvent"
     ),
     "dynamics-check": ("dynamics-check", DYNAMICS_TINY, ("gauge_equivalence", 1e-30), "gauge_equivalence"),
-    "equilibrium": ("equilibrium", MINIMAL_CONFIG, ("equilibrium_clean", 0.0), "equilibrium_j_1"),
+    "equilibrium": (
+        "equilibrium", MINIMAL_CONFIG.replace("disorder_w = 1.0", "disorder_w = 0.0"),
+        ("equilibrium_clean", 0.0), "equilibrium_j_1",
+    ),
     "funcalc-check": ("funcalc-check", MINIMAL_CONFIG, ("hs_vs_spectral", 1e-30), "hs_vs_spectral"),
     "funcalc-check-refinement": (
         "funcalc-check", MINIMAL_CONFIG, ("hs_refinement_gain", 1e30), "hs_refinement_gain"
@@ -735,11 +745,14 @@ def test_every_config_key_is_read(tmp_path, monkeypatch):
     # the keys the suites read on small configs are exactly the schema's, so
     # no key is set and then ignored; funcalc-check is left out, since it reads
     # only model.base_seed, which algebra-check reads too.  The FD step is the
-    # acceptance table's: a patched entry reaches eta_sweep
+    # acceptance table's: a patched entry is the field of every FD evolution
     read, deltas = set(), []
-    getitem, sweep = ExperimentConfig.__getitem__, harness.eta_sweep
+    getitem = ExperimentConfig.__getitem__
     monkeypatch.setattr(ExperimentConfig, "__getitem__", lambda cfg, key: read.add(key) or getitem(cfg, key))
-    monkeypatch.setattr(harness, "eta_sweep", lambda *args: deltas.append(args[4]) or sweep(*args))
+    monkeypatch.setattr(
+        response, "evolve_density_ode",
+        lambda spectral, drive, *args: deltas.append(max(map(abs, drive.field))) or evolve_density_ode(spectral, drive, *args),
+    )
     monkeypatch.setitem(THRESHOLDS, "fd_delta_e", 2e-3)
     fd = DECOMPOSITION_CASES["kubo-sweep"][0] + "include_fd = true\nstep = 0.05\ntruncation_tol = 1e-6\n"
     # MINIMAL_CONFIG's equilibrium is at finite temperature, so it reads state.beta
@@ -755,15 +768,29 @@ def test_every_config_key_is_read(tmp_path, monkeypatch):
 
 
 def test_cli_seed_override_changes_outputs(tmp_path):
+    # a disordered equilibrium run needs two realizations for its stderr gate
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(
         MINIMAL_CONFIG.replace("experiment = algebra-check", "experiment = equilibrium")
+        .replace("base_seed = 777", "base_seed = 777\nn_realizations = 2")
     )
     cli_main(["equilibrium", "--config", str(cfg_path), "--out", str(tmp_path / "a")])
     cli_main(["equilibrium", "--config", str(cfg_path), "--out", str(tmp_path / "b"), "--seed", "9"])
     assert (tmp_path / "a/t/equilibrium_raw.csv").read_text() != (
         tmp_path / "b/t/equilibrium_raw.csv"
     ).read_text()
+
+
+def test_disordered_equilibrium_needs_two_realizations(tmp_path, capsys):
+    # one disordered realization has no stderr to bound, and the clean gate
+    # does not apply to it: a config error, before any file is written
+    cfg = ExperimentConfig.load(Path(__file__).resolve().parents[1] / "configs" / "equilibrium.ini")
+    cfg.set("model", "n_realizations", 1)
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(cfg.serialize())
+    assert cli_main(["equilibrium", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert "model.n_realizations >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
@@ -833,6 +860,24 @@ def test_cell_linalg_failure_recorded_not_fatal(tmp_path, monkeypatch):
     run_experiment(cfg, out_dir=tmp_path)
     summary = json.loads((tmp_path / "t" / "summary.json").read_text())
     assert len(summary["cell_errors"]) == 2
+
+
+def test_equilibrium_gate_fails_a_lone_disordered_realization(tmp_path, monkeypatch):
+    # a cell error can leave one disordered realization, with no stderr for
+    # the gate to bound: the gate fails, at tolerance 0
+    real, calls = harness.equilibrium_current, []
+
+    def second_fails(spectral, state):
+        calls.append(spectral)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("imaginary residue 1e-3 exceeds 1e-8")
+        return real(spectral, state)
+
+    monkeypatch.setattr(harness, "equilibrium_current", second_fails)
+    cfg = ExperimentConfig.load(Path(__file__).resolve().parents[1] / "configs" / "equilibrium.ini")
+    cfg.set("model", "n_realizations", 2)
+    violations = run_experiment(cfg, out_dir=tmp_path).violations
+    assert [(v[0], v[2]) for v in violations] == [("equilibrium_j_1", 0.0), ("equilibrium_j_2", 0.0), ("cell_error", "")]
 
 
 @pytest.mark.parametrize("threads", [1, 2])

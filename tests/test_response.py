@@ -416,7 +416,7 @@ def test_fd_matches_resolvent_small_1d():
     eta = 1.0
     grid = TimeGrid(np.log(1e-10), 0.005, truncation_tol=1e-10)
     spectral = spectral_of(model)
-    fd = sigma_finite_difference(spectral, state, eta, grid, delta_e=1e-3)
+    fd = sigma_finite_difference(spectral, state, eta, grid)
     res = sigma_resolvent(ResponseBasis.of(spectral, state).gauge_derivative(), eta)
     assert np.max(np.abs(fd - res)) < 1e-3
 
@@ -624,11 +624,11 @@ def test_eta_sweep_finite_difference_arrays():
     def grid_for(eta):
         return TimeGrid(np.log(1e-12) / eta, 0.02)
 
-    _, _, _, fd, fd_gap = eta_sweep(spectral, state, etas, grid_for, delta_e=1e-3)
+    _, _, _, fd, fd_gap = eta_sweep(spectral, state, etas, grid_for)
     basis = ResponseBasis.of(spectral, state).gauge_derivative()
     assert len(fd) == len(fd_gap) == len(etas)
     for eta, f, gap in zip(etas, fd, fd_gap):
-        assert np.array_equal(f, sigma_finite_difference(spectral, state, eta, grid_for(eta), 1e-3))
+        assert np.array_equal(f, sigma_finite_difference(spectral, state, eta, grid_for(eta)))
         assert gap == float(np.max(np.abs(f - sigma_resolvent(basis, eta))))
 
 

@@ -1,13 +1,16 @@
 """The library keeps only what it runs: every function, class and method
 defined in `src/kubolab` is named somewhere in `src/kubolab` besides its own
 definition, or is exported from `kubolab/__init__.py`.  Code that only the
-tests call belongs in `tests/reference.py`."""
+tests call belongs in `tests/reference.py`, and each of its public
+definitions is named by some test module, so no reference outlives its
+tests."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kubolab"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "kubolab"
 
 
 def _names(node) -> Counter:
@@ -39,3 +42,19 @@ def test_every_src_definition_has_a_src_caller_or_is_exported():
             if everywhere[name] == _names(node)[name]:  # named only inside its own definition
                 uncalled.append(f"{module}:{node.lineno} {name}")
     assert uncalled == []
+
+
+def test_every_reference_definition_has_a_test_caller():
+    reference = ast.parse((TESTS / "reference.py").read_text())
+    named = set()
+    for path in sorted(TESTS.glob("test_*.py")):
+        tree = ast.parse(path.read_text())
+        named |= set(_names(tree))
+        named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    public = [
+        node.name
+        for node in reference.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    assert public
+    assert [name for name in public if name not in named] == []
