@@ -17,9 +17,10 @@ step-size guard sits there and nowhere else, and only the current state and
 one block of steps' H(t) (one `_h_at` call) are held, so memory is O(N^2)
 whatever the number of steps.  Each route fixes its own integrator:
 `propagate` marches by magnus2, the midpoint exponential product, each
-exponential a Taylor polynomial, not an eigh; every other route by RK4.  An
-RK4 march hands on its step's k1 matrix H(r_k); the Duhamel density route
-decomposes it at every _NODE_STRIDE-th step only.
+exponential a Taylor polynomial, not an eigh; the Liouville route by RK4's
+stages; every other route by RK4's step matrices y -> S_k y, a block's at
+once.  An RK4 march hands on its step's k1 matrix H(r_k); the Duhamel
+density route decomposes it at every _NODE_STRIDE-th step only.
 
 A single evolution is sequential in time; independent (realization, field,
 eta) evolutions may run concurrently.  The only state they may share is the
@@ -85,8 +86,8 @@ class DriveProtocol:
 
 
 # Steps per march block: as many as keep three N x N arrays a step (RK4's stage times, magnus2's
-# Taylor x^2 and accumulators) within _BLOCK_BYTES (2 steps at N = 36), at most _BLOCK_STEPS.
-_BLOCK_BYTES = 128 * 1024
+# Taylor x^2 and accumulators) within _BLOCK_BYTES (4 steps at N = 36), at most _BLOCK_STEPS.
+_BLOCK_BYTES = 256 * 1024
 _BLOCK_STEPS = 16
 _NODE_STRIDE = 4  # march steps per node of the smooth Duhamel density integrand
 
@@ -196,8 +197,24 @@ def _expm_taylor(hs: np.ndarray, scale: complex) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _schrodinger(hr: np.ndarray, m: np.ndarray) -> np.ndarray:
-    return -1j * (hr @ m)
+def _schrodinger(k1s: np.ndarray, mids: np.ndarray, ends: np.ndarray, c: complex) -> np.ndarray:
+    """RK4's step matrices S_k of y' = -iH(r) y (y -> S_k y) for a block of steps, built in place
+    on mids and ends, the stacks of H(r_k + h/2) and H(r_k + h), S_k in mids; c = -ih, and k1s =
+    H(r_k) is only read: cK1 = cH(r_k), cK2 = cH(r_k + h/2)(I + cK1/2), cK3 = cH(r_k + h/2)(I +
+    cK2/2), cK4 = cH(r_k + h)(I + cK3) and S_k = I + (cK1 + 2cK2 + 2cK3 + cK4)/6."""
+    a2, a4 = np.multiply(mids, c, out=mids), np.multiply(ends, c, out=ends)
+    k2 = np.matmul(a2, k1s)
+    k2 *= c / 2
+    k2 += a2  # cK2
+    prod = np.matmul(a2, k2)
+    k3 = np.add(a2, np.multiply(prod, 0.5, out=prod), out=a2)  # cK3, on mids
+    k4 = np.add(a4, np.matmul(a4, k3, out=prod), out=a4)  # cK4, on ends
+    k3 += k2
+    k3 *= 2
+    k3 += np.add(k4, np.multiply(k1s, c, out=prod), out=prod)
+    k3 /= 6
+    k3.reshape(*k3.shape[:-2], -1)[..., :: k3.shape[-1] + 1] += 1.0
+    return k3
 
 
 def _liouville(hr: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -212,15 +229,16 @@ def _march(h_at, grid: TimeGrid, s: float, t: float, nsteps: int, y, rhs=_schrod
     to H(r), which may be a stack advanced side by side, and an array of
     times to the stack of their H(r).
 
-    The caller fixes the integrator.  RK4 integrates dy/dt = rhs(H(r), y):
-    states and propagators advance as y -> U y (_schrodinger), density
-    matrices as y -> U y U* (_liouville).  With rhs None, magnus2 advances
-    y -> U y by the midpoint exponential (see propagate).  Each block of
-    steps (see _BLOCK_BYTES) takes one h_at call on its stage times (RK4:
-    r_k, r_k + h/2 for k2 and k3, r_k + h; magnus2: s + (k + 1/2) h, then one
-    stacked _expm_taylor).  h_k is the step's k1 matrix H(r_k), read-only
-    (RK4), or None (magnus2, and k = n).  The step-size guard comes first,
-    and only the current y and block are held.
+    The caller fixes the integrator.  RK4 integrates dy/dt = -iH(r) y for
+    states and propagators by its step matrices, y -> S_k y (_schrodinger),
+    and density matrices, y -> U y U*, by its stages of dy/dt = rhs(H(r), y)
+    (_liouville).  With rhs None, magnus2 advances y -> U y by the midpoint
+    exponential (see propagate).  Each block of steps (see _BLOCK_BYTES)
+    takes one h_at call on its stage times (RK4: r_k, r_k + h/2 for k2 and
+    k3, r_k + h; magnus2: s + (k + 1/2) h, then one stacked _expm_taylor).
+    h_k is the step's k1 matrix H(r_k), read-only (RK4), or None (magnus2,
+    and k = n).  The step-size guard comes first, and only the current y
+    and block are held: the previous block goes before the next is assembled.
     """
     if t < s:
         raise ValueError(f"a march needs s <= t, got s={s}, t={t}")
@@ -235,19 +253,21 @@ def _march(h_at, grid: TimeGrid, s: float, t: float, nsteps: int, y, rhs=_schrod
     r = s
     for start in range(0, nsteps, block):
         ks = np.arange(start, min(start + block, nsteps))
+        us = k1s = mids = ends = None  # the previous block goes before the next is assembled
         if rhs is None:
             us = _expm_taylor(h_at(s + (ks + 0.5) * h), -1j * h)
         else:
             nodes = s + ks * h
-            stack = h_at(np.concatenate([nodes, nodes + h / 2, nodes + h]))
-            stack.flags.writeable = False
-            k1s, mids, ends = stack.reshape(3, len(ks), *h_s.shape)
+            k1s, mids, ends = h_at(np.concatenate([nodes, nodes + h / 2, nodes + h])).reshape(3, len(ks), *h_s.shape)
+            if rhs is _schrodinger:
+                us = _schrodinger(k1s, mids, ends, -1j * h)
+            k1s = k1s.copy()  # a handed-out H(r_k) must not hold the stage stack
+            k1s.flags.writeable = False
         for i, k in enumerate(ks.tolist()):
-            if rhs is None:
-                yield r, y, None
+            yield r, y, None if k1s is None else k1s[i]
+            if us is not None:
                 y = us[i] @ y
             else:
-                yield r, y, k1s[i]
                 k1 = rhs(k1s[i], y)
                 k2 = rhs(mids[i], y + (h / 2) * k1)
                 k3 = rhs(mids[i], y + (h / 2) * k2)

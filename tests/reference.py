@@ -6,7 +6,8 @@ Kubo formula through it (the velocity-projection identity and the
 kernel-projection conductivity), the triple-commutator structure of a
 projection, the contour route to f'(H) through (z - H)^{-2}, the
 propagators of the two integrators `propagate` does not use (the Riemann
-product and RK4), the Duhamel density with the minimal-image drive
+product and RK4), RK4 in its stage form with H assembled at each of the
+four stages, the Duhamel density with the minimal-image drive
 commutator, the gauge check with each gauge marched on its own, and a
 Richardson check of a smooth function's declared derivatives.  The library
 computes none of these; the tests hold its routes against them.
@@ -243,6 +244,21 @@ def rk4_propagator(model, drive, t, s, grid) -> np.ndarray:
     eye = np.eye(model.n_sites, dtype=complex)
     march = dynamics._march(partial(dynamics._h_at, model, drive), grid, s, t, grid.n_steps(s, t), eye)
     return dynamics._final(march)[1]
+
+
+def rk4_four_assemblies(h_at, apply, s, y, h, nsteps):
+    """y after nsteps RK4 steps of dy/dt = apply(H(r), y) from y at s, in
+    the stage form, with H assembled afresh at every one of the four stages:
+    the form the library's RK4 step matrices and shared stage assemblies
+    replace."""
+    for k in range(nsteps):
+        r = s + k * h
+        k1 = apply(h_at(r), y)
+        k2 = apply(h_at(r + h / 2), y + (h / 2) * k1)
+        k3 = apply(h_at(r + h / 2), y + (h / 2) * k2)
+        k4 = apply(h_at(r + h), y + h * k3)
+        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from functools import partial
 
 import numpy as np
@@ -41,6 +42,7 @@ from reference import (
     gauge_equivalence_two_marches,
     magnetic_translation,
     riemann_product,
+    rk4_four_assemblies,
     rk4_propagator,
 )
 
@@ -401,16 +403,52 @@ def test_magnus2_second_order_convergence():
     assert 3.4 < errs[0] / errs[1] < 4.6
 
 
-def _rk4_four_assemblies(h_at, apply, s, y, h, nsteps):
-    """RK4 that assembles H at every one of the four stages."""
-    for k in range(nsteps):
-        r = s + k * h
-        k1 = apply(h_at(r), y)
-        k2 = apply(h_at(r + h / 2), y + (h / 2) * k1)
-        k3 = apply(h_at(r + h / 2), y + (h / 2) * k2)
-        k4 = apply(h_at(r + h), y + h * k3)
-        y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y
+def test_rk4_fourth_order_convergence():
+    model = make_torus((4, 4))
+    drive = DriveProtocol(1.0, (0.0, 0.1))
+    ref = rk4_propagator(model, drive, 0.0, -2.0, TimeGrid(S_MIN, 0.00125))
+    errs = [
+        np.linalg.norm(rk4_propagator(model, drive, 0.0, -2.0, TimeGrid(S_MIN, h)) - ref)
+        for h in (0.04, 0.02, 0.01)
+    ]
+    ratios = [a / b for a, b in zip(errs, errs[1:])]
+    assert all(13.6 < r < 18.4 for r in ratios), ratios
+
+
+def _schrodinger_stages(hr, y):
+    return -1j * (hr @ y)
+
+
+def _both_gauges(model, drive):
+    """The gauge check's h_at: the stack [H_vec(r), H_scal(r)] of the bond-phase
+    and the scalar gauge, for a time or an array of times."""
+    h0 = build_hamiltonian(model).matrix
+    xs = [np.diag(model.coords[:, j].astype(complex)) for j in range(model.config.dimension)]
+
+    def h_both(r):
+        e = drive.field_at(r)
+        h_scal = h0 + sum(e[..., j, None, None] * xs[j] for j in range(len(xs)))
+        return np.stack([dynamics._h_at(model, drive, r), h_scal], axis=-3)
+
+    return h_both
+
+
+@pytest.mark.parametrize("case", ["torus-propagator", "two-gauge-vector"])
+def test_rk4_step_matrices_match_the_stage_form(case, rng):
+    grid = TimeGrid(S_MIN, 0.02)
+    n = grid.n_steps(S_MIN, 0.0)
+    if case == "torus-propagator":
+        model = make_torus((4, 4), 1, 4, sample_disorder(DisorderSpec(1.0, 8), 0, 16))
+        drive = DriveProtocol(1.0, (0.1, 0.05))
+        h_at, y0 = partial(dynamics._h_at, model, drive), np.eye(16, dtype=complex)
+    else:
+        model = make_chain(8, "open")
+        drive = DriveProtocol(1.0, (0.2,))
+        psi0 = rng.normal(size=8) + 1j * rng.normal(size=8)
+        h_at, y0 = _both_gauges(model, drive), np.asarray([psi0, psi0])[..., None]
+    _, y, _ = dynamics._final(dynamics._march(h_at, grid, S_MIN, 0.0, n, y0))
+    ref = rk4_four_assemblies(h_at, _schrodinger_stages, S_MIN, y0, (0.0 - S_MIN) / n, n)
+    assert np.linalg.norm(y - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_rk4_march_assembles_three_matrices_per_step(monkeypatch):
@@ -437,9 +475,9 @@ def test_rk4_march_assembles_three_matrices_per_step(monkeypatch):
 def test_march_with_a_partial_last_block_ends_at_t(monkeypatch):
     model = make_torus((6, 6), 1, 3)
     drive = DriveProtocol(2.0, (0.0, 0.1))
-    # 13 steps: six full blocks of two and one step
+    # 13 steps: three full blocks of four and one step
     n = 13
-    assert min(dynamics._BLOCK_STEPS, dynamics._BLOCK_BYTES // (3 * 16 * 36**2)) == 2
+    assert min(dynamics._BLOCK_STEPS, dynamics._BLOCK_BYTES // (3 * 16 * 36**2)) == 4
     s, t = -1.0, 0.0
     h_at = partial(dynamics._h_at, model, drive)
     grid = TimeGrid(S_MIN, 0.01)
@@ -451,6 +489,26 @@ def test_march_with_a_partial_last_block_ends_at_t(monkeypatch):
             patch.setattr(dynamics, "_BLOCK_BYTES", 1)
             _, y, _ = dynamics._final(dynamics._march(h_at, grid, s, t, n, np.eye(36, dtype=complex), rhs))
         assert y.tobytes() == nodes[-1][1].tobytes(), rhs
+
+
+@pytest.mark.parametrize(
+    "rhs", [dynamics._schrodinger, dynamics._liouville, None], ids=["rk4", "liouville", "magnus2"]
+)
+def test_march_frees_each_block_before_assembling_the_next(rhs):
+    model = make_torus((6, 6), 1, 3)
+    drive = DriveProtocol(2.0, (0.0, 0.1))
+    previous, alive = [], []
+
+    def h_at(t):
+        stack = dynamics._h_at(model, drive, t)
+        if np.ndim(t):  # a block's stage or midpoint times
+            alive.append(bool(previous) and previous[-1]() is not None)
+            previous.append(weakref.ref(stack))
+        return stack
+
+    march = dynamics._march(h_at, TimeGrid(S_MIN, 0.01), -1.0, 0.0, 13, np.eye(36, dtype=complex), rhs)
+    dynamics._final(march)  # it keeps the last (r, y, h_k) it was handed while the march runs on
+    assert not any(alive) and len(alive) == 4
 
 
 def test_march_hands_out_read_only_stacks():
@@ -480,7 +538,7 @@ def test_rk4_midpoint_reuse_keeps_bytes():
 
     spectral = SpectralData.from_operator(build_hamiltonian(model))
     zeta = state.build(spectral).matrix
-    ref = _rk4_four_assemblies(
+    ref = rk4_four_assemblies(
         lambda r: _h_phasing_every_hop(model, drive, r), liouville, S_MIN, zeta, (0.0 - S_MIN) / n, n
     )
     rho = evolve_density_ode(spectral, drive, state, 0.0, grid).matrix
@@ -683,15 +741,17 @@ def test_gauge_check_midpoint_reuse_keeps_value(rng):
     h0 = build_hamiltonian(model).matrix
     x = np.diag(model.coords[:, 0].astype(complex))
 
-    def schrodinger(hr, y):
-        return -1j * (hr @ y)
+    def step_matrices(h_at):
+        # y -> S_k y, S_k from the step-matrix polynomial on H assembled at each stage time on its own
+        y = psi0
+        for k in range(n):
+            r = S_MIN + k * h
+            k1, mid, end = (h_at(q)[None] for q in (r, r + h / 2, r + h))
+            y = dynamics._schrodinger(k1, mid, end, -1j * h)[0] @ y
+        return y
 
-    psi_vec = _rk4_four_assemblies(
-        lambda r: _h_phasing_every_hop(model, drive, r), schrodinger, S_MIN, psi0, h, n
-    )
-    psi_scal = _rk4_four_assemblies(
-        lambda r: h0 + sum([drive.field_at(r)[0] * x]), schrodinger, S_MIN, psi0, h, n
-    )
+    psi_vec = step_matrices(lambda r: _h_phasing_every_hop(model, drive, r))
+    psi_scal = step_matrices(lambda r: h0 + sum([drive.field_at(r)[0] * x]))
     g = gauge_operator(model, drive, 0.0).matrix
     ref = float(np.linalg.norm(g.conj().T @ psi_vec - psi_scal))
     assert gauge_equivalence_check(model, drive, psi0, 0.0, grid) == ref
@@ -733,7 +793,8 @@ def test_duhamel_memory_flat_in_step_count():
 def test_magnus2_unitarity_marches_memory_bounded():
     # the two magnus2 marches of dynamics-check's unitarity gate, on the bench's
     # 6x6 config (eta = 2, step 0.005, 2,764 steps): 498 KiB was their peak when
-    # each block of steps took its exponentials from one stacked eigh
+    # each block of steps took its exponentials from one stacked eigh; 438 KiB
+    # at 4 steps a block, with one block alive at a time
     model = make_torus((6, 6), 1, 3)
     drive = DriveProtocol(2.0, (0.0, 0.1))
     grid = TimeGrid(S_MIN / 2.0, 0.005)
@@ -745,6 +806,23 @@ def test_magnus2_unitarity_marches_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 498 * 1024
+
+
+def test_rk4_duhamel_march_memory_bounded():
+    # the Duhamel density route of dynamics-check on the bench's 6x6 config (eta = 2,
+    # step 0.005, 2,768 RK4 steps, a node at every fourth): 646 KiB was its peak at 4
+    # steps a block, the block's S_k built on its stage stack and its H(r_k) handed out
+    # as a copy, so that a node held by the caller keeps no stage stack alive
+    model, state = _gapped_torus_state()
+    drive = DriveProtocol(2.0, (0.0, 0.1))
+    grid = TimeGrid(S_MIN / 2.0, 0.005)
+    tracemalloc.start()
+    try:
+        evolve_density_duhamel(model, drive, state, 0.0, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 680 * 1024
 
 
 @pytest.mark.slow
