@@ -258,7 +258,7 @@ def _march(h_at, grid: TimeGrid, s: float, t: float, nsteps: int, y, rhs=_schrod
             us = _expm_taylor(h_at(s + (ks + 0.5) * h), -1j * h)
         else:
             nodes = s + ks * h
-            k1s, mids, ends = h_at(np.concatenate([nodes, nodes + h / 2, nodes + h])).reshape(3, len(ks), *h_s.shape)
+            k1s, mids, ends = h_at(np.concatenate([nodes, nodes + h / 2, nodes + h])).reshape(3, -1, *h_s.shape)
             if rhs is _schrodinger:
                 us = _schrodinger(k1s, mids, ends, -1j * h)
             k1s = k1s.copy()  # a handed-out H(r_k) must not hold the stage stack
