@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .model import CovariantOperator, LatticeModel, displacement_table
+from .model import CovariantOperator, LatticeConfig, LatticeModel, _displacements, displacement_table
 
 
 class DegenerateFermiLevelError(ValueError):
@@ -71,26 +71,39 @@ def apply_spectral(spectral: SpectralData, f) -> CovariantOperator:
 
 
 def fermi_projection(spectral: SpectralData, e_f: float) -> CovariantOperator:
-    """Spectral projection W W* onto energies <= E_F, W the occupied eigenvectors.
-
-    E_F within 1e-9 of an eigenvalue is an error (reporting the enclosing
-    gap edges) rather than a convention: silently half-filling a degenerate
-    level would corrupt every quantization check downstream.
-    """
-    occupation = _occupation(e_f)
-    evals = spectral.eigenvalues
-    gap_to_level = np.min(np.abs(evals - e_f))
-    if gap_to_level < 1e-9:
-        below = evals[evals < e_f - 1e-9]
-        above = evals[evals > e_f + 1e-9]
-        lo = below[-1] if below.size else -np.inf
-        hi = above[0] if above.size else np.inf
-        raise DegenerateFermiLevelError(
-            f"E_F={e_f} is within 1e-9 of an eigenvalue; nearest clean gap "
-            f"edges are ({lo}, {hi})"
-        )
-    w = spectral.eigenvectors[:, occupation(evals) == 1.0]
+    """Spectral projection W W* onto energies <= E_F, W the occupied eigenvectors."""
+    w = _occupied_frame(spectral, e_f)
     return CovariantOperator(w @ w.conj().T, spectral.model)
+
+
+def _occupied_frame(spectral: SpectralData, e_f: float) -> np.ndarray:
+    """W, the eigenvectors of the energies <= E_F (a view of the leading columns).
+    E_F within 1e-9 of an eigenvalue is an error (reporting the enclosing gap
+    edges) rather than a convention: silently half-filling a degenerate level
+    would corrupt every quantization check downstream."""
+    occupation, evals = _occupation(e_f), spectral.eigenvalues
+    if np.min(np.abs(evals - e_f)) < 1e-9:
+        below, above = evals[evals < e_f - 1e-9], evals[evals > e_f + 1e-9]
+        lo, hi = below[-1] if below.size else -np.inf, above[0] if above.size else np.inf
+        raise DegenerateFermiLevelError(
+            f"E_F={e_f} is within 1e-9 of an eigenvalue; nearest clean gap edges are ({lo}, {hi})"
+        )
+    return spectral.eigenvectors[:, : np.count_nonzero(occupation(evals))]  # evals ascend
+
+
+# Rows of P per panel in fermi_panels: as many as keep one panel within _PANEL_BYTES (113 at N = 576).
+_PANEL_BYTES = 1024 * 1024
+
+
+def fermi_panels(spectral: SpectralData, e_f: float):
+    """The Fermi projection P = W W* a row panel at a time, top to bottom:
+    yields (W, rows, P[rows]), W the occupied eigenvectors; no N x N array
+    is formed."""
+    w = _occupied_frame(spectral, e_f)
+    wh, step = w.conj().T, max(1, _PANEL_BYTES // (16 * len(w)))
+    for start in range(0, len(w), step):
+        rows = slice(start, start + step)
+        yield w, rows, w[rows] @ wh
 
 
 def _occupation(e_f: float, beta: float | None = None):
@@ -334,13 +347,6 @@ def almost_analytic_dbar(f: SmoothFunction, m: int, x, y):
     return (dsigma_dx + 1j * dsigma_dy) * taylor + sigma * residual
 
 
-def _spectral_bounds(h: np.ndarray):
-    # extremal eigenvalues only; the contour evaluation itself never
-    # touches the eigendecomposition
-    evals = np.linalg.eigvalsh(h)
-    return float(evals[0]), float(evals[-1])
-
-
 def hs_apply(
     op: CovariantOperator,
     f: SmoothFunction,
@@ -355,7 +361,8 @@ def hs_apply(
     if f.m_max < quad.order_m + 1:
         raise ValueError("f needs derivatives up to order m+1")
     h = op.matrix
-    e_lo, e_hi = _spectral_bounds(h)
+    evals = np.linalg.eigvalsh(h)  # for the extremal eigenvalues; no node reads an eigenvector
+    e_lo, e_hi = float(evals[0]), float(evals[-1])
     if e_lo < quad.x_lo or e_hi > quad.x_hi:
         raise CoverageError(
             f"spectral bounds [{e_lo:.3f}, {e_hi:.3f}] outside grid "
@@ -427,11 +434,9 @@ def spectral_position_commutator(
     return CovariantOperator(evecs @ kernel @ evecs.conj().T, spectral.model)
 
 
-def _pair_distances(model: LatticeModel) -> np.ndarray:
-    d2 = np.zeros((model.n_sites, model.n_sites))
-    for axis in range(model.config.dimension):
-        d2 += displacement_table(model, axis) ** 2
-    return np.sqrt(d2)
+def _pair_distances(config: LatticeConfig, rows=slice(None)) -> np.ndarray:
+    """Minimal-image distances from the sites `rows` to every site."""
+    return np.sqrt(sum(_displacements(config, axis, rows) ** 2 for axis in range(config.dimension)))
 
 
 def _fit_log_decay(dist, weight):
@@ -447,20 +452,21 @@ def _fit_log_decay(dist, weight):
     return -slope, float(r2)
 
 
-def localization_diagnostic(p: CovariantOperator) -> float:
+def localization_diagnostic(spectral: SpectralData, e_f: float) -> float:
     """Decay rate of an exponential fit of |P_xy| vs the minimal-image
-    distance; a positive rate flags the localized/gapped regime."""
-    dist = _pair_distances(p.model)
-    weight = np.abs(p.matrix) ** 2
-    rmax = dist.max()
-    bins = np.arange(0.0, rmax + 1.0)
-    centers, means = [], []
-    for lo in bins:
-        mask = (dist >= lo) & (dist < lo + 1.0)
-        if np.any(mask):
-            centers.append(lo + 0.5 if lo > 0 else 0.0)
-            means.append(float(np.sqrt(np.mean(weight[mask]))))
-    return float(_fit_log_decay(np.array(centers), np.array(means))[0])
+    distance, P the Fermi projection; a positive rate flags the
+    localized/gapped regime.  |P_xy|^2 is summed into unit distance bins
+    [b, b + 1) from the row panels of P, and the fit reads each bin's
+    root mean square at b + 1/2 (at 0 for b = 0)."""
+    config = spectral.model.config
+    size = int(np.linalg.norm(config.sides)) + 1  # |x_j(m) - x_j(n)| < L_j bounds every distance
+    sums, counts = np.zeros(size), np.zeros(size)
+    for _, rows, p_rows in fermi_panels(spectral, e_f):
+        bins = _pair_distances(config, rows).astype(np.intp).ravel()  # the floor of a distance
+        sums += np.bincount(bins, np.abs(p_rows).ravel() ** 2, size)
+        counts += np.bincount(bins, minlength=size)
+    lo = np.flatnonzero(counts)
+    return float(_fit_log_decay(np.where(lo > 0, lo + 0.5, 0.0), np.sqrt(sums[lo] / counts[lo]))[0])
 
 
 @dataclass
@@ -488,7 +494,5 @@ def combes_thomas_probe(op: CovariantOperator, z: complex) -> ResolventDecayRepo
     off = res - np.diag(np.diag(res))
     if np.max(np.abs(off)) < 1e-14:
         return ResolventDecayReport(np.inf, 1.0, True)
-    dist = _pair_distances(op.model)
-    mask = dist > 0.5
-    rate, r2 = _fit_log_decay(dist[mask], np.abs(res[mask]))
+    rate, r2 = _fit_log_decay(_pair_distances(op.model.config), np.abs(res))
     return ResolventDecayReport(rate, r2, False)

@@ -55,7 +55,6 @@ from .funcalc import (
     hs_apply,
     hs_norm,
     localization_diagnostic,
-    fermi_projection,
     position_commutator,
 )
 from .dynamics import (
@@ -518,23 +517,14 @@ def _suite_hall(cfg: ExperimentConfig, writer: _OutputWriter):
         chern = chern_number_fhs(p, q, bands) if p != 0 else 0.0
 
     def one(index):
-        p_fermi = fermi_projection(cfg.spectral_for(index), e_f)
-        sigma = sigma_streda(p_fermi)
-        return [
-            index,
-            realization_seed(cfg[("model", "base_seed")], index),
-            float(sigma[0, 1].real),
-            hall_scaled(sigma),
-            chern,
-            localization_diagnostic(p_fermi),
-        ]
+        spectral = cfg.spectral_for(index)
+        sigma = sigma_streda(spectral, e_f)
+        return [index, realization_seed(cfg[("model", "base_seed")], index), float(sigma[0, 1].real),
+                hall_scaled(sigma), chern, localization_diagnostic(spectral, e_f)]
 
     rows, cell_errors = _map_realizations(one, cfg)
-    writer.write_csv(
-        "hall_raw.csv",
-        ["realization", "seed", "sigma_12", "hall_scaled", "chern_oracle", "loc_rate"],
-        rows,
-    )
+    header = ["realization", "seed", "sigma_12", "hall_scaled", "chern_oracle", "loc_rate"]
+    writer.write_csv("hall_raw.csv", header, rows)
     summary_rows, checks = [], []
     if rows:
         mean, stderr = ensemble_average([r[3] for r in rows])
@@ -543,11 +533,8 @@ def _suite_hall(cfg: ExperimentConfig, writer: _OutputWriter):
         bound = THRESHOLDS["hall_quantization_clean" if clean else "hall_quantization_disordered"]
         checks.append(Check.below("hall", gap, bound))
         summary_rows.append([mean, stderr if stderr is not None else "", chern, gap, bound, checks[0].passed])
-    writer.write_csv(
-        "hall_summary.csv",
-        ["hall_scaled_mean", "stderr", "chern_oracle", "gap", "tolerance", "pass"],
-        summary_rows,
-    )
+    header = ["hall_scaled_mean", "stderr", "chern_oracle", "gap", "tolerance", "pass"]
+    writer.write_csv("hall_summary.csv", header, summary_rows)
     return checks, cell_errors
 
 

@@ -280,20 +280,29 @@ def displacement_table(model: LatticeModel, axis: int) -> np.ndarray:
 
     It depends on the geometry alone, so one table per (LatticeConfig, axis)
     is shared by every realization and flux on that lattice.  The last few
-    geometries are kept.
+    geometries are kept; `_displacements` computes any block of it uncached.
     """
     return _displacement_table(model.config, axis)
 
 
 @lru_cache(maxsize=8)
 def _displacement_table(config: LatticeConfig, axis: int) -> np.ndarray:
-    x = _coords(config.sides)[:, axis].astype(float)
-    diff = x[:, None] - x[None, :]
+    table = _displacements(config, axis)
+    table.flags.writeable = False
+    return table
+
+
+def _displacements(config: LatticeConfig, axis: int, rows=slice(None), cols=slice(None)) -> np.ndarray:
+    """The (rows, cols) block of the displacement table, in fresh memory; the
+    table is its all-rows, all-columns call.  Exact integers, formed as int32."""
+    x = _coords(config.sides)[:, axis].astype(np.int32)
+    diff = x[rows, None] - x[None, cols]
     if config.boundary == "torus":
         L = config.sides[axis]
-        diff = (diff + L // 2) % L - L // 2
-    diff.flags.writeable = False
-    return diff
+        diff += L // 2
+        diff %= L
+        diff -= L // 2
+    return diff.astype(float)
 
 
 def velocity_operator(model: LatticeModel, axis: int) -> CovariantOperator:

@@ -10,7 +10,7 @@ The resolvent and Kubo routes are one contraction over a `ResponseBasis`,
 the realization's D_j and i[x_k, zeta] in the eigenbasis of its H, with
 two kernels of E_m - E_n: 1 / (eta + i w) and the quadrature of
 int e^{eta r} e^{i w r} dr.  The basis is built once per realization from
-its `SpectralData` (the Streda form reads only the Fermi projection), so a
+its `SpectralData` (the Streda form reads only the occupied eigenvectors), so a
 realization is diagonalized once and its O(N^3) products are taken once,
 however many etas use it.  It realizes i[x_k, zeta] as the minimal-image
 commutator; its gauge-derivative sibling, the divided difference that the
@@ -26,12 +26,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .acceptance import THRESHOLDS
-from .model import CovariantOperator, velocity_operator
+from .model import CovariantOperator, _displacements, velocity_operator
 from .funcalc import (
     EquilibriumState,
     SpectralData,
     divided_difference_kernel,
-    fermi_projection,
+    fermi_panels,
     gauss_legendre,
     position_commutator,
 )
@@ -72,13 +72,10 @@ def net_current(
     twist.
     """
     model = rho.model
-    d = model.config.dimension
     zeta0 = state.build(SpectralData.from_operator(CovariantOperator(_h_at(model, drive, 0.0), model)))
-    out = np.zeros(d, dtype=complex)
-    for j in range(d):
-        v0 = _v_at(model, drive, 0.0, j)
-        out[j] = np.sum(v0 * (rho.matrix - zeta0.matrix).T) / model.n_sites
-    return _realness_guard(out)
+    delta_t = (rho.matrix - zeta0.matrix).T  # once, not per axis
+    out = [np.sum(_v_at(model, drive, 0.0, j) * delta_t) for j in range(model.config.dimension)]
+    return _realness_guard(np.array(out) / model.n_sites)
 
 
 def equilibrium_current(spectral: SpectralData, state: EquilibriumState) -> np.ndarray:
@@ -241,20 +238,23 @@ def sigma_finite_difference(
 # ---------------------------------------------------------------------------
 
 
-def sigma_streda(p: CovariantOperator) -> np.ndarray:
-    """sigma_jk = -i T{ P [[x_j, P], [x_k, P]] } for the Fermi projection P;
-    antisymmetric with exactly zero diagonal."""
-    d = p.model.config.dimension
-    n = p.model.n_sites
-    m_ops = [position_commutator(p, axis).matrix for axis in range(d)]
-    # T(P [M_j, M_k]) = tr(P M_j M_k) - tr(P M_k M_j), each O(N^2).  T_kj is not
-    # conj(T_jk): M_j is not exactly anti-Hermitian at half-box separations.
-    traces = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        pm = p.matrix @ m_ops[j]
-        traces[j] = [np.sum(pm * m.T) for m in m_ops]
-        del pm  # one P M_j alive at a time
-    return -1j * (traces - traces.T) / n
+def sigma_streda(spectral: SpectralData, e_f: float) -> np.ndarray:
+    """sigma_jk = -i T{ P [[x_j, P], [x_k, P]] } for the Fermi projection
+    P = W W* below e_f; antisymmetric with exactly zero diagonal.
+
+    With M_j = D_j o P, N T(P M_j M_k) = tr(W* M_j M_k W) sums the dot products
+    of the rows of M_j* W and M_k W.  A row panel of P (fermi_panels) gives
+    both: P is Hermitian, so row c of M_j* is D_j[:, c] o P[c, :].  T_kj is
+    computed, not taken as conj(T_jk): M_j is not exactly anti-Hermitian at
+    half-box separations."""
+    config = spectral.model.config
+    axes = range(config.dimension)
+    traces = np.zeros((len(axes), len(axes)), dtype=complex)
+    for w, rows, p_rows in fermi_panels(spectral, e_f):
+        right = [(_displacements(config, k, rows) * p_rows) @ w for k in axes]
+        left = [(_displacements(config, j, cols=rows).T * p_rows) @ w for j in axes]
+        traces += [[np.vdot(a, b) for b in right] for a in left]
+    return -1j * (traces - traces.T) / spectral.model.n_sites
 
 
 def hall_scaled(sigma: np.ndarray) -> float:
@@ -345,7 +345,7 @@ def eta_sweep(
         _require_rate(eta)
     if any(b >= a for a, b in zip(etas, etas[1:])):
         raise ValueError("etas must be strictly descending")
-    streda = sigma_streda(fermi_projection(spectral, state.e_f))
+    streda = sigma_streda(spectral, state.e_f)
     basis = ResponseBasis.of(spectral, state)
     resolvent = np.array([sigma_resolvent(basis, eta) for eta in etas])
     kubo = np.array([sigma_kubo_integral(basis, eta) for eta in etas])

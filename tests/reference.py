@@ -4,7 +4,9 @@ The magnetic translations that implement covariance, the Liouvillian
 superoperator in the eigenbasis of H, two routes to the structure of the
 Kubo formula through it (the velocity-projection identity and the
 kernel-projection conductivity), the triple-commutator structure of a
-projection, the contour route to f'(H) through (z - H)^{-2}, the
+projection, the Kubo-Streda trace with P and P M_j formed as N x N
+matrices, the decay rate of |P_xy| binned by one distance mask per bin,
+the contour route to f'(H) through (z - H)^{-2}, the
 propagators of the two integrators `propagate` does not use (the Riemann
 product and RK4), RK4 in its stage form with H assembled at each of the
 four stages, the Duhamel density with the minimal-image drive
@@ -37,6 +39,7 @@ from kubolab.funcalc import (
     HSQuadrature,
     SmoothFunction,
     SpectralData,
+    _fit_log_decay,
     almost_analytic_dbar,
     apply_spectral,
     fermi_projection,
@@ -195,6 +198,32 @@ def triple_commutator_check(p: CovariantOperator, axis: int | None = None) -> fl
         outer = pm @ inner - inner @ pm
         worst = max(worst, float(np.linalg.norm(outer - m, 2)))
     return worst
+
+
+def sigma_streda_dense(p: CovariantOperator) -> np.ndarray:
+    """sigma_jk = -i T{ P [[x_j, P], [x_k, P]] } with P, M_j = [x_j, P] and
+    one P M_j at a time formed as N x N matrices."""
+    d = p.model.config.dimension
+    m_ops = [position_commutator(p, axis).matrix for axis in range(d)]
+    traces = np.zeros((d, d), dtype=complex)
+    for j in range(d):
+        pm = p.matrix @ m_ops[j]
+        traces[j] = [np.sum(pm * m.T) for m in m_ops]
+    return -1j * (traces - traces.T) / p.model.n_sites
+
+
+def localization_diagnostic_masked(p: CovariantOperator) -> float:
+    """The decay rate of localization_diagnostic from the whole |P|^2 and the
+    whole distance table, one mask pass per unit distance bin."""
+    dist = np.sqrt(sum(displacement_table(p.model, axis) ** 2 for axis in range(p.model.config.dimension)))
+    weight = np.abs(p.matrix) ** 2
+    centers, means = [], []
+    for lo in np.arange(0.0, dist.max() + 1.0):
+        mask = (dist >= lo) & (dist < lo + 1.0)
+        if np.any(mask):
+            centers.append(lo + 0.5 if lo > 0 else 0.0)
+            means.append(float(np.sqrt(np.mean(weight[mask]))))
+    return float(_fit_log_decay(np.array(centers), np.array(means))[0])
 
 
 # ---------------------------------------------------------------------------

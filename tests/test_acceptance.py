@@ -25,7 +25,6 @@ from kubolab.funcalc import (
     HSQuadrature,
     SpectralData,
     apply_spectral,
-    fermi_projection,
     gaussian_function,
     hs_apply,
 )
@@ -82,7 +81,7 @@ def clean_flux_third(length):
 def test_criterion_1_hall_quantization():
     t0 = time.time()
     model, e_f = clean_flux_third(12)
-    scaled = hall_scaled(sigma_streda(fermi_projection(spectral_of(model), e_f)))
+    scaled = hall_scaled(sigma_streda(spectral_of(model), e_f))
     per_realization = time.time() - t0
     chern = chern_number_fhs(1, 3, 1)
     clean_gap = abs(abs(scaled) - abs(chern))
@@ -94,7 +93,7 @@ def test_criterion_1_hall_quantization():
     for i in range(TOL["hall_n_realizations"]):
         pot = sample_disorder(DisorderSpec(TOL["hall_disorder_strength"], 20240811), i, 144)
         noisy = LatticeModel(model.config, model.flux, pot)
-        values.append(hall_scaled(sigma_streda(fermi_projection(spectral_of(noisy), e_f))))
+        values.append(hall_scaled(sigma_streda(spectral_of(noisy), e_f)))
     mean, _ = ensemble_average(values)
     dis_gap = abs(abs(mean) - abs(chern))
     assert dis_gap < TOL["hall_quantization_disordered"]
@@ -294,7 +293,7 @@ def test_criterion_9_structural_identities():
     # antisymmetry and zero diagonal of the commutator form
     pot = sample_disorder(DisorderSpec(0.5, 42), 0, 64)
     noisy = LatticeModel(LatticeConfig(2, (8, 8), "torus"), FluxSpec(1, 4), pot)
-    sigma = sigma_streda(fermi_projection(spectral_of(noisy), gap_fermi_level(noisy, 0.25)))
+    sigma = sigma_streda(spectral_of(noisy), gap_fermi_level(noisy, 0.25))
     antisym = float(np.max(np.abs(sigma + sigma.T)))
     diag = float(max(abs(sigma[0, 0]), abs(sigma[1, 1])))
     assert antisym < TOL["sigma_antisymmetry"]
@@ -303,8 +302,7 @@ def test_criterion_9_structural_identities():
     # time reversal on an odd torus (exactly antisymmetric minimal image)
     pot9 = sample_disorder(DisorderSpec(2.0, 23), 0, 81)
     real_model = LatticeModel(LatticeConfig(2, (9, 9), "torus"), FluxSpec(), pot9)
-    p_real = fermi_projection(spectral_of(real_model), gap_fermi_level(real_model, 0.5))
-    tr_sigma = float(np.max(np.abs(sigma_streda(p_real))))
+    tr_sigma = float(np.max(np.abs(sigma_streda(spectral_of(real_model), gap_fermi_level(real_model, 0.5)))))
     assert tr_sigma < TOL["time_reversal_sigma"]
 
     # operator-algebra identity battery

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +24,13 @@ def test_byte_sweep_of_a_tree_against_itself_agrees():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == ["algebra.ini", "hall.ini"]
-    assert all(line.endswith("same; violations 0 / 0") for line in lines), lines
+    pattern = (r"same; violations 0 / 0; peak RSS (\d+\.\d) / (\d+\.\d) MB, "
+               r"growth over import (\d+\.\d) / (\d+\.\d) MB")
+    for line in lines:
+        match = re.search(pattern, line)
+        assert match, line
+        peak_a, peak_b, growth_a, growth_b = (float(x) for x in match.groups())
+        assert 0 < growth_a < peak_a and 0 < growth_b < peak_b, line
 
 
 def test_byte_sweep_names_the_one_moved_cell(tmp_path):

@@ -427,9 +427,8 @@ def test_localization_gapped_projector_stable_rate():
         model = make_torus((length, length), 1, 3)
         sp = SpectralData.from_operator(build_hamiltonian(model))
         e_f = gap_fermi_level(model, 1.0 / 3.0)
-        p = fermi_projection(sp, e_f)
-        rates[length] = localization_diagnostic(p)
-        comms[length] = norm2(position_commutator(p, 0))
+        rates[length] = localization_diagnostic(sp, e_f)
+        comms[length] = norm2(position_commutator(fermi_projection(sp, e_f), 0))
     assert all(rate > 0 for rate in rates.values())
     c18 = comms[18]
     c24 = comms[24]

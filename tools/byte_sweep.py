@@ -7,7 +7,9 @@ SRC_A and SRC_B are `src/` directories.  Each shipped config
 the base seed of `--seed 5`) runs once per tree, in a fresh process with
 PYTHONPATH=<src> and OPENBLAS_NUM_THREADS=1.  Per config it prints whether
 every manifest output hash and the config_sha256 agree, and the violation
-counts on both sides; under each CSV output that differs, one line per moved
+counts, the peak RSS and its growth over `import kubolab` on both sides (so
+a memory move shows next to the byte diff); under each CSV output that
+differs, one line per moved
 column with its largest absolute and relative change, and under a differing
 summary.json, one line per moved leaf with its JSON path (a check is named
 in it, as in checks[5:weight_inequality][1]) and its absolute and relative
@@ -36,10 +38,20 @@ CHILD = """
 import json, sys
 import kubolab
 from kubolab.harness import ExperimentConfig, run_experiment
+
+def status_mb(field):
+    # this process's own counters: ru_maxrss would also carry the peak of the
+    # forking parent, which exec keeps
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(field + ":")) / 1024
+
+after_import = status_mb("VmRSS")
 manifest = run_experiment(ExperimentConfig.load(sys.argv[1]), out_dir=sys.argv[2])
+peak = status_mb("VmHWM")
 print(json.dumps({"package": kubolab.__file__, "outputs": manifest.outputs,
                   "config_sha256": manifest.config_sha256,
-                  "violations": len(manifest.violations)}))
+                  "violations": len(manifest.violations),
+                  "peak_rss_mb": peak, "rss_growth_mb": peak - after_import}))
 """
 
 
@@ -168,7 +180,9 @@ def main(argv=None) -> int:
         differ |= bool(moved)
         verdict = "same" if not moved else "DIFFERS: " + ", ".join(moved)
         print(f"{name}: {len(files)} outputs, {verdict}; "
-              f"violations {a['violations']} / {b['violations']}")
+              f"violations {a['violations']} / {b['violations']}; "
+              f"peak RSS {a['peak_rss_mb']:.1f} / {b['peak_rss_mb']:.1f} MB, "
+              f"growth over import {a['rss_growth_mb']:.1f} / {b['rss_growth_mb']:.1f} MB")
         for output in moved:
             if output in a["texts"] and output in b["texts"]:
                 changes = json_changes if output.endswith(".json") else column_changes
